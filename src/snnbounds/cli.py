@@ -65,12 +65,30 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if not self.widths or sorted(set(self.widths)) != self.widths:
             raise ConfigError("widths must be nonempty and strictly increasing")
+        if self.widths[0] < 1:
+            raise ConfigError("widths must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
+        if self.subsample < 0:
+            raise ConfigError("subsample must be >= 0 (0 = full dataset)")
+        try:
+            self.train_config(seed=0)  # TrainConfig checks the training knobs
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.max_epochs == 0:
             self.max_epochs = 20 if self.dataset == "mnist" else 50
+
+    def train_config(self, seed):
+        """Trainer settings for one training seed of this experiment."""
+        return TrainConfig(batch_size=self.batch_size, momentum=self.momentum,
+                           learning_rate=self.learning_rate,
+                           max_epochs=self.max_epochs,
+                           target_train_error=self.target_train_error,
+                           seed=seed)
 
 
 def parse_config_file(path):
@@ -107,13 +125,13 @@ def build_experiment_config(args):
         "target_train_error": float, "activation": str,
     }
     kwargs = {}
-    for key, conv in flag_map.items():
-        if key in values:
-            kwargs[key] = conv(values[key])
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            kwargs[key] = conv(cli_val) if not isinstance(cli_val, list) else cli_val
     try:
+        for key, conv in flag_map.items():
+            if key in values:
+                kwargs[key] = conv(values[key])
+            cli_val = getattr(args, key, None)
+            if cli_val is not None:
+                kwargs[key] = conv(cli_val) if not isinstance(cli_val, list) else cli_val
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
@@ -130,6 +148,9 @@ def load_task_dataset(cfg):
             raise ConfigError("--cifar-dir is required for the cifar10 dataset")
         raw = data_mod.load_cifar_dir(cfg.cifar_dir)
     ds = data_mod.build_binary_task(raw, task)
+    if cfg.subsample > ds.n:
+        raise ConfigError(f"subsample={cfg.subsample} exceeds the {ds.n} "
+                          f"examples of the {cfg.dataset} task")
     if cfg.subsample:
         ds = data_mod.subsample(ds, cfg.subsample, fork_rng(0, 999))
     return ds
@@ -148,13 +169,8 @@ def cmd_train(cfg):
         for seed in cfg.seeds:
             params, snapshot = init_kaiming(
                 fork_rng(seed, m), m, ds.d, 1, get_activation(cfg.activation))
-            tc = TrainConfig(batch_size=cfg.batch_size, momentum=cfg.momentum,
-                             learning_rate=cfg.learning_rate,
-                             max_epochs=cfg.max_epochs,
-                             target_train_error=cfg.target_train_error,
-                             seed=seed)
             try:
-                report = sgd_train(params, snapshot, ds, tc)
+                report = sgd_train(params, snapshot, ds, cfg.train_config(seed))
             except TrainingDiverged as exc:
                 failures.append({"seed": seed, "m": m, "error": str(exc)})
                 continue
@@ -166,6 +182,8 @@ def cmd_train(cfg):
                           "epochs": report.epochs_run,
                           "train_error": report.final_train_error,
                           "ramp_risk": report.final_ramp_risk,
+                          "loss_curve": report.loss_curve,
+                          "error_curve": report.error_curve,
                           "wall_time": report.wall_time})
     manifest = {
         "version": 1,

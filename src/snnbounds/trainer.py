@@ -7,7 +7,7 @@ is reached.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,15 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
 
 
 @dataclass
 class TrainReport:
     epochs_run: int
     loss_curve: list
+    error_curve: list  # end-of-epoch 0-1 training error
     final_train_error: float
     final_ramp_risk: float
     wall_time: float = 0.0
@@ -81,24 +84,42 @@ def _batch_grads(params, Xb, yb01):
     return float(np.mean(loss)), grad_W, grad_V
 
 
+def _margins(params, ds):
+    """y_i * psi(x_i) for every example: one full-data forward."""
+    return ds.y * forward(params, ds.X)[0]
+
+
+def _error_from_margins(t):
+    return float(np.mean(t <= 0.0))
+
+
+def _ramp_from_margins(t):
+    return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
+
+
 def zero_one_error(params, ds):
     """Fraction of misclassified points; a zero score counts as an error."""
     if params.c != 1:
         raise ValueError("zero_one_error requires c = 1")
-    s = forward(params, ds.X)[0]
-    return float(np.mean(ds.y * s <= 0.0))
+    return _error_from_margins(_margins(params, ds))
 
 
 def ramp_risk(params, ds):
     """Empirical risk under the 1-Lipschitz ramp loss clipped to [0, 1]."""
     if params.c != 1:
         raise ValueError("ramp_risk requires c = 1")
-    t = ds.y * forward(params, ds.X)[0]
-    return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
+    return _ramp_from_margins(_margins(params, ds))
 
 
 def sgd_train(params, snapshot, ds, cfg):
-    """Train params in place with SGD + classical momentum; snapshot untouched."""
+    """Train params in place with SGD + classical momentum; snapshot untouched.
+
+    Batches are row gathers from a C-contiguous (n, d) copy of X; their
+    transposes have the same values and strides as the column gather
+    X[:, idx], so BLAS sees the same operands.  Momentum is updated in place.
+    Each epoch ends with one full-data forward whose margins give both the
+    early-stop 0-1 error and, after the last epoch, the final ramp risk.
+    """
     if ds.d != params.d:
         raise ValueError(f"dataset d={ds.d} but model d={params.d}")
     if params.c != 1:
@@ -106,33 +127,43 @@ def sgd_train(params, snapshot, ds, cfg):
 
     start = time.perf_counter()
     y01 = (ds.y + 1.0) / 2.0
+    XT = np.ascontiguousarray(ds.X.T)       # (n, d)
+    mu, lr = cfg.momentum, cfg.learning_rate
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)
+    stepW = np.empty_like(params.W)
     loss_curve = []
-    epochs_run = 0
+    error_curve = []
+    margins = None
     for epoch in range(cfg.max_epochs):
         order = fork_rng(cfg.seed, epoch).permutation(ds.n)
         epoch_loss = 0.0
         n_batches = 0
         for start_idx in range(0, ds.n, cfg.batch_size):
             idx = order[start_idx:start_idx + cfg.batch_size]
-            loss, gW, gV = _batch_grads(params, ds.X[:, idx], y01[idx])
+            loss, gW, gV = _batch_grads(params, XT[idx].T, y01[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, n_batches)
-            uW = cfg.momentum * uW + gW
-            uV = cfg.momentum * uV + gV
-            params.W -= cfg.learning_rate * uW
-            params.V -= cfg.learning_rate * uV
+            uW *= mu
+            uW += gW
+            uV *= mu
+            uV += gV
+            params.W -= np.multiply(uW, lr, out=stepW)
+            params.V -= lr * uV
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / n_batches)
-        epochs_run = epoch + 1
-        if zero_one_error(params, ds) < cfg.target_train_error:
+        margins = _margins(params, ds)
+        error_curve.append(_error_from_margins(margins))
+        if error_curve[-1] < cfg.target_train_error:
             break
+    if margins is None:
+        margins = _margins(params, ds)
     return TrainReport(
-        epochs_run=epochs_run,
+        epochs_run=len(loss_curve),
         loss_curve=loss_curve,
-        final_train_error=zero_one_error(params, ds),
-        final_ramp_risk=ramp_risk(params, ds),
+        error_curve=error_curve,
+        final_train_error=_error_from_margins(margins),
+        final_ramp_risk=_ramp_from_margins(margins),
         wall_time=time.perf_counter() - start,
     )

@@ -38,6 +38,8 @@ def test_config_defaults_and_validation():
         ExperimentConfig(delta=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(dataset="svhn")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(max_epochs=-1)
 
 
 def test_config_file_parsing(tmp_path):
@@ -70,6 +72,34 @@ def test_exit_code_config_error(tmp_path):
     assert _run(["train", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"), ("--momentum", "1.5"), ("--momentum", "-0.1"),
+    ("--learning-rate", "-1"), ("--max-epochs", "-1"), ("--subsample", "-1"),
+    ("--widths", "0,4"), ("--seeds", "-1"),
+])
+def test_exit_code_bad_training_flag(tmp_path, flag, value):
+    # rejected before the dataset is read: a missing directory would give 3
+    out = os.path.join(tmp_path, "run")
+    rc = _run(["train", "--mnist-dir", os.path.join(tmp_path, "nope"),
+               "--out", out, flag, value])
+    assert rc == 2
+    assert not os.path.exists(out)
+
+
+def test_exit_code_bad_config_file_value(tmp_path):
+    path = os.path.join(tmp_path, "exp.cfg")
+    with open(path, "w") as f:
+        f.write("batch_size=many\n")
+    assert _run(["train", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_exit_code_oversized_subsample(tmp_path, mnist_dir):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--subsample", "41"]
+                + _base_args(mnist_dir, out)) == 2
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_exit_code_data_error(tmp_path):
     missing = os.path.join(tmp_path, "nope")
     rc = _run(["train", "--mnist-dir", missing, "--out", str(tmp_path)])
@@ -83,6 +113,9 @@ def test_train_cardinality_contract(tmp_path, mnist_dir):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["n"] == 40 and manifest["d"] == 1024
     assert len(manifest["cells"]) == 1 and manifest["failures"] == []
+    cell = manifest["cells"][0]
+    assert len(cell["loss_curve"]) == len(cell["error_curve"]) == cell["epochs"]
+    assert cell["error_curve"][-1] == cell["train_error"]
 
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 0
     with open(os.path.join(out, "measures.csv"), newline="") as f:

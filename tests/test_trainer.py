@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from snnbounds import (Dataset, RELU, SnnParams, TrainConfig, bce_logits,
-                       init_kaiming, make_rng, ramp_risk, sgd_train,
-                       zero_one_error)
+from snnbounds import (Dataset, RELU, TANH, SnnParams, TrainConfig,
+                       bce_logits, init_kaiming, make_rng, ramp_risk,
+                       sgd_train, zero_one_error)
+from snnbounds.linalg import fork_rng
+from snnbounds.model import forward
 from snnbounds.trainer import TrainingDiverged, _batch_grads
 from conftest import random_unit_dataset
 
@@ -156,6 +158,8 @@ def test_config_validation():
         TrainConfig(momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-0.1)
+    with pytest.raises(ValueError):
+        TrainConfig(max_epochs=-1)
 
 
 def test_batch_grads_match_finite_differences():
@@ -177,3 +181,71 @@ def test_batch_grads_match_finite_differences():
             Wm[i, j] -= h
             fd = (loss_at(Wp, params.V) - loss_at(Wm, params.V)) / (2 * h)
             assert abs(fd - gW[i, j]) < 1e-5
+
+
+def _reference_sgd(params, ds, cfg):
+    """Straightforward loop: column-gathered batches, momentum buffers
+    reallocated every step, and separate 0-1 / ramp evaluations."""
+    def error():
+        return float(np.mean(ds.y * forward(params, ds.X)[0] <= 0.0))
+
+    def ramp():
+        t = ds.y * forward(params, ds.X)[0]
+        return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
+
+    y01 = (ds.y + 1.0) / 2.0
+    uW = np.zeros_like(params.W)
+    uV = np.zeros_like(params.V)
+    loss_curve, error_curve = [], []
+    for epoch in range(cfg.max_epochs):
+        order = fork_rng(cfg.seed, epoch).permutation(ds.n)
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, ds.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, gW, gV = _batch_grads(params, ds.X[:, idx], y01[idx])
+            uW = cfg.momentum * uW + gW
+            uV = cfg.momentum * uV + gV
+            params.W -= cfg.learning_rate * uW
+            params.V -= cfg.learning_rate * uV
+            epoch_loss += loss
+            n_batches += 1
+        loss_curve.append(epoch_loss / n_batches)
+        error_curve.append(error())
+        if error() < cfg.target_train_error:
+            break
+    return loss_curve, error_curve, error(), ramp()
+
+
+def _learnable_dataset(d, n):
+    rng = make_rng(21)
+    X = rng.standard_normal((d, n))
+    X /= np.linalg.norm(X, axis=0)
+    y = np.where(rng.standard_normal(d) @ X > 0, 1.0, -1.0)
+    return Dataset(X, y, name="halfspace")
+
+
+@pytest.mark.parametrize("n, batch_size, max_epochs, target, act", [
+    pytest.param(90, 16, 3, 0.0, RELU, id="partial-last-batch"),
+    pytest.param(81, 16, 2, 0.0, RELU, id="last-batch-of-one"),
+    pytest.param(90, 16, 10, 0.1, RELU, id="early-stop"),
+    pytest.param(90, 16, 0, 0.0, RELU, id="zero-epochs"),
+    pytest.param(90, 32, 3, 0.0, TANH, id="tanh"),
+])
+def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
+                                                  target, act):
+    ds = _learnable_dataset(48, n)
+    cfg = TrainConfig(batch_size=batch_size, learning_rate=0.5,
+                      max_epochs=max_epochs, target_train_error=target, seed=4)
+    params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    ref = SnnParams(params.W.copy(), params.V.copy(), act)
+    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg)
+    report = sgd_train(params, snap, ds, cfg)
+    assert np.array_equal(params.W, ref.W)
+    assert np.array_equal(params.V, ref.V)
+    assert report.loss_curve == loss_curve
+    assert report.error_curve == error_curve
+    assert report.final_train_error == err
+    assert report.final_ramp_risk == ramp
+    assert report.epochs_run == len(loss_curve)
+    if target > 0:
+        assert report.epochs_run < max_epochs
