@@ -1,10 +1,11 @@
 """All implemented generalization bounds for one trained network, side by side.
 
-Trains a single model on a synthetic task, then evaluates the two bounds
-based on the path-norm with reference matrix (pn_ours, spn_ours), the
-Rademacher complexity bounds, and the nine comparator bounds from the
-literature, printing them sorted by value.  Data-dependent bounds carry a
-factor ||X||_F / n, the others max_i ||x_i|| / sqrt(n).
+Trains a single model on a synthetic task, measures it once, then evaluates
+the two bounds based on the path-norm with reference matrix (pn_ours,
+spn_ours), the Rademacher complexity bounds, and the nine comparator bounds
+from the literature on those measures, printing them sorted by value.
+Data-dependent bounds carry a factor ||X||_F / n, the others
+max_i ||x_i|| / sqrt(n).
 
 Run:  python3 demos/bounds_comparison.py
 """
@@ -12,7 +13,7 @@ Run:  python3 demos/bounds_comparison.py
 import numpy as np
 
 from snnbounds import (TrainConfig, all_bound_values, init_kaiming, make_rng,
-                       sgd_train)
+                       measure_report, sgd_train)
 from snnbounds.datasets import Dataset
 
 d, n, m = 32, 1024, 128
@@ -31,7 +32,9 @@ report = sgd_train(params, snap, ds,
 print(f"trained m={m}: train error {report.final_train_error:.3f}, "
       f"ramp risk {report.final_ramp_risk:.3f}\n")
 
-values = all_bound_values(params, snap, ds, delta=0.01)
+measures = measure_report(params, snap, ds)
+values = all_bound_values(measures, m, params.c, d, params.activation,
+                          delta=0.01)
 print(f"{'method':<18} {'value':>12}  flags")
 for bv in sorted(values, key=lambda b: b.value):
     flags = []

@@ -9,6 +9,9 @@ the path-norm, which is where the (.+1)(.+2) factors come from.
 Nine comparator bounds from the literature are evaluated on the same
 measures; data-dependent ones carry a factor ||X||_F / n, data-independent
 ones a factor max_i ||x_i||_2 / sqrt(n).
+
+Every bound is a function of a MeasureReport plus the shape and activation
+of the network, so bounds.csv can be derived from measures.csv alone.
 """
 
 import math
@@ -16,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, spectral_norm
-from .measures import (MeasureReport, init_activation_term, measure_report,
-                       path_norm, standard_path_norm)
+from .linalg import spectral_norm
+from .measures import MeasureReport, init_activation_term
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 
@@ -123,7 +125,7 @@ def rad_lower(inputs, r0):
     return first + second
 
 
-def gen_bound_pn(params, snapshot, inputs, reduce_both_terms=True):
+def gen_bound_pn(inputs, reduce_both_terms=True):
     """Exact generalization bound in terms of the path-norm.
 
     For c = 1 the leading 2*sqrt(2) Rademacher factors reduce to 2; by
@@ -131,7 +133,7 @@ def gen_bound_pn(params, snapshot, inputs, reduce_both_terms=True):
     (``reduce_both_terms=False`` restricts it to the first term).
     """
     r = inputs.report
-    kappa = path_norm(params, snapshot)
+    kappa = r.kappa
     R1, R2 = r.R_W, r.R_V
     full = 2.0 * math.sqrt(2.0)
     lead1 = lead2 = full
@@ -148,10 +150,12 @@ def gen_bound_pn(params, snapshot, inputs, reduce_both_terms=True):
     return term1 + term2 + term3
 
 
-def gen_bound_spn(params, inputs):
+def gen_bound_spn(inputs):
     """Generalization bound in terms of the standard path-norm (c = 1)."""
+    if inputs.c != 1:
+        raise ValueError("standard path-norm bound is defined here for c = 1")
     r = inputs.report
-    kappa_s = standard_path_norm(params)
+    kappa_s = r.kappa_s
     term1 = 4.0 / inputs.n * (kappa_s + 1.0) * r.X_fro
     log_arg = 2.0 * (kappa_s + 1.0) * (kappa_s + 2.0) / inputs.delta
     term2 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * inputs.n))
@@ -216,51 +220,45 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
     and lower bounds against Monte-Carlo estimates; model-specific fields of
     the report are zeroed.
     """
+    stats = ds.stats
     report = MeasureReport(
         kappa=0.0, kappa_s=0.0, R_W=R_W, R_V=R_V, w_fro=0.0, v_dist=0.0,
         w0_spectral=spectral_norm(W0).value, w_spectral=0.0, v_spectral=0.0,
         w_dist_12=0.0, v_dist_12=0.0, w_inf1=0.0, v_inf1=0.0,
-        init_term=init_activation_term_raw(W0, ds.X, activation, c),
-        X_fro=frobenius_norm(ds.X),
-        gram_spec_sqrt=spectral_norm(ds.X).value,
-        b_x=float(np.max(np.linalg.norm(ds.X, axis=0))),
+        init_term=init_activation_term(W0, ds.X, activation, c),
+        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, b_x=stats.b_x,
+        n=ds.n, r0=float(np.min(np.linalg.norm(W0, axis=1))),
     )
     return BoundInputs(report, n=ds.n, m=W0.shape[0], c=c, d=ds.d,
                        G_gamma=activation.lipschitz, delta=delta)
-
-
-def init_activation_term_raw(W0, X, activation, c=1):
-    A = activation.fn(np.asarray(W0, dtype=float) @ np.asarray(X, dtype=float))
-    return float(np.sqrt(c * np.sum(A * A)))
 
 
 ALL_METHOD_NAMES = [v[0] for v in COMPARATOR_METHODS.values()] + [
     "pn_ours", "spn_ours", "rad_upper_path", "rad_upper_frob", "rad_lower"]
 
 
-def all_bound_values(params, snapshot, ds, delta=0.01, G=1.0, b=1.0):
+def all_bound_values(report, m, c, d, activation, delta=0.01, G=1.0, b=1.0):
     """Every implemented bound for one trained model as a list of BoundValue.
 
-    The Rademacher lower bound needs R_W >= min_j ||w_j0||_2 (ReLU, c = 1);
-    when that precondition fails the rad_lower row is omitted.
+    ``report`` is the model's MeasureReport (in memory or read back from
+    measures.csv); n and r0 come from it.  The Rademacher lower bound needs
+    R_W >= r0 = min_j ||w_j0||_2 (ReLU, c = 1).
     """
-    report = measure_report(params, snapshot, ds)
-    inputs = BoundInputs(report, n=ds.n, m=params.m, c=params.c, d=ds.d,
-                         G=G, G_gamma=params.activation.lipschitz, b=b,
-                         delta=delta)
+    inputs = BoundInputs(report, n=report.n, m=m, c=c, d=d, G=G,
+                         G_gamma=activation.lipschitz, b=b, delta=delta)
     values = [comparator_bound(k, report, inputs) for k in COMPARATOR_METHODS]
-    values.append(BoundValue("pn_ours", gen_bound_pn(params, snapshot, inputs),
+    values.append(BoundValue("pn_ours", gen_bound_pn(inputs),
                              data_dependent=True))
-    values.append(BoundValue("spn_ours", gen_bound_spn(params, inputs),
+    values.append(BoundValue("spn_ours", gen_bound_spn(inputs),
                              data_dependent=True))
     values.append(BoundValue("rad_upper_path", rad_upper_path(inputs),
                              data_dependent=True))
     values.append(BoundValue("rad_upper_frob", rad_upper_frob(inputs),
                              data_dependent=True))
-    if params.c == 1 and params.activation.name == "relu":
+    if c == 1 and activation.name == "relu":
         # if R_W < r0 the linear-class term does not apply; the top-layer
         # term alone is still a valid lower bound, obtained with r0 := R_W
-        r0 = min(float(np.min(np.linalg.norm(snapshot.W0, axis=1))), report.R_W)
+        r0 = min(report.r0, report.R_W)
         values.append(BoundValue("rad_lower", rad_lower(inputs, r0),
                                  data_dependent=True))
     return values

@@ -19,8 +19,8 @@ from . import bounds as bounds_mod
 from . import datasets as data_mod
 from . import figures as fig_mod
 from .linalg import fork_rng, make_rng
-from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
-                       read_measures_csv, write_measures_csv)
+from .measures import (measure_report, measure_row, path_norm,
+                       read_measures_csv, report_from_row, write_measures_csv)
 from .model import (Checkpoint, checkpoint_load, checkpoint_save,
                     get_activation, init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
@@ -217,12 +217,31 @@ def cmd_measure(cfg):
 
 
 def cmd_bounds(cfg):
-    ds = load_task_dataset(cfg)
+    """bounds.csv from measures.csv; checkpoints give activation, c and d."""
+    measures_path = os.path.join(cfg.out, "measures.csv")
+    if not os.path.exists(measures_path):
+        raise data_mod.DataError(
+            f"{measures_path} not found; run `snnbounds measure` first")
+    by_cell = {(int(row["seed"]), int(row["m"])): row
+               for row in read_measures_csv(measures_path)}
     rows = []
     for seed, m, ck in _iter_checkpoints(cfg):
-        for bv in bounds_mod.all_bound_values(ck.params, ck.snapshot, ds,
+        row = by_cell.get((seed, m))
+        if row is None:
+            raise data_mod.DataError(
+                f"{measures_path} has no row for seed {seed}, m {m}; "
+                "rerun `snnbounds measure`")
+        report = report_from_row(row)
+        kappa = path_norm(ck.params, ck.snapshot)
+        if report.kappa != kappa:
+            raise data_mod.DataError(
+                f"{measures_path} gives kappa {report.kappa!r} for seed {seed}, "
+                f"m {m} but its checkpoint gives {kappa!r}; the checkpoint "
+                "changed after `snnbounds measure`, rerun it")
+        p = ck.params
+        for bv in bounds_mod.all_bound_values(report, m, p.c, p.d, p.activation,
                                               delta=cfg.delta):
-            rows.append([ds.name, seed, m, bv.method, repr(bv.value),
+            rows.append([row["dataset"], seed, m, bv.method, repr(bv.value),
                          repr(cfg.delta), bv.data_dependent, bv.qualitative])
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
@@ -270,7 +289,7 @@ def cmd_rad(args):
                                            delta=args.delta)
     upper_path = bounds_mod.rad_upper_path(inputs)
     upper_frob = bounds_mod.rad_upper_frob(inputs)
-    r0 = float(np.min(np.linalg.norm(W0, axis=1)))
+    r0 = inputs.report.r0
     lower = bounds_mod.rad_lower(inputs, r0) if R_W >= r0 else float("nan")
     row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error,
            upper_path, upper_frob, lower, upper_path - est.mean]

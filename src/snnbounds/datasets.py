@@ -9,8 +9,11 @@ vectors, then scale every column to unit l2 norm.
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .linalg import frobenius_norm, spectral_norm
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -52,6 +55,13 @@ class TaskSpec:
             raise ValueError("positive and negative class must differ")
 
 
+@dataclass(frozen=True)
+class DataStats:
+    X_fro: float           # ||X||_F
+    gram_spec_sqrt: float  # ||sum_i x_i x_i^T||_sigma^(1/2) = sigma_max(X)
+    b_x: float             # max_i ||x_i||_2
+
+
 @dataclass
 class Dataset:
     X: np.ndarray  # (d, n), columns are examples with unit l2 norm
@@ -73,6 +83,18 @@ class Dataset:
     @property
     def n(self):
         return self.X.shape[1]
+
+    @cached_property
+    def stats(self):
+        """Statistics of X that every measure and bound of this dataset shares.
+
+        Computed on first use and kept, so X must not be modified afterwards.
+        The Gram spectral norm is sigma_max(X), found without materializing
+        the d x d Gram matrix.
+        """
+        return DataStats(X_fro=frobenius_norm(self.X),
+                         gram_spec_sqrt=spectral_norm(self.X).value,
+                         b_x=float(np.max(np.linalg.norm(self.X, axis=0))))
 
 
 def parse_idx_images(data):

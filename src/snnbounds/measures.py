@@ -3,7 +3,9 @@
 The central quantity is the path-norm with a reference matrix,
 kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2, alongside the standard
 path-norm, Frobenius/spectral norms of weights and their distances from
-initialization, and the activation-at-initialization term.
+initialization, and the activation-at-initialization term.  A report also
+carries every data statistic the bounds need, so the bounds are a function
+of one measures.csv row.
 """
 
 import csv
@@ -11,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .datasets import DataError
 from .linalg import frobenius_norm, pq_norm, row_l2_norms, spectral_norm
 
 
@@ -29,9 +32,9 @@ def standard_path_norm(params):
     return float(np.abs(params.V[0]) @ row_l2_norms(params.W))
 
 
-def init_activation_term(snapshot, ds, activation, c=1):
-    """(c * sum_j sum_i gamma^2(x_i^T w_j0))^(1/2)."""
-    A = activation.fn(snapshot.W0 @ ds.X)
+def init_activation_term(W0, X, activation, c=1):
+    """(c * sum_j sum_i gamma^2(x_i^T w_j0))^(1/2) for the rows w_j0 of W0."""
+    A = activation.fn(W0 @ X)
     return float(np.sqrt(c * np.sum(A * A)))
 
 
@@ -54,22 +57,21 @@ class MeasureReport:
     X_fro: float
     gram_spec_sqrt: float  # ||sum x_i x_i^T||_sigma^(1/2) = sigma_max(X)
     b_x: float             # max_i ||x_i||_2
+    n: int                 # number of examples
+    r0: float              # min_j ||w_j0||_2
 
 
 MEASURE_CSV_FIELDS = ["dataset", "seed", "m"] + [f.name for f in fields(MeasureReport)]
 
 
 def measure_report(params, snapshot, ds):
-    """All scalar measures in one pass.
-
-    The spectral norm of the Gram matrix sum_i x_i x_i^T is computed as
-    sigma_max(X)^2 without materializing the d x d Gram matrix.
-    """
+    """All scalar measures in one pass; the data statistics come from ds.stats."""
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
         raise ValueError("params/snapshot shape mismatch")
     dW = params.W - snapshot.W0
     dV = params.V - snapshot.V0
     kappa_s = standard_path_norm(params) if params.c == 1 else float("nan")
+    stats = ds.stats
     return MeasureReport(
         kappa=path_norm(params, snapshot),
         kappa_s=kappa_s,
@@ -84,10 +86,13 @@ def measure_report(params, snapshot, ds):
         v_dist_12=pq_norm(dV, 1, 2),
         w_inf1=pq_norm(params.W, np.inf, 1),
         v_inf1=pq_norm(params.V, np.inf, 1),
-        init_term=init_activation_term(snapshot, ds, params.activation, params.c),
-        X_fro=frobenius_norm(ds.X),
-        gram_spec_sqrt=spectral_norm(ds.X).value,
-        b_x=float(np.max(np.linalg.norm(ds.X, axis=0))),
+        init_term=init_activation_term(snapshot.W0, ds.X, params.activation,
+                                       params.c),
+        X_fro=stats.X_fro,
+        gram_spec_sqrt=stats.gram_spec_sqrt,
+        b_x=stats.b_x,
+        n=ds.n,
+        r0=float(np.min(np.linalg.norm(snapshot.W0, axis=1))),
     )
 
 
@@ -108,3 +113,21 @@ def write_measures_csv(path, rows):
 def read_measures_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def report_from_row(row):
+    """MeasureReport from a read_measures_csv row; the inverse of measure_row.
+
+    Values are parsed with their field's type, so the repr-written floats
+    read back exactly.  A row that lacks a field, e.g. from a file written
+    before the field existed, raises DataError.
+    """
+    missing = [f.name for f in fields(MeasureReport) if row.get(f.name) is None]
+    if missing:
+        raise DataError(f"measures.csv lacks {', '.join(missing)}; "
+                        "rerun `snnbounds measure`")
+    try:
+        return MeasureReport(**{f.name: f.type(row[f.name])
+                                for f in fields(MeasureReport)})
+    except ValueError as exc:
+        raise DataError(f"measures.csv: {exc}") from None

@@ -17,7 +17,6 @@ class Activation:
     fn: Callable
     deriv: Callable
     lipschitz: float
-    value_at_zero: float
 
 
 def _sigmoid(a):
@@ -31,10 +30,10 @@ def _sigmoid(a):
 
 # ReLU subgradient at 0 is taken to be 0.
 RELU = Activation("relu", lambda a: np.maximum(a, 0.0),
-                  lambda a: (a > 0).astype(float), 1.0, 0.0)
-TANH = Activation("tanh", np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0, 0.0)
+                  lambda a: (a > 0).astype(float), 1.0)
+TANH = Activation("tanh", np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0)
 SIGMOID = Activation("sigmoid", _sigmoid,
-                     lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), 0.25, 0.5)
+                     lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), 0.25)
 
 ACTIVATIONS = {"relu": RELU, "tanh": TANH, "sigmoid": SIGMOID}
 _ACT_IDS = {"relu": 0, "tanh": 1, "sigmoid": 2}
@@ -46,12 +45,6 @@ def get_activation(name):
         return ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
-
-
-def activation_eval(act, a):
-    """Value and subgradient of the activation at a scalar point."""
-    arr = np.asarray(a, dtype=float)
-    return float(act.fn(arr)), float(act.deriv(arr))
 
 
 @dataclass

@@ -158,11 +158,12 @@ def test_criterion_5_bound_below_one():
     for (m, seed), (params, snap) in cells.items():
         report = measure_report(params, snap, ds)
         inputs = BoundInputs(report, n=ds.n, m=m, c=1, d=ds.d, delta=0.01)
-        value = gen_bound_pn(params, snap, inputs)
+        value = gen_bound_pn(inputs)
         assert value < 1.0, f"bound {value} >= 1 at m={m}, seed={seed}"
         if m == largest:
             full = {v.method: v.value
-                    for v in all_bound_values(params, snap, ds, delta=0.01)
+                    for v in all_bound_values(report, m, params.c, ds.d,
+                                              params.activation, delta=0.01)
                     if not v.qualitative and v.method != "rad_lower"}
             assert value <= min(full.values()) + 1e-12
     _report(5, "generalization bound below 1 across the sweep")

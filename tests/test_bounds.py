@@ -10,6 +10,8 @@ from snnbounds import (BoundInputs, Dataset, RELU, TANH, SnnParams,
                        rad_upper_frob, rad_upper_path)
 from snnbounds.bounds import (ALL_METHOD_NAMES, COMPARATOR_METHODS,
                               class_bound_inputs)
+from snnbounds.measures import (measure_row, read_measures_csv,
+                                report_from_row, write_measures_csv)
 from conftest import random_unit_dataset
 
 
@@ -150,29 +152,29 @@ def test_gen_bound_pn_zero_collapse():
     delta = 0.05
     inputs = BoundInputs(report, n=n, m=m, c=1, d=d, delta=delta)
     want = 3.0 * math.sqrt(math.log(16.0 / delta) / (2.0 * n))
-    assert gen_bound_pn(params, snap, inputs) == pytest.approx(want, rel=1e-12)
+    assert gen_bound_pn(inputs) == pytest.approx(want, rel=1e-12)
 
 
 def test_gen_bound_pn_monotonicities():
     params, snap, ds, report, inputs = _trained_like(seed=6)
-    base = gen_bound_pn(params, snap, inputs)
+    base = gen_bound_pn(inputs)
     # shrinking confidence (smaller delta) can only raise the bound
     tight = BoundInputs(report, n=ds.n, m=params.m, c=1, d=ds.d, delta=0.001)
-    assert gen_bound_pn(params, snap, tight) > base
+    assert gen_bound_pn(tight) > base
     # doubling n at fixed norms strictly decreases the bound
     big_n = BoundInputs(report, n=2 * ds.n, m=params.m, c=1, d=ds.d)
-    assert gen_bound_pn(params, snap, big_n) < base
+    assert gen_bound_pn(big_n) < base
     # inflating the head inflates kappa, R_V and the bound
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
     fat_report = measure_report(fat, snap, ds)
     fat_inputs = BoundInputs(fat_report, n=ds.n, m=params.m, c=1, d=ds.d)
-    assert gen_bound_pn(fat, snap, fat_inputs) > base
+    assert gen_bound_pn(fat_inputs) > base
 
 
 def test_gen_bound_pn_reduction_flag():
     params, snap, _, _, inputs = _trained_like(seed=7)
-    both = gen_bound_pn(params, snap, inputs, reduce_both_terms=True)
-    first_only = gen_bound_pn(params, snap, inputs, reduce_both_terms=False)
+    both = gen_bound_pn(inputs, reduce_both_terms=True)
+    first_only = gen_bound_pn(inputs, reduce_both_terms=False)
     assert first_only >= both
 
 
@@ -186,7 +188,7 @@ def test_gen_bound_spn_zero_path_norm():
     inputs = BoundInputs(report, n=n, m=m, c=1, d=d, delta=delta)
     want = 4.0 / math.sqrt(n) + 3.0 * math.sqrt(
         math.log(4.0 / delta) / (2.0 * n))
-    assert gen_bound_spn(params, inputs) == pytest.approx(want, rel=1e-12)
+    assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
 
 
 def test_gen_bound_spn_compositional():
@@ -194,9 +196,11 @@ def test_gen_bound_spn_compositional():
     kappa_s = float(np.abs(params.V[0]) @ np.linalg.norm(params.W, axis=1))
     want = 4.0 / ds.n * (kappa_s + 1.0) * report.X_fro + 3.0 * math.sqrt(
         math.log(2 * (kappa_s + 1) * (kappa_s + 2) / inputs.delta) / (2 * ds.n))
-    assert gen_bound_spn(params, inputs) == pytest.approx(want, rel=1e-12)
+    assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
-    assert gen_bound_spn(fat, inputs) > gen_bound_spn(params, inputs)
+    fat_inputs = BoundInputs(measure_report(fat, snap, ds), n=ds.n, m=params.m,
+                             c=1, d=ds.d)
+    assert gen_bound_spn(fat_inputs) > gen_bound_spn(inputs)
 
 
 def test_comparator_rows_recomputed():
@@ -244,8 +248,9 @@ def test_comparator_rows_at_init():
 
 
 def test_all_bound_values_relu_full_set():
-    params, snap, ds, _, _ = _trained_like(seed=13)
-    values = all_bound_values(params, snap, ds)
+    params, snap, ds, report, inputs = _trained_like(seed=13)
+    values = all_bound_values(report, params.m, params.c, ds.d,
+                              params.activation)
     names = [v.method for v in values]
     assert names == ALL_METHOD_NAMES
     assert len(values) >= 14
@@ -253,12 +258,16 @@ def test_all_bound_values_relu_full_set():
         assert math.isfinite(v.value) and v.value >= 0.0
     by_name = {v.method: v.value for v in values}
     assert by_name["rad_lower"] <= by_name["rad_upper_path"] + 1e-12
+    r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
+    assert by_name["rad_lower"] == rad_lower(inputs, min(r0, report.R_W))
 
 
 def test_all_bound_values_tanh_drops_lower():
     params, snap = init_kaiming(make_rng(14), 4, 3, 1, TANH)
     ds = random_unit_dataset(make_rng(15), 3, 8)
-    names = [v.method for v in all_bound_values(params, snap, ds)]
+    report = measure_report(params, snap, ds)
+    names = [v.method for v in all_bound_values(report, params.m, params.c,
+                                                ds.d, params.activation)]
     assert "rad_lower" not in names
     assert len(names) == 13
 
@@ -271,3 +280,21 @@ def test_bound_inputs_validation():
         BoundInputs(report, n=5, m=4, delta=1.0)
     with pytest.raises(ValueError):
         BoundInputs(report, n=5, m=4, G=0.0)
+
+
+@pytest.mark.parametrize("act", [RELU, TANH], ids=["relu", "tanh"])
+def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
+    """Bounds from a measures.csv row equal, exactly, those from the report."""
+    params, snap = init_kaiming(make_rng(17), 6, 3, 1, act)
+    params.W = params.W + 0.3 * make_rng(18).standard_normal(params.W.shape)
+    params.V = params.V + 0.1
+    ds = random_unit_dataset(make_rng(19), 3, 11)
+    report = measure_report(params, snap, ds)
+    path = str(tmp_path / "measures.csv")
+    write_measures_csv(path, [measure_row(report, ds.name, 0, params.m)])
+    read_back = report_from_row(read_measures_csv(path)[0])
+    args = (params.m, params.c, ds.d, act)
+    want = all_bound_values(report, *args, delta=0.05)
+    got = all_bound_values(read_back, *args, delta=0.05)
+    assert [v.method for v in got] == [v.method for v in want]
+    assert got == want

@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import shutil
 
 import pytest
 
+from snnbounds import RELU, all_bound_values, checkpoint_load, measure_report
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
-                           ExperimentConfig, build_parser, main,
-                           parse_config_file)
+                           ExperimentConfig, build_parser, load_task_dataset,
+                           main, parse_config_file)
 from conftest import write_fake_mnist_dir
 
 
@@ -202,3 +204,78 @@ def test_rad_subcommand(tmp_path):
     assert float(vals["estimate"]) <= float(vals["upper_bound_path"]) + 1e-12
     assert float(vals["margin"]) >= -1e-12
     assert float(vals["std_error"]) == 0.0  # n=6 runs the exhaustive mode
+
+
+@pytest.fixture(scope="module")
+def measured_run(tmp_path_factory, mnist_dir):
+    """Output directory with checkpoints for widths 4, 8 and their measures."""
+    out = str(tmp_path_factory.mktemp("measured") / "run")
+    for cmd in ("train", "measure"):
+        assert _run([cmd] + _base_args(mnist_dir, out, widths="4,8")) == 0
+    return out
+
+
+def _copy_run(measured_run, tmp_path):
+    out = os.path.join(tmp_path, "run")
+    shutil.copytree(measured_run, out)
+    return out
+
+
+def _bounds_only(out, widths="4,8"):
+    """bounds with no data directory: it reads measures.csv and checkpoints."""
+    return _run(["bounds", "--out", out, "--widths", widths, "--seeds", "0"])
+
+
+def test_bounds_reads_measures_csv_without_data(tmp_path, mnist_dir,
+                                                measured_run):
+    out = _copy_run(measured_run, tmp_path)
+    assert _bounds_only(out) == 0
+    with open(os.path.join(out, "bounds.csv"), newline="") as f:
+        got = [(r["dataset"], r["m"], r["method"], r["value"])
+               for r in csv.DictReader(f)]
+    cfg = ExperimentConfig(mnist_dir=mnist_dir, widths=[4, 8], seeds=[0])
+    ds = load_task_dataset(cfg)
+    want = []
+    for m in (4, 8):
+        ck = checkpoint_load(os.path.join(out, f"ckpt_mnist_s0_m{m}.snn"))
+        report = measure_report(ck.params, ck.snapshot, ds)
+        want += [(ds.name, str(m), bv.method, repr(bv.value))
+                 for bv in all_bound_values(report, m, 1, ds.d, RELU)]
+    assert got == want
+
+
+def test_bounds_exit_3_without_measures_csv(tmp_path, measured_run, capsys):
+    out = _copy_run(measured_run, tmp_path)
+    os.remove(os.path.join(out, "measures.csv"))
+    assert _bounds_only(out) == 3
+    assert "snnbounds measure" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_bounds_exit_3_on_checkpoint_without_row(tmp_path, mnist_dir,
+                                                 measured_run, capsys):
+    out = _copy_run(measured_run, tmp_path)
+    assert _run(["measure"] + _base_args(mnist_dir, out, widths="4")) == 0
+    assert _bounds_only(out) == 3
+    assert "no row for seed 0, m 8" in capsys.readouterr().err
+
+
+def test_bounds_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
+    out = _copy_run(measured_run, tmp_path)
+    path = os.path.join(out, "measures.csv")
+    with open(path, newline="") as f:
+        rows = [r[:-2] for r in csv.reader(f)]  # drop the n, r0 columns
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    assert _bounds_only(out) == 3
+    assert "lacks n, r0" in capsys.readouterr().err
+
+
+def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
+                                                measured_run, capsys):
+    out = _copy_run(measured_run, tmp_path)
+    retrain = _base_args(mnist_dir, out, widths="4,8")
+    retrain[retrain.index("--max-epochs") + 1] = "1"
+    assert _run(["train"] + retrain) == 0
+    assert _bounds_only(out) == 3
+    assert "changed after `snnbounds measure`" in capsys.readouterr().err

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from snnbounds import (Dataset, InitSnapshot, RELU, SnnParams,
-                       init_activation_term, init_kaiming, make_rng,
-                       measure_report, path_norm, standard_path_norm)
+                       frobenius_norm, init_activation_term, init_kaiming,
+                       make_rng, measure_report, path_norm, spectral_norm,
+                       standard_path_norm)
+from snnbounds import datasets as datasets_mod
+from snnbounds.bounds import class_bound_inputs
+from snnbounds.datasets import DataError
 from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport, measure_row,
-                                read_measures_csv, write_measures_csv)
+                                read_measures_csv, report_from_row,
+                                write_measures_csv)
 from conftest import random_unit_dataset
 
 
@@ -59,14 +64,14 @@ def test_standard_path_norm():
 def test_init_term_zero_init_relu():
     snap = InitSnapshot(np.zeros((3, 2)), np.zeros((1, 3)))
     ds = random_unit_dataset(make_rng(0), 2, 5)
-    assert init_activation_term(snap, ds, RELU) == 0.0
+    assert init_activation_term(snap.W0, ds.X, RELU) == 0.0
 
 
 def test_init_term_hand_single():
     # one unit, one point, pre-activation 2
     snap = InitSnapshot(np.array([[2.0]]), np.array([[0.0]]))
     ds = Dataset(np.array([[1.0]]), np.array([1.0]))
-    assert init_activation_term(snap, ds, RELU) == pytest.approx(2.0)
+    assert init_activation_term(snap.W0, ds.X, RELU) == pytest.approx(2.0)
 
 
 def test_report_at_init():
@@ -127,3 +132,54 @@ def test_schema_has_row4_operand():
     # distance from initialization
     assert "w_fro" in MEASURE_CSV_FIELDS
     assert "w_fro" in {f for f in MeasureReport.__dataclass_fields__}
+
+
+def test_report_carries_n_and_r0():
+    params, snap = _params_snap(seed=8, m=5, d=3)
+    ds = random_unit_dataset(make_rng(9), 3, 7)
+    rep = measure_report(params, snap, ds)
+    assert rep.n == ds.n and isinstance(rep.n, int)
+    assert rep.r0 == float(np.min(np.linalg.norm(snap.W0, axis=1)))
+    assert MEASURE_CSV_FIELDS[-2:] == ["n", "r0"]
+
+
+def test_report_from_row_roundtrip(tmp_path):
+    params, snap = _params_snap(seed=10)
+    ds = random_unit_dataset(make_rng(11), 3, 6)
+    rep = measure_report(params, snap, ds)
+    path = os.path.join(tmp_path, "measures.csv")
+    write_measures_csv(path, [measure_row(rep, "synthetic", 0, params.m)])
+    back = report_from_row(read_measures_csv(path)[0])
+    assert back == rep  # every field exactly, n as an int
+
+
+def test_report_from_row_rejects_old_schema():
+    params, snap = _params_snap(seed=12)
+    ds = random_unit_dataset(make_rng(13), 3, 6)
+    row = dict(zip(MEASURE_CSV_FIELDS,
+                   measure_row(measure_report(params, snap, ds), "s", 0, 4)))
+    del row["n"], row["r0"]
+    with pytest.raises(DataError, match="n, r0"):
+        report_from_row(row)
+    row.update(n="x", r0="0.5")
+    with pytest.raises(DataError):
+        report_from_row(row)
+
+
+def test_data_stats_computed_once_per_dataset(monkeypatch):
+    ds = random_unit_dataset(make_rng(14), 3, 9)
+    want = (frobenius_norm(ds.X), spectral_norm(ds.X).value,
+            float(np.max(np.linalg.norm(ds.X, axis=0))))
+    calls = []
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.shape)
+        return spectral_norm(M, *args, **kwargs)
+
+    monkeypatch.setattr(datasets_mod, "spectral_norm", counting)
+    for seed in (15, 16):
+        params, snap = _params_snap(seed=seed)
+        rep = measure_report(params, snap, ds)
+        assert (rep.X_fro, rep.gram_spec_sqrt, rep.b_x) == want
+    class_bound_inputs(ds, np.asarray(snap.W0), RELU, R_W=1.0, R_V=1.0)
+    assert calls == [ds.X.shape]
