@@ -223,7 +223,7 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
     stats = ds.stats
     report = MeasureReport(
         kappa=0.0, kappa_s=0.0, R_W=R_W, R_V=R_V, w_fro=0.0, v_dist=0.0,
-        w0_spectral=spectral_norm(W0).value, w_spectral=0.0, v_spectral=0.0,
+        w0_spectral=spectral_norm(W0), w_spectral=0.0, v_spectral=0.0,
         w_dist_12=0.0, v_dist_12=0.0, w_inf1=0.0, v_inf1=0.0,
         init_term=init_activation_term(W0, ds.X, activation, c),
         X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, b_x=stats.b_x,

@@ -160,8 +160,7 @@ def _ckpt_path(cfg, seed, m):
     return os.path.join(cfg.out, f"ckpt_{cfg.dataset}_s{seed}_m{m}.snn")
 
 
-def cmd_train(cfg):
-    ds = load_task_dataset(cfg)
+def cmd_train(cfg, ds):
     os.makedirs(cfg.out, exist_ok=True)
     failures = []
     cells = []
@@ -204,8 +203,7 @@ def _iter_checkpoints(cfg):
                 yield seed, m, checkpoint_load(path)
 
 
-def cmd_measure(cfg):
-    ds = load_task_dataset(cfg)
+def cmd_measure(cfg, ds):
     rows = []
     for seed, m, ck in _iter_checkpoints(cfg):
         report = measure_report(ck.params, ck.snapshot, ds)
@@ -353,20 +351,19 @@ def main(argv=None):
         if args.command == "rad":
             return cmd_rad(args)
         cfg = build_experiment_config(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "measure":
-            return cmd_measure(cfg)
         if args.command == "bounds":
             return cmd_bounds(cfg)
         if args.command == "figure":
             return cmd_figure(cfg)
+        # train and measure share one load of the data within `all`
+        ds = load_task_dataset(cfg)
+        if args.command == "train":
+            return cmd_train(cfg, ds)
+        if args.command == "measure":
+            return cmd_measure(cfg, ds)
         if args.command == "all":
-            for step in (cmd_train, cmd_measure, cmd_bounds, cmd_figure):
-                rc = step(cfg)
-                if rc:
-                    return rc
-            return 0
+            return (cmd_train(cfg, ds) or cmd_measure(cfg, ds)
+                    or cmd_bounds(cfg) or cmd_figure(cfg))
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,11 +89,11 @@ class Dataset:
         """Statistics of X that every measure and bound of this dataset shares.
 
         Computed on first use and kept, so X must not be modified afterwards.
-        The Gram spectral norm is sigma_max(X), found without materializing
-        the d x d Gram matrix.
+        The Gram spectral norm is sigma_max(X), from one eigensolve of the
+        smaller of X X^T (d x d) and X^T X (n x n).
         """
         return DataStats(X_fro=frobenius_norm(self.X),
-                         gram_spec_sqrt=spectral_norm(self.X).value,
+                         gram_spec_sqrt=spectral_norm(self.X),
                          b_x=float(np.max(np.linalg.norm(self.X, axis=0))))
 
 

@@ -1,11 +1,9 @@
-"""Dense linear algebra helpers: matrix norms, power iteration, seeded RNG.
+"""Dense linear algebra helpers: matrix norms, exact spectral norm, seeded RNG.
 
 All randomness in the package flows through generators created by
 :func:`make_rng` / :func:`fork_rng`, which pin the bit generator to PCG64 so
 that a given seed produces the same stream on every platform.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,59 +51,20 @@ def row_l2_norms(M):
     return np.linalg.norm(M, axis=1)
 
 
-@dataclass(frozen=True)
-class SpectralResult:
-    value: float
-    iterations: int
-    converged: bool
+def spectral_norm(M):
+    """Largest singular value of M from one dense eigensolve of the smaller
+    Gram matrix, M M^T or M^T M.
 
-    def __float__(self):
-        return self.value
-
-
-def spectral_norm(M, tol=1e-10, max_iter=1000, rng=None):
-    """Largest singular value of M by power iteration on the smaller Gram matrix.
-
-    Convergence is declared when the relative change of the Rayleigh quotient
-    drops below ``tol``.  If ``max_iter`` is exhausted first, the best estimate
-    is returned with ``converged=False``.
+    Exact up to rounding: unlike an iterative estimate, it cannot stop early
+    below the true value.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         raise ValueError("empty matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if rng is None:
-        rng = make_rng(0)
-
-    # iterate on M M^T or M^T M, whichever is smaller
-    if M.shape[0] <= M.shape[1]:
-        A = M
-    else:
-        A = M.T
-    k = A.shape[0]
-
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        u = A @ (A.T @ v)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            # v is in the null space of the Gram matrix; sigma estimate is 0
-            lam = 0.0
-            converged = True
-            break
-        lam_new = float(v @ u)
-        v = u / norm_u
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            converged = True
-            break
-        lam = lam_new
-    return SpectralResult(float(np.sqrt(max(lam, 0.0))), iterations, converged)
+    A = M if M.shape[0] <= M.shape[1] else M.T
+    # the Gram matrix is PSD; rounding can leave a (near) zero one's top
+    # eigenvalue slightly negative
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(A @ A.T)[-1])))
 
 
 def sample_signs(rng, n, c):

@@ -79,9 +79,9 @@ def measure_report(params, snapshot, ds):
         R_V=frobenius_norm(params.V),
         w_fro=frobenius_norm(params.W),
         v_dist=frobenius_norm(dV),
-        w0_spectral=spectral_norm(snapshot.W0).value,
-        w_spectral=spectral_norm(params.W).value,
-        v_spectral=spectral_norm(params.V).value,
+        w0_spectral=spectral_norm(snapshot.W0),
+        w_spectral=spectral_norm(params.W),
+        v_spectral=spectral_norm(params.V),
         w_dist_12=pq_norm(dW, 1, 2),
         v_dist_12=pq_norm(dV, 1, 2),
         w_inf1=pq_norm(params.W, np.inf, 1),

@@ -110,7 +110,7 @@ def test_criterion_3_init_term_dominance():
         _, snap = init_kaiming(fork_rng(0, m), m, ds.d, 1)
         A = RELU.fn(np.asarray(snap.W0) @ ds.X)
         init_term = float(np.sqrt(np.sum(A * A)))
-        proxy = b_x * spectral_norm(snap.W0).value
+        proxy = b_x * spectral_norm(snap.W0)
         assert init_term / ds.n <= proxy / math.sqrt(ds.n), f"m={m}"
     _report(3, "init-term dominance across widths 2^6..2^12")
 
@@ -234,7 +234,7 @@ def test_criterion_8_oracle_agreements():
         M = rng.standard_normal((int(rng.integers(1, 13)),
                                  int(rng.integers(1, 13))))
         want = np.linalg.svd(M, compute_uv=False)[0]
-        assert abs(spectral_norm(M).value - want) <= 1e-8 * max(want, 1e-300)
+        assert abs(spectral_norm(M) - want) <= 1e-8 * max(want, 1e-300)
 
     # PGA feasible estimates never exceed restricted-class closed forms
     for i in range(100):

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from snnbounds import RELU, all_bound_values, checkpoint_load, measure_report
+from snnbounds import cli as cli_mod
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
@@ -170,6 +171,32 @@ def test_all_subcommand_emits_figures(tmp_path, mnist_dir):
         assert os.path.exists(os.path.join(out, f"{kind}.csv"))
         svg = open(os.path.join(out, f"{kind}.svg")).read()
         assert svg.startswith("<svg")
+
+
+def test_all_loads_data_once_and_matches_stages(tmp_path, mnist_dir,
+                                                monkeypatch):
+    loads = []
+
+    def counting_load(cfg):
+        loads.append(cfg.dataset)
+        return load_task_dataset(cfg)
+
+    monkeypatch.setattr(cli_mod, "load_task_dataset", counting_load)
+    args = dict(widths="4,8", seeds="0,1")
+    together = os.path.join(tmp_path, "all")
+    assert _run(["all"] + _base_args(mnist_dir, together, **args)) == 0
+    assert loads == ["mnist"]
+    staged = os.path.join(tmp_path, "staged")
+    for cmd in ("train", "measure", "bounds", "figure"):
+        assert _run([cmd] + _base_args(mnist_dir, staged, **args)) == 0
+    names = sorted(os.listdir(together))
+    assert names == sorted(os.listdir(staged))
+    for name in names:
+        if name == "manifest.json":  # per-cell wall times differ
+            continue
+        with open(os.path.join(together, name), "rb") as a, \
+                open(os.path.join(staged, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 def test_single_figure_selection(tmp_path, mnist_dir):
