@@ -254,8 +254,10 @@ def cmd_figure(cfg):
     kinds = [f"fig{cfg.figure}"] if cfg.figure else list(fig_mod.FIGURE_KINDS)
     measures_path = os.path.join(cfg.out, "measures.csv")
     bounds_path = os.path.join(cfg.out, "bounds.csv")
-    measure_rows = read_measures_csv(measures_path) \
-        if os.path.exists(measures_path) else []
+    if not os.path.exists(measures_path):
+        raise data_mod.DataError(
+            f"{measures_path} not found; run `snnbounds measure` first")
+    measure_rows = read_measures_csv(measures_path)
     bound_rows = []
     if os.path.exists(bounds_path):
         with open(bounds_path, newline="") as f:
@@ -368,7 +370,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data_mod.DataError, data_mod.ParseError, FileNotFoundError) as exc:
+    except (data_mod.DataError, data_mod.ParseError, fig_mod.FigureError,
+            FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

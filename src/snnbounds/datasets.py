@@ -4,6 +4,9 @@ Preprocessing pipeline for both sources: select the two classes, map labels
 to {-1, +1}, bring images to 32x32 single-channel (MNIST: bilinear resize of
 the 28x28 grid; CIFAR: unweighted channel mean), flatten to d = 1024 column
 vectors, then scale every column to unit l2 norm.
+
+Full-data passes run over fixed blocks of examples, so no float copy of the
+whole image stack and no temporary of the size of X is built.
 """
 
 import os
@@ -13,11 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import frobenius_norm, spectral_norm
+from .linalg import column_blocks, frobenius_norm, spectral_norm
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
+
+LOAD_BLOCK = 256    # images converted, resized and normalized at a time
+STATS_BLOCK = 1024  # columns of X per block of the column-norm pass
 
 CIFAR_CLASSES = {
     "airplane": 0, "automobile": 1, "bird": 2, "cat": 3, "deer": 4,
@@ -90,11 +96,23 @@ class Dataset:
 
         Computed on first use and kept, so X must not be modified afterwards.
         The Gram spectral norm is sigma_max(X), from one eigensolve of the
-        smaller of X X^T (d x d) and X^T X (n x n).
+        smaller of X X^T (d x d) and X^T X (n x n).  The column norms behind
+        b_x are taken over blocks of columns; a column of a block view is
+        reduced exactly as in the whole array.
         """
+        b_x = max(float(np.max(np.linalg.norm(self.X[:, cols], axis=0)))
+                  for cols in column_blocks(self.n, STATS_BLOCK))
         return DataStats(X_fro=frobenius_norm(self.X),
-                         gram_spec_sqrt=spectral_norm(self.X),
-                         b_x=float(np.max(np.linalg.norm(self.X, axis=0))))
+                         gram_spec_sqrt=spectral_norm(self.X), b_x=b_x)
+
+    @cached_property
+    def XT(self):
+        """C-contiguous (n, d) copy of X: one example per row.
+
+        Built on first use and kept, like stats, so X must not be modified
+        afterwards.
+        """
+        return np.ascontiguousarray(self.X.T)
 
 
 def parse_idx_images(data):
@@ -148,7 +166,13 @@ def parse_cifar10_bin(data):
 
 
 def bilinear_resize(images, out_h, out_w):
-    """Corner-aligned bilinear resize of a batch of (n, h, w) images."""
+    """Corner-aligned bilinear resize of a batch of (n, h, w) images.
+
+    Separable: each source row is first interpolated along x, then rows y0
+    and y1 are combined.  Every output element is evaluated as
+    (a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy in this order, so it
+    equals, bit for bit, a direct evaluation from four gathered corners.
+    """
     images = np.asarray(images, dtype=float)
     n, h, w = images.shape
     ys = np.linspace(0.0, h - 1, out_h)
@@ -159,11 +183,17 @@ def bilinear_resize(images, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    top = images[:, y0[:, None], x0[None, :]] * (1 - fx) \
-        + images[:, y0[:, None], x1[None, :]] * fx
-    bot = images[:, y1[:, None], x0[None, :]] * (1 - fx) \
-        + images[:, y1[:, None], x1[None, :]] * fx
-    return top * (1 - fy) + bot * fy
+    rows = np.take(images, x0, axis=2)  # (n, h, out_w), interpolated along x
+    rows *= 1 - fx
+    right = np.take(images, x1, axis=2)
+    right *= fx
+    rows += right
+    out = np.take(rows, y0, axis=1)
+    out *= 1 - fy
+    below = np.take(rows, y1, axis=1)
+    below *= fy
+    out += below
+    return out
 
 
 def build_binary_task(raw, spec):
@@ -172,25 +202,37 @@ def build_binary_task(raw, spec):
     Keeps only the two requested classes, maps positive -> +1 and negative
     -> -1, converts every image to a flattened 32x32 grayscale vector and
     normalizes each column to unit l2 norm.
+
+    X is allocated once and filled in blocks of about LOAD_BLOCK images, so
+    no float copy of the whole image stack is made.  X is C-ordered when the
+    images are resized and F-ordered (one contiguous column per image) when
+    they are not, the layouts a whole-stack computation produces.  Each
+    block's norms are reduced on its column view of X, which sums every
+    column in the same order as a reduction over the whole X.
     """
     if len(raw.labels) == 0:
         raise DataError("empty image set")
-    keep = np.isin(raw.labels, (spec.positive_class, spec.negative_class))
+    keep = np.flatnonzero(np.isin(raw.labels,
+                                  (spec.positive_class, spec.negative_class)))
     labels = raw.labels[keep]
-    images = np.asarray(raw.images[keep], dtype=float)
     for cls in (spec.positive_class, spec.negative_class):
         if not np.any(labels == cls):
             raise DataError(f"class {cls} absent from the raw set")
-    if images.ndim == 4:  # color -> grayscale by unweighted channel mean
-        images = images.mean(axis=3)
     side = spec.target_side
-    if images.shape[1:] != (side, side):
-        images = bilinear_resize(images, side, side)
-    X = images.reshape(len(images), -1).T.astype(float)
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0):
-        raise DataError("zero-norm image encountered")
-    X = X / norms
+    resize = raw.images.shape[1:3] != (side, side)
+    X = np.empty((side * side, keep.size), order="C" if resize else "F")
+    for block in column_blocks(keep.size, LOAD_BLOCK):
+        images = np.asarray(raw.images[keep[block]], dtype=float)
+        if images.ndim == 4:  # color -> grayscale by unweighted channel mean
+            images = images.mean(axis=3)
+        if resize:
+            images = bilinear_resize(images, side, side)
+        cols = X[:, block]
+        cols[...] = images.reshape(len(images), -1).T
+        norms = np.linalg.norm(cols, axis=0)
+        if np.any(norms == 0):
+            raise DataError("zero-norm image encountered")
+        cols /= norms
     y = np.where(labels == spec.positive_class, 1.0, -1.0)
     return Dataset(X, y, name=f"{spec.source}_{spec.positive_class}v{spec.negative_class}")
 

@@ -25,6 +25,18 @@ def fork_rng(seed, *keys):
     )
 
 
+def column_blocks(n, size):
+    """Slices covering range(n) in ceil(n / size) blocks of near-equal width.
+
+    No block is narrower than size // 2 unless n is, so none is a single
+    column when n > 1: numpy reduces a one-column view of a C-ordered array
+    along axis 0 in another order than the whole array or a wider view.
+    """
+    k = max(1, -(-n // size))
+    edges = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def frobenius_norm(M):
     M = np.asarray(M, dtype=float)
     if M.size == 0:

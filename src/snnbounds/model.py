@@ -170,7 +170,8 @@ def checkpoint_load(path):
         end = off + 8 * count
         if end > len(data):
             raise CheckpointError("truncated array payload")
-        arrays.append(np.frombuffer(data[off:end], dtype="<f8").reshape(shape).copy())
+        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=off)
+                      .reshape(shape).copy())
         off = end
     try:
         epochs, = struct.unpack_from("<I", data, off)

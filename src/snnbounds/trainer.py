@@ -114,9 +114,10 @@ def ramp_risk(params, ds):
 def sgd_train(params, snapshot, ds, cfg):
     """Train params in place with SGD + classical momentum; snapshot untouched.
 
-    Batches are row gathers from a C-contiguous (n, d) copy of X; their
-    transposes have the same values and strides as the column gather
-    X[:, idx], so BLAS sees the same operands.  Momentum is updated in place.
+    Batches are row gathers from ds.XT, the C-contiguous (n, d) copy of X
+    kept on the dataset; their transposes have the same values and strides
+    as the column gather X[:, idx], so BLAS sees the same operands.
+    Momentum is updated in place.
     Each epoch ends with one full-data forward whose margins give both the
     early-stop 0-1 error and, after the last epoch, the final ramp risk.
     """
@@ -127,7 +128,7 @@ def sgd_train(params, snapshot, ds, cfg):
 
     start = time.perf_counter()
     y01 = (ds.y + 1.0) / 2.0
-    XT = np.ascontiguousarray(ds.X.T)       # (n, d)
+    XT = ds.XT                              # (n, d)
     mu, lr = cfg.momentum, cfg.learning_rate
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)

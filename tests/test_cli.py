@@ -208,6 +208,23 @@ def test_single_figure_selection(tmp_path, mnist_dir):
     assert not os.path.exists(os.path.join(out, "fig3.csv"))
 
 
+@pytest.mark.parametrize("make_dir", [True, False])
+def test_figure_exit_3_without_measures_csv(tmp_path, capsys, make_dir):
+    out = os.path.join(tmp_path, "empty")
+    if make_dir:
+        os.makedirs(out)
+    assert _run(["figure", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "snnbounds measure" in err
+
+
+def test_figure_exit_3_on_measures_csv_without_rows(tmp_path, capsys):
+    with open(os.path.join(tmp_path, "measures.csv"), "w") as f:
+        f.write("dataset,seed,m\n")
+    assert _run(["figure", "--out", str(tmp_path)]) == 3
+    assert "data error: no rows found" in capsys.readouterr().err
+
+
 def test_subsample_flag(tmp_path, mnist_dir):
     out = os.path.join(tmp_path, "run")
     assert _run(["train", "--subsample", "10"]

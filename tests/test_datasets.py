@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from snnbounds import (TaskSpec, build_binary_task, make_rng, parse_cifar10_bin,
-                       parse_idx, parse_idx_images, parse_idx_labels, subsample)
+from snnbounds import (Dataset, TaskSpec, build_binary_task, make_rng,
+                       parse_cifar10_bin, parse_idx, parse_idx_images,
+                       parse_idx_labels, subsample)
+from snnbounds import datasets as datasets_mod
 from snnbounds.datasets import (DataError, ParseError, RawImageSet,
                                 bilinear_resize)
 from conftest import encode_cifar10_bin, encode_idx_images, encode_idx_labels
@@ -137,3 +141,118 @@ def test_subsample_identity_and_edges():
         subsample(ds, 0, make_rng(0))
     with pytest.raises(ValueError):
         subsample(ds, ds.n + 1, make_rng(0))
+
+
+# --- blocked build: bitwise gate against the whole-stack computation ---
+
+def _whole_stack_bilinear(images, out_h, out_w):
+    """The four-gather resize over the whole stack, kept as the reference."""
+    images = np.asarray(images, dtype=float)
+    n, h, w = images.shape
+    ys = np.linspace(0.0, h - 1, out_h)
+    xs = np.linspace(0.0, w - 1, out_w)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = images[:, y0[:, None], x0[None, :]] * (1 - fx) \
+        + images[:, y0[:, None], x1[None, :]] * fx
+    bot = images[:, y1[:, None], x0[None, :]] * (1 - fx) \
+        + images[:, y1[:, None], x1[None, :]] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def _whole_stack_build(raw, spec):
+    """build_binary_task as one pass over the whole float image stack."""
+    keep = np.isin(raw.labels, (spec.positive_class, spec.negative_class))
+    labels = raw.labels[keep]
+    images = np.asarray(raw.images[keep], dtype=float)
+    if images.ndim == 4:
+        images = images.mean(axis=3)
+    side = spec.target_side
+    if images.shape[1:] != (side, side):
+        images = _whole_stack_bilinear(images, side, side)
+    X = images.reshape(len(images), -1).T.astype(float)
+    norms = np.linalg.norm(X, axis=0)
+    X = X / norms
+    y = np.where(labels == spec.positive_class, 1.0, -1.0)
+    return X, y
+
+
+def _raw_images(kind, n, seed=0):
+    """n images in classes 1 and 7 (plus two of class 3) for one build path."""
+    shape = {"mnist28": (n, 28, 28), "mnist32": (n, 32, 32),
+             "cifar": (n, 32, 32, 3)}[kind]
+    rng = make_rng(seed)
+    images = rng.integers(1, 256, size=shape).astype(np.uint8)
+    labels = np.where(rng.random(n) < 0.5, 1, 7).astype(np.uint8)
+    labels[:2] = (1, 7)
+    labels[-2:] = 3
+    return RawImageSet(images, labels)
+
+
+@pytest.mark.parametrize("kind", ["mnist28", "cifar", "mnist32"])
+@pytest.mark.parametrize("n_blocks", [0.25, 1.5, 2.0])
+def test_build_binary_task_bitwise_matches_whole_stack(kind, n_blocks):
+    # n - 2 kept images: under one block, and not a multiple of the block;
+    # 2 * LOAD_BLOCK + 1 would leave a one-column block under plain slicing
+    n = int(n_blocks * datasets_mod.LOAD_BLOCK) + 3
+    raw = _raw_images(kind, n)
+    spec = TaskSpec("mnist", 1, 7)  # the source name plays no part here
+    ds = build_binary_task(raw, spec)
+    X_ref, y_ref = _whole_stack_build(raw, spec)
+    assert ds.X.dtype == X_ref.dtype and ds.X.shape == X_ref.shape
+    assert ds.X.strides == X_ref.strides
+    assert ds.X.tobytes(order="A") == X_ref.tobytes(order="A")
+    assert np.array_equal(ds.y, y_ref)
+    assert ds.stats.b_x == float(np.max(np.linalg.norm(X_ref, axis=0)))
+
+
+def test_build_binary_task_zero_image_in_last_block():
+    raw = _raw_images("mnist28", datasets_mod.LOAD_BLOCK + 40)
+    raw.images[-3] = 0  # kept (class 1 or 7), inside the last block
+    with pytest.raises(DataError, match="zero-norm"):
+        build_binary_task(raw, TaskSpec("mnist", 1, 7))
+
+
+@pytest.mark.parametrize("shape, out", [
+    ((3, 28, 28), (32, 32)), ((4, 5, 7), (3, 11)), ((2, 32, 32), (32, 32)),
+    ((3, 1, 4), (3, 3)), ((5, 40, 17), (32, 32)), ((1, 6, 9), (13, 2))])
+def test_bilinear_separable_bitwise_matches_four_gathers(shape, out):
+    images = make_rng(7).uniform(0.0, 255.0, size=shape)
+    assert np.array_equal(bilinear_resize(images, *out),
+                          _whole_stack_bilinear(images, *out))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stats_b_x_bitwise_matches_whole_array(order):
+    # The largest column is last, where plain slicing would leave it a block
+    # of its own.  Its small squares vanish against 10**2 when summed in
+    # order, as numpy reduces the columns of a C-ordered X, but not when
+    # summed pairwise, as it reduces a one-column view.
+    n = 2 * datasets_mod.STATS_BLOCK + 1
+    X = make_rng(3).uniform(0.0, 1.0, size=(64, n))
+    X[:, -1] = 7e-8
+    X[0, -1] = 10.0
+    X = np.asarray(X, order=order)
+    ds = Dataset(X, np.ones(n))
+    assert ds.stats.b_x == float(np.max(np.linalg.norm(X, axis=0)))
+
+
+def test_build_binary_task_peak_memory_below_two_outputs():
+    raw = _raw_images("mnist28", 2000)
+    tracemalloc.start()
+    try:
+        ds = build_binary_task(raw, TaskSpec("mnist", 1, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ds.X.nbytes
+
+
+def test_dataset_xt_cached_contiguous_transpose():
+    ds = build_binary_task(_raw_mnist_like(), TaskSpec("mnist", 1, 7))
+    assert ds.XT is ds.XT
+    assert ds.XT.flags.c_contiguous and np.array_equal(ds.XT, ds.X.T)

@@ -1,17 +1,19 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from snnbounds import (Dataset, InitSnapshot, RELU, SnnParams,
-                       frobenius_norm, init_activation_term, init_kaiming,
-                       make_rng, measure_report, path_norm, spectral_norm,
-                       standard_path_norm)
+                       frobenius_norm, get_activation, init_activation_term,
+                       init_kaiming, make_rng, measure_report, path_norm,
+                       spectral_norm, standard_path_norm)
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
-from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport, measure_row,
+from snnbounds.measures import (INIT_TERM_BLOCK, MEASURE_CSV_FIELDS,
+                                MeasureReport, measure_row,
                                 read_measures_csv, report_from_row,
                                 write_measures_csv)
 from conftest import random_unit_dataset
@@ -72,6 +74,33 @@ def test_init_term_hand_single():
     snap = InitSnapshot(np.array([[2.0]]), np.array([[0.0]]))
     ds = Dataset(np.array([[1.0]]), np.array([1.0]))
     assert init_activation_term(snap.W0, ds.X, RELU) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+def test_init_term_blocked_matches_dense(act):
+    activation = get_activation(act)
+    n = 2 * INIT_TERM_BLOCK + 37
+    rng = make_rng(4)
+    X = rng.standard_normal((5, n))
+    W0 = rng.standard_normal((6, 5))
+    A = activation.fn(W0 @ X)
+    dense = math.sqrt(3 * np.sum(A * A))
+    assert init_activation_term(W0, X, activation, c=3) == \
+        pytest.approx(dense, rel=1e-12)
+
+
+def test_init_term_peak_memory_well_below_one_m_by_n_array():
+    m, n = 256, 20000
+    rng = make_rng(5)
+    X = rng.standard_normal((8, n))
+    W0 = rng.standard_normal((m, 8))
+    tracemalloc.start()
+    try:
+        init_activation_term(W0, X, RELU)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
 
 
 def test_report_at_init():

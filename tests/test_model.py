@@ -98,6 +98,13 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.seed == 0 and back.epochs == 7
     assert back.final_train_error == 0.125
     assert back.params.activation.name == "tanh"
+    # one copy per array, read straight from the file buffer: each owns its
+    # memory, the live parameters stay writable, the snapshot stays frozen
+    arrays = [back.params.W, back.params.V, back.snapshot.W0, back.snapshot.V0]
+    assert all(a.flags.owndata for a in arrays)
+    assert back.params.W.flags.writeable and back.params.V.flags.writeable
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_checkpoint_bytes_stable(tmp_path):
