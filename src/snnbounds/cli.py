@@ -254,12 +254,18 @@ def cmd_figure(cfg):
     kinds = [f"fig{cfg.figure}"] if cfg.figure else list(fig_mod.FIGURE_KINDS)
     measures_path = os.path.join(cfg.out, "measures.csv")
     bounds_path = os.path.join(cfg.out, "bounds.csv")
+    # every input is checked before the first figure file is written
     if not os.path.exists(measures_path):
         raise data_mod.DataError(
             f"{measures_path} not found; run `snnbounds measure` first")
     measure_rows = read_measures_csv(measures_path)
+    if not measure_rows:
+        raise data_mod.DataError(f"no rows found in {measures_path}")
     bound_rows = []
-    if os.path.exists(bounds_path):
+    if any(kind in fig_mod.BOUNDS_FIGURE_KINDS for kind in kinds):
+        if not os.path.exists(bounds_path):
+            raise data_mod.DataError(
+                f"{bounds_path} not found; run `snnbounds bounds` first")
         with open(bounds_path, newline="") as f:
             bound_rows = list(csv.DictReader(f))
     for kind in kinds:

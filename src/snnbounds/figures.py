@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
+BOUNDS_FIGURE_KINDS = ("fig2", "fig3")  # the kinds that read bounds.csv
 
 FIG3_METHODS = ["vc_dim", "inf1_product", "spn_radbound", "fro_product",
                 "spectral_12", "pacbayes", "relu_decomp", "lipschitz_smooth",

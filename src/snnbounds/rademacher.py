@@ -1,11 +1,14 @@
 """Numerical probes of the empirical Rademacher complexity on tiny instances.
 
 The supremum over the constrained class {||W - W0||_F <= R_W, ||V||_F <= R_V}
-is estimated per sign vector by projected gradient ascent (PGA).  The returned
-value is always re-evaluated at a verified feasible point, so every estimate
-is a certified lower bound on the true per-sigma supremum.  Restricted
-sub-classes (pure linear, top-layer-only) admit closed-form suprema which
-serve as oracles for the PGA.
+is estimated per sign vector by projected gradient ascent (PGA) over W only:
+for a fixed W the sup over V is attained in closed form, at
+V* = R_V G^T / ||G||_F with G = gamma(W X) Sigma.  Exhaustive mode searches
+only the 2^(n-1) sign vectors with sigma_1 = +1, since sigma and -sigma have
+the same supremum.  The returned value is always re-evaluated at a verified
+feasible (W, V*), so every estimate is a certified lower bound on the true
+per-sigma supremum.  Restricted sub-classes (pure linear, top-layer-only)
+admit closed-form suprema which serve as oracles for the PGA.
 """
 
 import math
@@ -39,7 +42,6 @@ class RadEstimate:
     mean: float
     std_error: float
     samples: int
-    kind: str  # "feasible_lower" or "closed_form"
 
 
 def project_fro_ball(M, center, radius):
@@ -74,20 +76,13 @@ def closed_form_toplayer_sup(sigma, X, W0, R_V, activation):
     return float(R_V * np.linalg.norm(M @ sigma))
 
 
-def _batched_objective(Ws, Vs, X, sigmas, activation):
-    Z = Ws @ X                   # (B, m, n)
-    A = activation.fn(Z)
-    out = Vs @ A                 # (B, c, n)
-    obj = np.einsum("bcn,bnc->b", out, sigmas)
-    return obj, Z, A
-
-
 def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     """Certified feasible sup estimates for a batch of sign matrices.
 
-    sigmas has shape (S, n, c); the PGA runs cfg.pga_restarts restarts per
-    sigma simultaneously and returns, per sigma, the best objective value
-    re-evaluated after a final projection onto the feasible set.
+    sigmas has shape (S, n, c).  The PGA maximizes R_V ||gamma(W X) Sigma||_F,
+    the sup over V in closed form, over the deviation D = W - W0, with
+    cfg.pga_restarts restarts per sigma run simultaneously.  Per sigma it
+    returns the best value, evaluated at a checked feasible (W, V*).
     """
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
@@ -95,50 +90,56 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     m, d = W0.shape
     R = cfg.pga_restarts
     B = S * R
+    # The B = S * R iterates are stacked along one axis of B * m hidden units,
+    # unit j of iterate b = s * R + r in column b * m + j, so each product
+    # with X is one GEMM and per-iterate factors broadcast along that axis.
+    sig = np.repeat(sigmas.transpose(1, 2, 0), R * m, axis=2)  # (n, c, B*m)
 
-    sig_b = np.repeat(sigmas, R, axis=0)                     # (B, n, c)
+    def per_iterate_dot(M, N):
+        return np.einsum("ibj,ibj->b", M.reshape(-1, B, m), N.reshape(-1, B, m))
+
+    def sup_over_v(Z):
+        """G^T (c, B*m) and ||G||_F per iterate, for Z = (W X)^T (n, B*m)."""
+        G = np.einsum("ik,ick->ck", activation.fn(Z), sig)
+        return G, np.sqrt(per_iterate_dot(G, G))
+
     # restart starts come from per-restart forked streams so that adding
     # restarts never changes (only extends) the set of starting points
-    dW = np.empty((S, R, m, d))
-    dV = np.empty((S, R, c, m))
+    D = np.empty((S, R, m, d))
     for r_idx in range(R):
-        restart_rng = fork_rng(cfg.seed, 10, r_idx)
-        dW[:, r_idx] = restart_rng.standard_normal((S, m, d))
-        dV[:, r_idx] = restart_rng.standard_normal((S, c, m))
-    dW = dW.reshape(B, m, d)
-    dV = dV.reshape(B, c, m)
-    wnorm = np.maximum(np.sqrt(np.einsum("bij,bij->b", dW, dW)), 1e-30)
-    Ws = W0 + R_W * dW / wnorm[:, None, None]
-    vnorm = np.maximum(np.sqrt(np.einsum("bij,bij->b", dV, dV)), 1e-30)
-    Vs = R_V * dV / vnorm[:, None, None]
+        D[:, r_idx] = fork_rng(cfg.seed, 10, r_idx).standard_normal((S, m, d))
+    D = D.reshape(B * m, d).T.copy()                          # (d, B*m)
+    D *= np.repeat(R_W / np.maximum(np.sqrt(per_iterate_dot(D, D)), 1e-30), m)
+    Z0 = np.tile((W0 @ X).T, (1, B))                          # (n, B*m)
 
     step = cfg.step_size
     for _ in range(cfg.pga_steps):
-        _, Z, A = _batched_objective(Ws, Vs, X, sig_b, activation)
-        grad_V = np.einsum("bnc,bmn->bcm", sig_b, A)
-        dA = np.einsum("bkm,bnk->bmn", Vs, sig_b) * activation.deriv(Z)
-        grad_W = dA @ X.T
-        Ws = Ws + step * grad_W
-        Vs = Vs + step * grad_V
+        Z = X.T @ D
+        Z += Z0
+        G, gnorm = sup_over_v(Z)
+        # grad_W R_V ||G||_F = ((U Sigma^T) * gamma'(W X)) X^T with
+        # U = R_V G / ||G||_F, here transposed
+        G *= np.repeat(R_V / np.maximum(gnorm, 1e-30), m)
+        dZ = np.einsum("ck,ick->ik", G, sig)
+        dZ *= activation.deriv(Z)
+        D += step * (X @ dZ)
         # project after every step
-        dWs = Ws - W0
-        norms = np.sqrt(np.einsum("bij,bij->b", dWs, dWs))
-        scale = np.minimum(1.0, R_W / np.maximum(norms, 1e-30))
-        Ws = W0 + dWs * scale[:, None, None]
-        vnorms = np.sqrt(np.einsum("bij,bij->b", Vs, Vs))
-        vscale = np.minimum(1.0, R_V / np.maximum(vnorms, 1e-30))
-        Vs = Vs * vscale[:, None, None]
+        norms = np.sqrt(per_iterate_dot(D, D))
+        D *= np.repeat(np.minimum(1.0, R_W / np.maximum(norms, 1e-30)), m)
         step *= cfg.step_decay
 
-    # certify feasibility, then evaluate
-    dWs = Ws - W0
-    wdist = np.sqrt(np.einsum("bij,bij->b", dWs, dWs))
-    vdist = np.sqrt(np.einsum("bij,bij->b", Vs, Vs))
-    if np.any(wdist > R_W * (1 + 1e-9) + 1e-12) or \
-            np.any(vdist > R_V * (1 + 1e-9) + 1e-12):
+    # certify feasibility of W, then evaluate at (W, V*)
+    W0_tiled = np.tile(W0.T, (1, B))                          # (d, B*m)
+    Ws = W0_tiled + D
+    dWs = Ws - W0_tiled
+    if np.any(np.sqrt(per_iterate_dot(dWs, dWs)) > R_W * (1 + 1e-9) + 1e-12):
         raise RuntimeError("projection failure: infeasible PGA iterate")
-    obj, _, _ = _batched_objective(Ws, Vs, X, sig_b, activation)
-    return obj.reshape(S, R).max(axis=1)
+    G, gnorm = sup_over_v(X.T @ Ws)
+    V_star = G * np.repeat(R_V / np.maximum(gnorm, 1e-30), m)   # V*^T
+    if np.any(np.sqrt(per_iterate_dot(V_star, V_star))
+              > R_V * (1 + 1e-9) + 1e-12):
+        raise RuntimeError("closed-form V outside its ball")
+    return per_iterate_dot(V_star, G).reshape(S, R).max(axis=1)
 
 
 def pga_sup_estimate(sigma_matrix, X, W0, R_W, R_V, activation, cfg):
@@ -162,7 +163,8 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
     """Empirical Rademacher complexity estimate (1/n) E_sigma sup(...).
 
     Sign vectors are enumerated exhaustively when n <= 10 and c = 1 (exact
-    sigma-expectation), otherwise sampled.  Every per-sigma value is a
+    sigma-expectation over the 2^(n-1) pairs {sigma, -sigma}; ``samples``
+    counts all 2^n), otherwise sampled.  Every per-sigma value is a
     certified feasible lower estimate, so the result lower-bounds the true
     complexity up to sigma-sampling error.
     """
@@ -177,20 +179,21 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
             "pass allow_large=True to override")
     if exhaustive is None:
         exhaustive = n <= 10 and c == 1
-    rng = fork_rng(cfg.seed, 2)
     if exhaustive:
-        sigmas = enumerate_signs(n)[:, :, None]  # (2^n, n, 1)
+        # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the
+        # W-only PGA gives -sigma the value of sigma: search sigma_1 = +1 only
+        sigmas = enumerate_signs(n)[2 ** (n - 1):, :, None]  # (2^(n-1), n, 1)
     else:
+        rng = fork_rng(cfg.seed, 2)
         sigmas = np.stack([sample_signs(rng, n, c)
                            for _ in range(cfg.sigma_samples)])
     sups = _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg)
     per_sigma = sups / n
     mean = float(np.mean(per_sigma))
     if exhaustive:
-        std_error = 0.0
-    else:
-        std_error = float(np.std(per_sigma, ddof=1) / math.sqrt(len(per_sigma)))
-    return RadEstimate(mean, std_error, len(per_sigma), "feasible_lower")
+        return RadEstimate(mean, 0.0, 2 ** n)
+    std_error = float(np.std(per_sigma, ddof=1) / math.sqrt(len(per_sigma)))
+    return RadEstimate(mean, std_error, len(per_sigma))
 
 
 def khintchine_sandwich_check(X, samples=1000, rng=None):

@@ -218,6 +218,20 @@ def test_figure_exit_3_without_measures_csv(tmp_path, capsys, make_dir):
     assert err.startswith("data error:") and "snnbounds measure" in err
 
 
+def test_figure_exit_3_without_bounds_csv(tmp_path, capsys, mnist_dir):
+    out = os.path.join(tmp_path, "run")
+    for cmd in ("train", "measure"):
+        assert _run([cmd] + _base_args(mnist_dir, out)) == 0
+    assert _run(["figure", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "snnbounds bounds" in err
+    assert not [name for name in os.listdir(out) if name.startswith("fig")]
+    # the measures-only figures still need no bounds.csv
+    assert _run(["figure", "--figure", "1a", "--out", out]) == 0
+    assert sorted(name for name in os.listdir(out)
+                  if name.startswith("fig")) == ["fig1a.csv", "fig1a.svg"]
+
+
 def test_figure_exit_3_on_measures_csv_without_rows(tmp_path, capsys):
     with open(os.path.join(tmp_path, "measures.csv"), "w") as f:
         f.write("dataset,seed,m\n")
