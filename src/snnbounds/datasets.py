@@ -16,14 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import column_blocks, frobenius_norm, spectral_norm
+from .linalg import COLUMN_BLOCK, column_blocks, frobenius_norm, spectral_norm
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
-LOAD_BLOCK = 256    # images converted, resized and normalized at a time
-STATS_BLOCK = 1024  # columns of X per block of the column-norm pass
+LOAD_BLOCK = 256  # images converted, resized and normalized at a time
 
 CIFAR_CLASSES = {
     "airplane": 0, "automobile": 1, "bird": 2, "cat": 3, "deer": 4,
@@ -101,7 +100,7 @@ class Dataset:
         reduced exactly as in the whole array.
         """
         b_x = max(float(np.max(np.linalg.norm(self.X[:, cols], axis=0)))
-                  for cols in column_blocks(self.n, STATS_BLOCK))
+                  for cols in column_blocks(self.n, COLUMN_BLOCK))
         return DataStats(X_fro=frobenius_norm(self.X),
                          gram_spec_sqrt=spectral_norm(self.X), b_x=b_x)
 

@@ -8,6 +8,9 @@ that a given seed produces the same stream on every platform.
 import numpy as np
 
 _SUPPORTED_ORDS = (1, 2, np.inf)
+# columns of X per block of a full-data pass (data statistics, init term,
+# training margins), so that no pass holds an m x n array
+COLUMN_BLOCK = 1024
 
 
 def make_rng(seed):

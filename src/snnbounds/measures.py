@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import DataError
-from .linalg import (column_blocks, frobenius_norm, pq_norm, row_l2_norms,
-                     spectral_norm)
+from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
+                     row_l2_norms, spectral_norm)
 
 
 def path_norm(params, snapshot):
@@ -33,17 +33,14 @@ def standard_path_norm(params):
     return float(np.abs(params.V[0]) @ row_l2_norms(params.W))
 
 
-INIT_TERM_BLOCK = 1024  # columns of X per block of the init-term pass
-
-
 def init_activation_term(W0, X, activation, c=1):
     """(c * sum_j sum_i gamma^2(x_i^T w_j0))^(1/2) for the rows w_j0 of W0.
 
-    Summed over blocks of at most INIT_TERM_BLOCK columns of X, so memory is
+    Summed over blocks of at most COLUMN_BLOCK columns of X, so memory is
     O(m * block) rather than O(m * n).
     """
     total = 0.0
-    for cols in column_blocks(X.shape[1], INIT_TERM_BLOCK):
+    for cols in column_blocks(X.shape[1], COLUMN_BLOCK):
         A = activation.fn(W0 @ X[:, cols])
         total += np.sum(A * A)
     return float(np.sqrt(c * total))

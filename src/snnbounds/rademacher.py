@@ -111,6 +111,19 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     D = D.reshape(B * m, d).T.copy()                          # (d, B*m)
     D *= np.repeat(R_W / np.maximum(np.sqrt(per_iterate_dot(D, D)), 1e-30), m)
     Z0 = np.tile((W0 @ X).T, (1, B))                          # (n, B*m)
+    # A start at which gamma' vanishes for every unit on every point (all
+    # ReLU units inactive) has a zero gradient and would never move.  It is
+    # replaced by the start that moves the one unit j* by R_W along x_i*,
+    # where (j*, i*) maximises w0_j . x_i + R_W ||x_i||.  For ReLU, if that
+    # maximum is <= 0, every feasible W is dead and 0 is the exact sup.
+    dead = ~np.any(activation.deriv(X.T @ D + Z0).reshape(n, B, m),
+                   axis=(0, 2))
+    if dead.any():
+        x_norms = np.linalg.norm(X, axis=0)
+        j, i = np.unravel_index(np.argmax(W0 @ X + R_W * x_norms), (m, n))
+        D[:, np.repeat(dead, m)] = 0.0
+        D[:, np.flatnonzero(dead) * m + j] = (
+            R_W / max(x_norms[i], 1e-30)) * X[:, i, None]
 
     step = cfg.step_size
     for _ in range(cfg.pga_steps):

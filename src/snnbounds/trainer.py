@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fork_rng
+from .linalg import COLUMN_BLOCK, column_blocks, fork_rng
 from .model import forward
 
 
@@ -85,8 +85,16 @@ def _batch_grads(params, Xb, yb01):
 
 
 def _margins(params, ds):
-    """y_i * psi(x_i) for every example: one full-data forward."""
-    return ds.y * forward(params, ds.X)[0]
+    """y_i * psi(x_i) for every example: one full-data forward.
+
+    The forward runs over blocks of at most COLUMN_BLOCK columns of X into
+    one (n,) vector, so memory is O(m * block) rather than O(m * n).
+    """
+    t = np.empty(ds.n)
+    for cols in column_blocks(ds.n, COLUMN_BLOCK):
+        t[cols] = forward(params, ds.X[:, cols])[0]
+    t *= ds.y
+    return t
 
 
 def _error_from_margins(t):
@@ -118,8 +126,10 @@ def sgd_train(params, snapshot, ds, cfg):
     kept on the dataset; their transposes have the same values and strides
     as the column gather X[:, idx], so BLAS sees the same operands.
     Momentum is updated in place.
-    Each epoch ends with one full-data forward whose margins give both the
-    early-stop 0-1 error and, after the last epoch, the final ramp risk.
+    Each epoch ends with one full-data forward, over column blocks of X,
+    whose margins give both the early-stop 0-1 error and, after the last
+    epoch, the final ramp risk.  The weights depend on the margins only
+    through the early-stop comparison.
     """
     if ds.d != params.d:
         raise ValueError(f"dataset d={ds.d} but model d={params.d}")

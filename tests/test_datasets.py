@@ -9,6 +9,7 @@ from snnbounds import (Dataset, TaskSpec, build_binary_task, make_rng,
 from snnbounds import datasets as datasets_mod
 from snnbounds.datasets import (DataError, ParseError, RawImageSet,
                                 bilinear_resize)
+from snnbounds.linalg import COLUMN_BLOCK
 from conftest import encode_cifar10_bin, encode_idx_images, encode_idx_labels
 
 
@@ -232,7 +233,7 @@ def test_stats_b_x_bitwise_matches_whole_array(order):
     # of its own.  Its small squares vanish against 10**2 when summed in
     # order, as numpy reduces the columns of a C-ordered X, but not when
     # summed pairwise, as it reduces a one-column view.
-    n = 2 * datasets_mod.STATS_BLOCK + 1
+    n = 2 * COLUMN_BLOCK + 1
     X = make_rng(3).uniform(0.0, 1.0, size=(64, n))
     X[:, -1] = 7e-8
     X[0, -1] = 10.0

@@ -12,10 +12,10 @@ from snnbounds import (Dataset, InitSnapshot, RELU, SnnParams,
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
-from snnbounds.measures import (INIT_TERM_BLOCK, MEASURE_CSV_FIELDS,
-                                MeasureReport, measure_row,
-                                read_measures_csv, report_from_row,
-                                write_measures_csv)
+from snnbounds.linalg import COLUMN_BLOCK
+from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport,
+                                measure_row, read_measures_csv,
+                                report_from_row, write_measures_csv)
 from conftest import random_unit_dataset
 
 
@@ -79,7 +79,7 @@ def test_init_term_hand_single():
 @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
 def test_init_term_blocked_matches_dense(act):
     activation = get_activation(act)
-    n = 2 * INIT_TERM_BLOCK + 37
+    n = 2 * COLUMN_BLOCK + 37
     rng = make_rng(4)
     X = rng.standard_normal((5, n))
     W0 = rng.standard_normal((6, 5))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from snnbounds import (RELU, SIGMOID, TANH, RadConfig, closed_form_linear_sup,
-                       closed_form_toplayer_sup, enumerate_signs,
-                       init_kaiming, khintchine_sandwich_check, make_rng,
-                       mc_rad_estimate, pga_sup_estimate, project_fro_ball,
-                       rad_upper_path)
+from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
+                       closed_form_linear_sup, closed_form_toplayer_sup,
+                       enumerate_signs, init_kaiming,
+                       khintchine_sandwich_check, make_rng, mc_rad_estimate,
+                       pga_sup_estimate, project_fro_ball, rad_upper_path)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.rademacher import _pga_best_values
 from conftest import random_unit_dataset
@@ -222,6 +222,33 @@ def test_mc_estimate_below_upper_bound():
     est = mc_rad_estimate(ds.X, W0, R_W, R_V, RELU, cfg=FAST)
     inputs = class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V)
     assert est.mean <= rad_upper_path(inputs) + 1e-12
+
+
+def _dead_start_instance(w0_2):
+    # two copies of x = +1 and two units with negative w0: a random start
+    # leaves both units inactive on both points unless it moves unit 2 by
+    # more than -w0_2 <= R_W, so most starts have a zero gradient
+    X = np.array([[1.0, 1.0]])
+    W0 = np.array([[-3.78], [w0_2]])
+    return Dataset(X, np.ones(2)), W0
+
+
+def test_mc_estimate_replaces_dead_starts():
+    ds, W0 = _dead_start_instance(-2.17)
+    R_W, R_V = 2.32, 1.0
+    # every restart from this seed starts dead
+    est = mc_rad_estimate(ds.X, W0, R_W, R_V, RELU, cfg=RadConfig(seed=1))
+    upper = rad_upper_path(class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V))
+    assert 0.0 < est.mean <= upper
+    # the sup puts all of R_W on unit 2: sigma = (+1, +1) gives
+    # 2 R_V (R_W + w0_2), sigma = (+1, -1) gives 0, each divided by n = 2
+    assert est.mean == pytest.approx(R_V * (R_W - 2.17) / 2.0, rel=1e-12)
+
+
+def test_mc_estimate_zero_when_every_feasible_w_is_dead():
+    ds, W0 = _dead_start_instance(-2.5)
+    est = mc_rad_estimate(ds.X, W0, 2.32, 1.0, RELU, cfg=RadConfig(seed=1))
+    assert est.mean == 0.0
 
 
 def test_scale_guard():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from snnbounds import (Dataset, RELU, TANH, SnnParams, TrainConfig,
                        bce_logits, init_kaiming, make_rng, ramp_risk,
                        sgd_train, zero_one_error)
-from snnbounds.linalg import fork_rng
+from snnbounds.linalg import COLUMN_BLOCK, fork_rng
 from snnbounds.model import forward
 from snnbounds.trainer import TrainingDiverged, _batch_grads
 from conftest import random_unit_dataset
@@ -249,3 +250,41 @@ def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
     assert report.epochs_run == len(loss_curve)
     if target > 0:
         assert report.epochs_run < max_epochs
+
+
+@pytest.mark.parametrize("max_epochs, target, act", [
+    pytest.param(3, 0.0, RELU, id="relu"),
+    pytest.param(10, 0.05, RELU, id="early-stop"),
+    pytest.param(3, 0.0, TANH, id="tanh"),
+])
+def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
+    # n spans three column blocks of the epoch-end forward
+    ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
+    cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
+                      target_train_error=target, seed=4)
+    params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    ref = SnnParams(params.W.copy(), params.V.copy(), act)
+    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg)
+    report = sgd_train(params, snap, ds, cfg)
+    assert np.array_equal(params.W, ref.W)
+    assert np.array_equal(params.V, ref.V)
+    assert report.loss_curve == loss_curve
+    assert report.error_curve == error_curve
+    assert report.final_train_error == err
+    assert report.final_ramp_risk == pytest.approx(ramp, rel=1e-12, abs=0.0)
+    if target > 0:
+        assert report.epochs_run < max_epochs
+
+
+def test_epoch_peak_memory_well_below_one_m_by_n_array():
+    m, n = 256, 20000
+    rng = make_rng(7)
+    ds = random_unit_dataset(rng, 8, n)
+    params, snap = init_kaiming(rng, m, ds.d, 1)
+    tracemalloc.start()
+    try:
+        sgd_train(params, snap, ds, TrainConfig(max_epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
