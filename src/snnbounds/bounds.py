@@ -11,7 +11,8 @@ measures; data-dependent ones carry a factor ||X||_F / n, data-independent
 ones a factor max_i ||x_i||_2 / sqrt(n).
 
 Every bound is a function of a MeasureReport plus the shape and activation
-of the network, so bounds.csv can be derived from measures.csv alone.
+of the network, so bounds.csv can be derived from measures.csv alone.  The
+Rademacher rows also take a ClassMeasures: a constrained class, no model.
 """
 
 import math
@@ -19,16 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectral_norm
-from .measures import MeasureReport, init_activation_term
+from .measures import init_activation_term
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 
 
 @dataclass
-class BoundInputs:
-    report: object         # MeasureReport
+class ClassMeasures:
+    """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
+    ||V||_F <= R_V}; field meanings as in MeasureReport."""
+    R_W: float
+    R_V: float
+    init_term: float
+    X_fro: float
+    gram_spec_sqrt: float
     n: int
+    r0: float
+
+
+@dataclass
+class BoundInputs:
+    report: object         # MeasureReport, or ClassMeasures for the rad_* rows
     m: int
     c: int = 1
     d: int = 0
@@ -39,7 +51,7 @@ class BoundInputs:
     sup_kappa: float = None  # class-level sup of the path-norm
 
     def __post_init__(self):
-        if min(self.n, self.m, self.c) < 1:
+        if min(self.report.n, self.m, self.c) < 1:
             raise ValueError("n, m, c must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
@@ -87,13 +99,13 @@ def cm_prime_constant(m, c, r1, r2):
 
 def _rad_upper(inputs, kappa_factor, sup_kappa_for_cm):
     r = inputs.report
-    term_init = r.R_V * r.init_term / inputs.n
+    term_init = r.R_V * r.init_term / r.n
     if kappa_factor == 0.0:
         # degenerate class (R_W = 0 or R_V = 0): only the init term remains
         return term_init
     cm = cm_constant(inputs.m, inputs.c, r.R_W, r.R_V, sup_kappa_for_cm)
     term_data = inputs.G_gamma * kappa_factor * (
-        TWO_PLUS_SQRT5 / inputs.n * r.X_fro + cm * r.gram_spec_sqrt / inputs.n)
+        TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     return term_init + term_data
 
 
@@ -120,9 +132,18 @@ def rad_lower(inputs, r0):
         raise ValueError("lower bound requires c = 1")
     if r.R_W < r0:
         raise ValueError(f"R_W={r.R_W} < r0={r0}")
-    first = (r.R_W - r0) * r.R_V / (4.0 * math.sqrt(2.0) * inputs.n) * r.X_fro
-    second = r.R_V / (2.0 * math.sqrt(2.0) * inputs.n) * r.init_term
+    first = (r.R_W - r0) * r.R_V / (4.0 * math.sqrt(2.0) * r.n) * r.X_fro
+    second = r.R_V / (2.0 * math.sqrt(2.0) * r.n) * r.init_term
     return first + second
+
+
+def reported_rad_lower(inputs, activation):
+    """rad_lower as reported: for ReLU with c = 1, else None.  If R_W < r0 the
+    linear-class term does not apply; the top-layer term alone is still a
+    valid lower bound, obtained with r0 := R_W."""
+    if inputs.c != 1 or activation.name != "relu":
+        return None
+    return rad_lower(inputs, min(inputs.report.r0, inputs.report.R_W))
 
 
 def gen_bound_pn(inputs, reduce_both_terms=True):
@@ -141,12 +162,12 @@ def gen_bound_pn(inputs, reduce_both_terms=True):
         lead1 = 2.0
         lead2 = 2.0 if reduce_both_terms else full
     cm = cm_prime_constant(inputs.m, inputs.c, R1 + 1.0, R2 + 1.0)
-    term1 = lead1 * inputs.G * (R2 + 1.0) / inputs.n * r.init_term
+    term1 = lead1 * inputs.G * (R2 + 1.0) / r.n * r.init_term
     term2 = lead2 * inputs.G * inputs.G_gamma * (kappa + 1.0) * (
-        TWO_PLUS_SQRT5 / inputs.n * r.X_fro + cm * r.gram_spec_sqrt / inputs.n)
+        TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     log_arg = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
         * (kappa + 1.0) * (kappa + 2.0) / inputs.delta
-    term3 = 3.0 * inputs.b * math.sqrt(math.log(log_arg) / (2.0 * inputs.n))
+    term3 = 3.0 * inputs.b * math.sqrt(math.log(log_arg) / (2.0 * r.n))
     return term1 + term2 + term3
 
 
@@ -156,9 +177,9 @@ def gen_bound_spn(inputs):
         raise ValueError("standard path-norm bound is defined here for c = 1")
     r = inputs.report
     kappa_s = r.kappa_s
-    term1 = 4.0 / inputs.n * (kappa_s + 1.0) * r.X_fro
+    term1 = 4.0 / r.n * (kappa_s + 1.0) * r.X_fro
     log_arg = 2.0 * (kappa_s + 1.0) * (kappa_s + 2.0) / inputs.delta
-    term2 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * inputs.n))
+    term2 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * r.n))
     return term1 + term2
 
 
@@ -174,16 +195,17 @@ COMPARATOR_METHODS = {
     8: ("lipschitz_smooth", False, False),
     9: ("adl", False, True),
 }
+COMPARATOR_NAMES = [name for name, _, _ in COMPARATOR_METHODS.values()]
 
 
-def comparator_bound(method, report, inputs):
+def comparator_bound(method, inputs):
     """One of the nine comparator bounds, as a BoundValue.
 
     Data-dependent rows are multiplied by ||X||_F / n, data-independent rows
     by b_x / sqrt(n).  The row-9 value carries ``qualitative=True``: its
     hidden constants are not computable, only the dominant term is reported.
     """
-    r = report
+    r = inputs.report
     if method == 1:
         core = math.sqrt(inputs.d * inputs.m)
     elif method == 2:
@@ -207,9 +229,9 @@ def comparator_bound(method, report, inputs):
         raise ValueError(f"unknown comparator method {method}")
     name, data_dep, qualitative = COMPARATOR_METHODS[method]
     if data_dep:
-        factor = r.X_fro / inputs.n
+        factor = r.X_fro / r.n
     else:
-        factor = r.b_x / math.sqrt(inputs.n)
+        factor = r.b_x / math.sqrt(r.n)
     return BoundValue(name, core * factor, data_dep, qualitative)
 
 
@@ -217,48 +239,31 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
     """BoundInputs for a constrained class (radii R_W, R_V around W0).
 
     Used when there is no trained model, e.g. to compare the analytic upper
-    and lower bounds against Monte-Carlo estimates; model-specific fields of
-    the report are zeroed.
+    and lower bounds against Monte-Carlo estimates.  Its ClassMeasures has no
+    model fields, so only the Rademacher rows can be computed from it.
     """
     stats = ds.stats
-    report = MeasureReport(
-        kappa=0.0, kappa_s=0.0, R_W=R_W, R_V=R_V, w_fro=0.0, v_dist=0.0,
-        w0_spectral=spectral_norm(W0), w_spectral=0.0, v_spectral=0.0,
-        w_dist_12=0.0, v_dist_12=0.0, w_inf1=0.0, v_inf1=0.0,
-        init_term=init_activation_term(W0, ds.X, activation, c),
-        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, b_x=stats.b_x,
-        n=ds.n, r0=float(np.min(np.linalg.norm(W0, axis=1))),
-    )
-    return BoundInputs(report, n=ds.n, m=W0.shape[0], c=c, d=ds.d,
+    measures = ClassMeasures(
+        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation, c),
+        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
+        r0=float(np.min(np.linalg.norm(W0, axis=1))))
+    return BoundInputs(measures, m=W0.shape[0], c=c, d=ds.d,
                        G_gamma=activation.lipschitz, delta=delta)
-
-
-ALL_METHOD_NAMES = [v[0] for v in COMPARATOR_METHODS.values()] + [
-    "pn_ours", "spn_ours", "rad_upper_path", "rad_upper_frob", "rad_lower"]
 
 
 def all_bound_values(report, m, c, d, activation, delta=0.01, G=1.0, b=1.0):
     """Every implemented bound for one trained model as a list of BoundValue.
 
     ``report`` is the model's MeasureReport (in memory or read back from
-    measures.csv); n and r0 come from it.  The Rademacher lower bound needs
-    R_W >= r0 = min_j ||w_j0||_2 (ReLU, c = 1).
+    measures.csv); n and r0 come from it.  rad_lower is reported only where
+    reported_rad_lower gives one (ReLU, c = 1).
     """
-    inputs = BoundInputs(report, n=report.n, m=m, c=c, d=d, G=G,
+    inputs = BoundInputs(report, m=m, c=c, d=d, G=G,
                          G_gamma=activation.lipschitz, b=b, delta=delta)
-    values = [comparator_bound(k, report, inputs) for k in COMPARATOR_METHODS]
-    values.append(BoundValue("pn_ours", gen_bound_pn(inputs),
-                             data_dependent=True))
-    values.append(BoundValue("spn_ours", gen_bound_spn(inputs),
-                             data_dependent=True))
-    values.append(BoundValue("rad_upper_path", rad_upper_path(inputs),
-                             data_dependent=True))
-    values.append(BoundValue("rad_upper_frob", rad_upper_frob(inputs),
-                             data_dependent=True))
-    if c == 1 and activation.name == "relu":
-        # if R_W < r0 the linear-class term does not apply; the top-layer
-        # term alone is still a valid lower bound, obtained with r0 := R_W
-        r0 = min(report.r0, report.R_W)
-        values.append(BoundValue("rad_lower", rad_lower(inputs, r0),
-                                 data_dependent=True))
-    return values
+    values = [comparator_bound(k, inputs) for k in COMPARATOR_METHODS]
+    ours = {"pn_ours": gen_bound_pn(inputs), "spn_ours": gen_bound_spn(inputs),
+            "rad_upper_path": rad_upper_path(inputs),
+            "rad_upper_frob": rad_upper_frob(inputs),
+            "rad_lower": reported_rad_lower(inputs, activation)}
+    return values + [BoundValue(name, value, data_dependent=True)
+                     for name, value in ours.items() if value is not None]

@@ -1,9 +1,9 @@
 """Command-line entry point: train -> measure -> bounds -> figures, plus the
 tiny-instance Rademacher probe.
 
-Subcommands: train, measure, bounds, rad, figure, all.  Every config knob is
-available both as a flag and as a ``key=value`` line in a config file passed
-via --config; flags win.  Exit codes: 0 success, 2 config error, 3 data error.
+Subcommands: train, measure, bounds, rad, figure, all.  Every ExperimentConfig
+field is both a flag and a ``key=value`` line in a config file passed via
+--config; flags win.  Exit codes: 0 success, 2 config error, 3 data error.
 """
 
 import argparse
@@ -11,7 +11,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from . import datasets as data_mod
 from . import figures as fig_mod
 from .linalg import fork_rng, make_rng
 from .measures import (measure_report, measure_row, path_norm,
-                       read_measures_csv, report_from_row, write_measures_csv)
-from .model import (Checkpoint, checkpoint_load, checkpoint_save,
+                       report_from_row, write_measures_csv)
+from .model import (ACTIVATIONS, Checkpoint, checkpoint_load, checkpoint_save,
                     get_activation, init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
@@ -31,6 +32,8 @@ BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
 RAD_CSV_FIELDS = ["n", "d", "m", "c", "R_W", "R_V", "estimate", "std_error",
                   "upper_bound_path", "upper_bound_frob", "lower_bound",
                   "margin"]
+# the RadConfig fields that `rad` takes as flags, with RadConfig's defaults
+_RAD_KNOBS = ("seed", "sigma_samples", "pga_steps", "pga_restarts")
 
 DEFAULT_TASKS = {
     "mnist": data_mod.TaskSpec("mnist", 1, 7),
@@ -42,27 +45,48 @@ class ConfigError(Exception):
     pass
 
 
+def _int_list(text):
+    """Comma-separated integers, e.g. ``64,128``."""
+    try:
+        return [int(v) for v in str(text).split(",") if v != ""]
+    except ValueError:
+        raise ValueError(f"bad integer list {text!r}") from None
+
+
+_INT_LIST = {"type": _int_list}
+_FIGURE_CHOICES = {"choices": tuple(kind.removeprefix("fig")
+                                    for kind in fig_mod.FIGURE_KINDS)}
+
+
 @dataclass
 class ExperimentConfig:
-    dataset: str = "mnist"
+    """Every experiment knob; flags and config-file keys derive from the
+    fields, whose metadata may give a parser (``type``) and ``choices``."""
+    dataset: str = field(default="mnist",
+                         metadata={"choices": tuple(DEFAULT_TASKS)})
     mnist_dir: str = ""
     cifar_dir: str = ""
     out: str = "runs"
-    widths: list = field(default_factory=lambda: [64, 128])
-    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    widths: list = field(default_factory=lambda: [64, 128], metadata=_INT_LIST)
+    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4], metadata=_INT_LIST)
     delta: float = 0.01
     subsample: int = 0  # 0 = full dataset
-    figure: str = ""
+    figure: str = field(default="", metadata=_FIGURE_CHOICES)  # "" = every figure
     batch_size: int = 256
     momentum: float = 0.9
     learning_rate: float = 0.001
     max_epochs: int = 0  # 0 = source default (20 MNIST / 50 CIFAR)
     target_train_error: float = 0.1
-    activation: str = "relu"
+    activation: str = field(default="relu",
+                            metadata={"choices": tuple(ACTIVATIONS)})
 
     def __post_init__(self):
-        if self.dataset not in DEFAULT_TASKS:
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
+        for f in fields(self):
+            allowed = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            # a default outside the choices means unset, as figure ""
+            if allowed and value != f.default and value not in allowed:
+                raise ConfigError(f"unknown {f.name} {value!r}")
         if not self.widths or sorted(set(self.widths)) != self.widths:
             raise ConfigError("widths must be nonempty and strictly increasing")
         if self.widths[0] < 1:
@@ -106,32 +130,21 @@ def parse_config_file(path):
     return values
 
 
-def _int_list(text):
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from None
+def _parse(f):
+    """The parser of an ExperimentConfig field's flag and config-file value."""
+    return f.metadata.get("type", f.type)
 
 
 def build_experiment_config(args):
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    flag_map = {
-        "dataset": str, "mnist_dir": str, "cifar_dir": str, "out": str,
-        "widths": _int_list, "seeds": _int_list, "delta": float,
-        "subsample": int, "figure": str, "batch_size": int,
-        "momentum": float, "learning_rate": float, "max_epochs": int,
-        "target_train_error": float, "activation": str,
-    }
+    """ExperimentConfig from the --config file, overridden by any flag given."""
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     kwargs = {}
     try:
-        for key, conv in flag_map.items():
-            if key in values:
-                kwargs[key] = conv(values[key])
-            cli_val = getattr(args, key, None)
-            if cli_val is not None:
-                kwargs[key] = conv(cli_val) if not isinstance(cli_val, list) else cli_val
+        for f in fields(ExperimentConfig):
+            if f.name in values:
+                kwargs[f.name] = _parse(f)(values[f.name])
+            if getattr(args, f.name, None) is not None:
+                kwargs[f.name] = getattr(args, f.name)
         return ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
@@ -154,6 +167,21 @@ def load_task_dataset(cfg):
     if cfg.subsample:
         ds = data_mod.subsample(ds, cfg.subsample, fork_rng(0, 999))
     return ds
+
+
+def _read_stage_csv(path, stage):
+    """Rows of a CSV that `snnbounds <stage>` writes; DataError if missing."""
+    if not os.path.exists(path):
+        raise data_mod.DataError(f"{path} not found; run `snnbounds {stage}` first")
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def _write_csv(path, header, rows):
+    """A header and rows as CSV; no path or "-" writes to stdout."""
+    with (nullcontext(sys.stdout) if path in (None, "", "-")
+          else open(path, "w", newline="")) as f:
+        csv.writer(f).writerows([header, *rows])
 
 
 def _ckpt_path(cfg, seed, m):
@@ -217,11 +245,8 @@ def cmd_measure(cfg, ds):
 def cmd_bounds(cfg):
     """bounds.csv from measures.csv; checkpoints give activation, c and d."""
     measures_path = os.path.join(cfg.out, "measures.csv")
-    if not os.path.exists(measures_path):
-        raise data_mod.DataError(
-            f"{measures_path} not found; run `snnbounds measure` first")
     by_cell = {(int(row["seed"]), int(row["m"])): row
-               for row in read_measures_csv(measures_path)}
+               for row in _read_stage_csv(measures_path, "measure")}
     rows = []
     for seed, m, ck in _iter_checkpoints(cfg):
         row = by_cell.get((seed, m))
@@ -243,34 +268,22 @@ def cmd_bounds(cfg):
                          repr(cfg.delta), bv.data_dependent, bv.qualitative])
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
-    with open(os.path.join(cfg.out, "bounds.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(BOUNDS_CSV_FIELDS)
-        writer.writerows(rows)
+    _write_csv(os.path.join(cfg.out, "bounds.csv"), BOUNDS_CSV_FIELDS, rows)
     return 0
 
 
 def cmd_figure(cfg):
     kinds = [f"fig{cfg.figure}"] if cfg.figure else list(fig_mod.FIGURE_KINDS)
     measures_path = os.path.join(cfg.out, "measures.csv")
-    bounds_path = os.path.join(cfg.out, "bounds.csv")
     # every input is checked before the first figure file is written
-    if not os.path.exists(measures_path):
-        raise data_mod.DataError(
-            f"{measures_path} not found; run `snnbounds measure` first")
-    measure_rows = read_measures_csv(measures_path)
+    measure_rows = _read_stage_csv(measures_path, "measure")
     if not measure_rows:
         raise data_mod.DataError(f"no rows found in {measures_path}")
     bound_rows = []
     if any(kind in fig_mod.BOUNDS_FIGURE_KINDS for kind in kinds):
-        if not os.path.exists(bounds_path):
-            raise data_mod.DataError(
-                f"{bounds_path} not found; run `snnbounds bounds` first")
-        with open(bounds_path, newline="") as f:
-            bound_rows = list(csv.DictReader(f))
+        bound_rows = _read_stage_csv(os.path.join(cfg.out, "bounds.csv"),
+                                     "bounds")
     for kind in kinds:
-        if kind not in fig_mod.FIGURE_KINDS:
-            raise ConfigError(f"unknown figure {cfg.figure!r}")
         fig_mod.emit_figure(kind, measure_rows, bound_rows,
                             os.path.join(cfg.out, f"{kind}.csv"),
                             os.path.join(cfg.out, f"{kind}.svg"))
@@ -281,54 +294,43 @@ def cmd_rad(args):
     """Tiny-instance Rademacher probe: MC feasible estimate vs. the bounds."""
     n, d, m = args.n, args.d, args.m
     R_W, R_V = args.rw, args.rv
+    if min(n, d, m) < 1:
+        raise ConfigError("n, d and m must be >= 1")
+    if min(R_W, R_V) < 0:
+        raise ConfigError("radii must be >= 0")
     act = get_activation(args.activation)
     rng = make_rng(args.seed)
     X = rng.standard_normal((d, n))
     X /= np.linalg.norm(X, axis=0)
     _, snapshot = init_kaiming(rng, m, d, 1, act)
     W0 = np.asarray(snapshot.W0)
-    cfg = RadConfig(sigma_samples=args.sigma_samples, pga_steps=args.pga_steps,
-                    pga_restarts=args.pga_restarts, seed=args.seed)
-    est = mc_rad_estimate(X, W0, R_W, R_V, act, c=1, cfg=cfg)
     ds = data_mod.Dataset(X, np.ones(n), name="rad_probe")
-    inputs = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V,
-                                           delta=args.delta)
+    try:  # RadConfig's counts, delta and mc_rad_estimate's SCALE_GUARD
+        cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
+        inputs = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V,
+                                               delta=args.delta)
+        est = mc_rad_estimate(X, W0, R_W, R_V, act, c=1, cfg=cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     upper_path = bounds_mod.rad_upper_path(inputs)
     upper_frob = bounds_mod.rad_upper_frob(inputs)
-    r0 = inputs.report.r0
-    lower = bounds_mod.rad_lower(inputs, r0) if R_W >= r0 else float("nan")
-    row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error,
-           upper_path, upper_frob, lower, upper_path - est.mean]
-    out = args.out_csv or "-"
-    if out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(RAD_CSV_FIELDS)
-        writer.writerow(row)
-    else:
-        with open(out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(RAD_CSV_FIELDS)
-            writer.writerow(row)
+    lower = bounds_mod.reported_rad_lower(inputs, act)
+    row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error, upper_path,
+           upper_frob, float("nan") if lower is None else lower,
+           upper_path - est.mean]
+    _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
     return 0
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _add_experiment_flags(p):
     p.add_argument("--config")
-    p.add_argument("--dataset", choices=("mnist", "cifar10"))
-    p.add_argument("--mnist-dir", dest="mnist_dir")
-    p.add_argument("--cifar-dir", dest="cifar_dir")
-    p.add_argument("--out")
-    p.add_argument("--widths", type=_int_list)
-    p.add_argument("--seeds", type=_int_list)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--figure", choices=("1a", "1b", "2", "3"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--target-train-error", dest="target_train_error", type=float)
-    p.add_argument("--activation", choices=("relu", "tanh", "sigmoid"))
+    for f in fields(ExperimentConfig):
+        p.add_argument(_flag(f.name), dest=f.name, type=_parse(f),
+                       choices=f.metadata.get("choices"))
 
 
 def build_parser():
@@ -343,12 +345,10 @@ def build_parser():
     rad.add_argument("--rw", type=float, default=1.0)
     rad.add_argument("--rv", type=float, default=1.0)
     rad.add_argument("--delta", type=float, default=0.01)
-    rad.add_argument("--seed", type=int, default=0)
-    rad.add_argument("--sigma-samples", dest="sigma_samples", type=int, default=200)
-    rad.add_argument("--pga-steps", dest="pga_steps", type=int, default=200)
-    rad.add_argument("--pga-restarts", dest="pga_restarts", type=int, default=5)
-    rad.add_argument("--activation", choices=("relu", "tanh", "sigmoid"),
-                     default="relu")
+    for name in _RAD_KNOBS:
+        rad.add_argument(_flag(name), dest=name, type=int,
+                         default=getattr(RadConfig, name))
+    rad.add_argument("--activation", choices=tuple(ACTIVATIONS), default="relu")
     rad.add_argument("--out-csv", dest="out_csv")
     return parser
 
@@ -369,10 +369,8 @@ def main(argv=None):
             return cmd_train(cfg, ds)
         if args.command == "measure":
             return cmd_measure(cfg, ds)
-        if args.command == "all":
-            return (cmd_train(cfg, ds) or cmd_measure(cfg, ds)
-                    or cmd_bounds(cfg) or cmd_figure(cfg))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return (cmd_train(cfg, ds) or cmd_measure(cfg, ds)  # all
+                or cmd_bounds(cfg) or cmd_figure(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,12 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .bounds import COMPARATOR_NAMES
+
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
 BOUNDS_FIGURE_KINDS = ("fig2", "fig3")  # the kinds that read bounds.csv
 
-FIG3_METHODS = ["vc_dim", "inf1_product", "spn_radbound", "fro_product",
-                "spectral_12", "pacbayes", "relu_decomp", "lipschitz_smooth",
-                "adl", "pn_ours", "spn_ours"]
-FIG2_COMPARATORS = FIG3_METHODS[:9]
+FIG3_METHODS = COMPARATOR_NAMES + ["pn_ours", "spn_ours"]
 
 
 class FigureError(Exception):
@@ -55,6 +54,11 @@ def _series_from(rows, label, value_fn):
     return FigureSeries(label, xs, means, los, his)
 
 
+def _bound_series(bound_rows, method):
+    return _series_from(bound_rows, method, lambda r: float(r["value"])
+                        if r["method"] == method else None)
+
+
 def _measure_value(field):
     return lambda row: float(row[field])
 
@@ -77,11 +81,7 @@ def figure_series(kind, measure_rows, bound_rows):
                 _series_from(measure_rows, "standard_path_norm",
                              _measure_value("kappa_s"))]
     if kind == "fig2":
-        series = []
-        for method in FIG2_COMPARATORS:
-            series.append(_series_from(
-                bound_rows, method,
-                lambda r, mth=method: float(r["value"]) if r["method"] == mth else None))
+        series = [_bound_series(bound_rows, method) for method in COMPARATOR_NAMES]
 
         def pn_dominant(r):
             n = float(r["X_fro"]) ** 2
@@ -90,10 +90,7 @@ def figure_series(kind, measure_rows, bound_rows):
         series.append(_series_from(measure_rows, "pn_dominant", pn_dominant))
         return series
     if kind == "fig3":
-        return [_series_from(bound_rows, method,
-                             lambda r, mth=method: float(r["value"])
-                             if r["method"] == mth else None)
-                for method in FIG3_METHODS]
+        return [_bound_series(bound_rows, method) for method in FIG3_METHODS]
     raise FigureError(f"unknown figure kind {kind!r}")
 
 
@@ -147,12 +144,10 @@ def render_svg(series_list, title=""):
     parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
                  f'stroke="black"/>')
     for x in xs_all:
+        power = float(x).is_integer() and math.log2(x).is_integer()
+        label = f"2^{int(math.log2(x))}" if power else x
         parts.append(f'<text x="{_fmt(px(x))}" y="{_H - _MB + 16}" '
-                     f'font-size="10" text-anchor="middle">2^{int(math.log2(x))}'
-                     f'</text>' if float(x).is_integer() and
-                     math.log2(x).is_integer() else
-                     f'<text x="{_fmt(px(x))}" y="{_H - _MB + 16}" '
-                     f'font-size="10" text-anchor="middle">{x}</text>')
+                     f'font-size="10" text-anchor="middle">{label}</text>')
     for k in range(math.floor(ly0), math.ceil(ly1) + 1):
         parts.append(f'<text x="{_ML - 6}" y="{_fmt(py(10 ** k) + 3)}" '
                      f'font-size="10" text-anchor="end">1e{k}</text>')

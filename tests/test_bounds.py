@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from snnbounds import (BoundInputs, Dataset, RELU, TANH, SnnParams,
                        comparator_bound, gen_bound_pn, gen_bound_spn,
                        init_kaiming, make_rng, measure_report, rad_lower,
                        rad_upper_frob, rad_upper_path)
-from snnbounds.bounds import (ALL_METHOD_NAMES, COMPARATOR_METHODS,
-                              class_bound_inputs)
+from snnbounds.bounds import (COMPARATOR_METHODS, ClassMeasures, class_bound_inputs,
+                              reported_rad_lower)
 from snnbounds.measures import (measure_row, read_measures_csv,
                                 report_from_row, write_measures_csv)
 from conftest import random_unit_dataset
@@ -21,7 +22,7 @@ def _trained_like(seed=0, m=4, d=3, n=9):
     params.V = params.V + 0.1
     ds = random_unit_dataset(make_rng(seed + 2), d, n)
     report = measure_report(params, snap, ds)
-    inputs = BoundInputs(report, n=n, m=m, c=1, d=d)
+    inputs = BoundInputs(report, m=m, c=1, d=d)
     return params, snap, ds, report, inputs
 
 
@@ -109,7 +110,7 @@ def test_rad_upper_frob_equals_path_at_default_sup():
 
 def test_rad_upper_frob_dominates_smaller_sup():
     _, _, _, report, _ = _trained_like(seed=3)
-    inputs = BoundInputs(report, n=9, m=4, c=1, d=3,
+    inputs = BoundInputs(report, m=4, c=1, d=3,
                          sup_kappa=0.5 * report.R_W * report.R_V)
     assert rad_upper_frob(inputs) >= rad_upper_path(inputs)
 
@@ -141,6 +142,40 @@ def test_rad_lower_precondition():
         rad_lower(inputs, r0)
 
 
+def test_class_bound_inputs_hold_only_rademacher_fields():
+    _, snap, ds, _, _ = _trained_like(seed=20)
+    W0 = np.asarray(snap.W0)
+    inputs = class_bound_inputs(ds, W0, RELU, R_W=1.5, R_V=0.8)
+    r = inputs.report
+    assert isinstance(r, ClassMeasures)
+    assert (r.R_W, r.R_V, r.n) == (1.5, 0.8, ds.n)
+    assert r.r0 == float(np.min(np.linalg.norm(W0, axis=1)))
+    assert math.isfinite(rad_upper_path(inputs))
+    assert math.isfinite(rad_lower(inputs, r.r0))
+    # the model-level bounds have no model to read: an error, not zeros
+    for bound in (gen_bound_pn, gen_bound_spn,
+                  lambda i: comparator_bound(1, i),
+                  lambda i: comparator_bound(7, i)):
+        with pytest.raises(AttributeError):
+            bound(inputs)
+
+
+def test_reported_rad_lower_rule():
+    _, snap, ds, _, _ = _trained_like(seed=21)
+    W0 = np.asarray(snap.W0)
+    r0 = float(np.min(np.linalg.norm(W0, axis=1)))
+    above = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0)
+    assert reported_rad_lower(above, RELU) == rad_lower(above, r0)
+    # R_W < r0: the top-layer term, i.e. the lower bound at r0 := R_W
+    below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.0)
+    assert reported_rad_lower(below, RELU) == rad_lower(below, 0.5 * r0)
+    assert reported_rad_lower(below, RELU) <= rad_upper_path(below)
+    # proved for ReLU with c = 1 only
+    assert reported_rad_lower(above, TANH) is None
+    two_heads = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0, c=2)
+    assert reported_rad_lower(two_heads, RELU) is None
+
+
 def test_gen_bound_pn_zero_collapse():
     """W = W0 = 0, V = 0 on zero data leaves only the confidence term."""
     m, d, n = 3, 2, 10
@@ -150,7 +185,7 @@ def test_gen_bound_pn_zero_collapse():
     ds = Dataset(np.zeros((d, n)), np.ones(n))
     report = measure_report(params, snap, ds)
     delta = 0.05
-    inputs = BoundInputs(report, n=n, m=m, c=1, d=d, delta=delta)
+    inputs = BoundInputs(report, m=m, c=1, d=d, delta=delta)
     want = 3.0 * math.sqrt(math.log(16.0 / delta) / (2.0 * n))
     assert gen_bound_pn(inputs) == pytest.approx(want, rel=1e-12)
 
@@ -159,15 +194,16 @@ def test_gen_bound_pn_monotonicities():
     params, snap, ds, report, inputs = _trained_like(seed=6)
     base = gen_bound_pn(inputs)
     # shrinking confidence (smaller delta) can only raise the bound
-    tight = BoundInputs(report, n=ds.n, m=params.m, c=1, d=ds.d, delta=0.001)
+    tight = BoundInputs(report, m=params.m, c=1, d=ds.d, delta=0.001)
     assert gen_bound_pn(tight) > base
     # doubling n at fixed norms strictly decreases the bound
-    big_n = BoundInputs(report, n=2 * ds.n, m=params.m, c=1, d=ds.d)
+    big_n = BoundInputs(replace(report, n=2 * ds.n), m=params.m, c=1,
+                        d=ds.d)
     assert gen_bound_pn(big_n) < base
     # inflating the head inflates kappa, R_V and the bound
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
     fat_report = measure_report(fat, snap, ds)
-    fat_inputs = BoundInputs(fat_report, n=ds.n, m=params.m, c=1, d=ds.d)
+    fat_inputs = BoundInputs(fat_report, m=params.m, c=1, d=ds.d)
     assert gen_bound_pn(fat_inputs) > base
 
 
@@ -185,7 +221,7 @@ def test_gen_bound_spn_zero_path_norm():
     _, snap = init_kaiming(make_rng(8), m, d, 1)
     report = measure_report(params, snap, ds)
     delta = 0.02
-    inputs = BoundInputs(report, n=n, m=m, c=1, d=d, delta=delta)
+    inputs = BoundInputs(report, m=m, c=1, d=d, delta=delta)
     want = 4.0 / math.sqrt(n) + 3.0 * math.sqrt(
         math.log(4.0 / delta) / (2.0 * n))
     assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
@@ -198,7 +234,7 @@ def test_gen_bound_spn_compositional():
         math.log(2 * (kappa_s + 1) * (kappa_s + 2) / inputs.delta) / (2 * ds.n))
     assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
-    fat_inputs = BoundInputs(measure_report(fat, snap, ds), n=ds.n, m=params.m,
+    fat_inputs = BoundInputs(measure_report(fat, snap, ds), m=params.m,
                              c=1, d=ds.d)
     assert gen_bound_spn(fat_inputs) > gen_bound_spn(inputs)
 
@@ -225,35 +261,37 @@ def test_comparator_rows_recomputed():
         "adl": (r.w0_spectral * r.R_V + r.R_W * r.R_V) * di,
     }
     for k, (name, data_dep, qualitative) in COMPARATOR_METHODS.items():
-        bv = comparator_bound(k, r, inputs)
+        bv = comparator_bound(k, inputs)
         assert bv.method == name
         assert bv.value == pytest.approx(want[name], rel=1e-12)
         assert bv.data_dependent == data_dep
         assert bv.qualitative == qualitative
-    assert comparator_bound(9, r, inputs).qualitative
+    assert comparator_bound(9, inputs).qualitative
     with pytest.raises(ValueError):
-        comparator_bound(10, r, inputs)
+        comparator_bound(10, inputs)
 
 
 def test_comparator_rows_at_init():
     params, snap = init_kaiming(make_rng(11), 4, 3, 1)
     ds = random_unit_dataset(make_rng(12), 3, 8)
     r = measure_report(params, snap, ds)
-    inputs = BoundInputs(r, n=ds.n, m=4, c=1, d=3)
+    inputs = BoundInputs(r, m=4, c=1, d=3)
     # zero training distance: row 7 reduces to (w0_spectral R_V + sqrt(m)) X_fro/n
     want7 = (r.w0_spectral * r.R_V + math.sqrt(4)) * r.X_fro / ds.n
-    assert comparator_bound(7, r, inputs).value == pytest.approx(want7, rel=1e-12)
+    assert comparator_bound(7, inputs).value == pytest.approx(want7, rel=1e-12)
     want9 = r.w0_spectral * r.R_V * r.b_x / math.sqrt(ds.n)
-    assert comparator_bound(9, r, inputs).value == pytest.approx(want9, rel=1e-12)
+    assert comparator_bound(9, inputs).value == pytest.approx(want9, rel=1e-12)
 
 
 def test_all_bound_values_relu_full_set():
     params, snap, ds, report, inputs = _trained_like(seed=13)
     values = all_bound_values(report, params.m, params.c, ds.d,
                               params.activation)
-    names = [v.method for v in values]
-    assert names == ALL_METHOD_NAMES
-    assert len(values) >= 14
+    # bounds.csv order: the comparators, then the rows computed here
+    assert [v.method for v in values] == [
+        "vc_dim", "inf1_product", "spn_radbound", "fro_product",
+        "spectral_12", "pacbayes", "relu_decomp", "lipschitz_smooth", "adl",
+        "pn_ours", "spn_ours", "rad_upper_path", "rad_upper_frob", "rad_lower"]
     for v in values:
         assert math.isfinite(v.value) and v.value >= 0.0
     by_name = {v.method: v.value for v in values}
@@ -275,11 +313,11 @@ def test_all_bound_values_tanh_drops_lower():
 def test_bound_inputs_validation():
     _, _, _, report, _ = _trained_like(seed=16)
     with pytest.raises(ValueError):
-        BoundInputs(report, n=0, m=4)
+        BoundInputs(replace(report, n=0), m=4)
     with pytest.raises(ValueError):
-        BoundInputs(report, n=5, m=4, delta=1.0)
+        BoundInputs(report, m=4, delta=1.0)
     with pytest.raises(ValueError):
-        BoundInputs(report, n=5, m=4, G=0.0)
+        BoundInputs(report, m=4, G=0.0)
 
 
 @pytest.mark.parametrize("act", [RELU, TANH], ids=["relu", "tanh"])

@@ -1,12 +1,18 @@
+import argparse
 import csv
 import json
+import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from snnbounds import RELU, all_bound_values, checkpoint_load, measure_report
+from snnbounds import (RELU, all_bound_values, checkpoint_load, init_kaiming,
+                       make_rng, measure_report, rad_lower)
 from snnbounds import cli as cli_mod
+from snnbounds.bounds import class_bound_inputs
+from snnbounds.datasets import Dataset
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
@@ -19,7 +25,11 @@ def mnist_dir(tmp_path_factory):
 
 
 def _run(argv):
-    return main(argv)
+    """The exit code of `snnbounds argv`; argparse usage errors exit 2."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _base_args(mnist_dir, out, widths="4", seeds="0"):
@@ -43,6 +53,11 @@ def test_config_defaults_and_validation():
         ExperimentConfig(dataset="svhn")
     with pytest.raises(ConfigError):
         ExperimentConfig(max_epochs=-1)
+    with pytest.raises(ConfigError, match="unknown activation 'foo'"):
+        ExperimentConfig(activation="foo")
+    with pytest.raises(ConfigError, match="unknown figure '9'"):
+        ExperimentConfig(figure="9")
+    assert ExperimentConfig(figure="").figure == ""  # unset: every figure
 
 
 def test_config_file_parsing(tmp_path):
@@ -61,13 +76,14 @@ def test_config_file_parsing(tmp_path):
 def test_flags_override_config_file(tmp_path, mnist_dir):
     path = os.path.join(tmp_path, "exp.cfg")
     with open(path, "w") as f:
-        f.write("delta=0.5\nwidths=2,4\n")
+        f.write("delta=0.5\nwidths=2,4\nactivation=tanh\nfigure=1b\n")
     parser = build_parser()
     args = parser.parse_args(["train", "--config", path, "--delta", "0.1"])
     from snnbounds.cli import build_experiment_config
     cfg = build_experiment_config(args)
     assert cfg.delta == 0.1       # flag wins
     assert cfg.widths == [2, 4]   # file survives where no flag given
+    assert (cfg.activation, cfg.figure) == ("tanh", "1b")
 
 
 def test_exit_code_config_error(tmp_path):
@@ -78,7 +94,8 @@ def test_exit_code_config_error(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--batch-size", "0"), ("--momentum", "1.5"), ("--momentum", "-0.1"),
     ("--learning-rate", "-1"), ("--max-epochs", "-1"), ("--subsample", "-1"),
-    ("--widths", "0,4"), ("--seeds", "-1"),
+    ("--widths", "0,4"), ("--seeds", "-1"), ("--widths", "4,x"),
+    ("--seeds", "1,,x"),
 ])
 def test_exit_code_bad_training_flag(tmp_path, flag, value):
     # rejected before the dataset is read: a missing directory would give 3
@@ -90,10 +107,68 @@ def test_exit_code_bad_training_flag(tmp_path, flag, value):
 
 
 def test_exit_code_bad_config_file_value(tmp_path):
-    path = os.path.join(tmp_path, "exp.cfg")
-    with open(path, "w") as f:
-        f.write("batch_size=many\n")
-    assert _run(["train", "--config", path, "--out", str(tmp_path)]) == 2
+    # rejected before the dataset is read (a missing directory would give 3)
+    # and before any stage writes to --out
+    for command, line in [("train", "batch_size=many"), ("train", "widths=4,x"),
+                          ("train", "activation=foo"), ("train", "dataset=svhn"),
+                          ("all", "figure=9")]:
+        path = os.path.join(tmp_path, "exp.cfg")
+        with open(path, "w") as f:
+            f.write(line + "\n")
+        out = os.path.join(tmp_path, "run")
+        assert _run([command, "--config", path, "--out", out, "--mnist-dir",
+                     os.path.join(tmp_path, "nope")]) == 2, line
+        assert not os.path.exists(out), line
+
+
+EXPERIMENT_SURFACE = [
+    ("--config", "config", None, None),
+    ("--dataset", "dataset", ("mnist", "cifar10"), None),
+    ("--mnist-dir", "mnist_dir", None, None),
+    ("--cifar-dir", "cifar_dir", None, None),
+    ("--out", "out", None, None),
+    ("--widths", "widths", None, None),
+    ("--seeds", "seeds", None, None),
+    ("--delta", "delta", None, None),
+    ("--subsample", "subsample", None, None),
+    ("--figure", "figure", ("1a", "1b", "2", "3"), None),
+    ("--batch-size", "batch_size", None, None),
+    ("--momentum", "momentum", None, None),
+    ("--learning-rate", "learning_rate", None, None),
+    ("--max-epochs", "max_epochs", None, None),
+    ("--target-train-error", "target_train_error", None, None),
+    ("--activation", "activation", ("relu", "tanh", "sigmoid"), None),
+]
+RAD_SURFACE = [
+    ("--n", "n", None, 8),
+    ("--d", "d", None, 4),
+    ("--m", "m", None, 4),
+    ("--rw", "rw", None, 1.0),
+    ("--rv", "rv", None, 1.0),
+    ("--delta", "delta", None, 0.01),
+    ("--seed", "seed", None, 0),
+    ("--sigma-samples", "sigma_samples", None, 200),
+    ("--pga-steps", "pga_steps", None, 200),
+    ("--pga-restarts", "pga_restarts", None, 5),
+    ("--activation", "activation", ("relu", "tanh", "sigmoid"), "relu"),
+    ("--out-csv", "out_csv", None, None),
+]
+
+
+def test_parser_surface_pinned():
+    """Every subcommand's options: option string, dest, choices, default."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    want = {name: EXPERIMENT_SURFACE
+            for name in ("train", "measure", "bounds", "figure", "all")}
+    want["rad"] = RAD_SURFACE
+    assert list(sub.choices) == ["train", "measure", "bounds", "figure",
+                                 "all", "rad"]
+    for name, parser in sub.choices.items():
+        got = [(*a.option_strings, a.dest,
+                tuple(a.choices) if a.choices else None, a.default)
+               for a in parser._actions if a.dest != "help"]
+        assert got == want[name], name
 
 
 def test_exit_code_oversized_subsample(tmp_path, mnist_dir):
@@ -262,6 +337,52 @@ def test_rad_subcommand(tmp_path):
     assert float(vals["estimate"]) <= float(vals["upper_bound_path"]) + 1e-12
     assert float(vals["margin"]) >= -1e-12
     assert float(vals["std_error"]) == 0.0  # n=6 runs the exhaustive mode
+
+
+def _rad_row(tmp_path, *flags):
+    out_csv = os.path.join(tmp_path, "rad.csv")
+    assert _run(["rad", *flags, "--pga-steps", "20", "--pga-restarts", "2",
+                 "--out-csv", out_csv]) == 0
+    with open(out_csv, newline="") as f:
+        return {k: float(v) for k, v in next(csv.DictReader(f)).items()}
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_rad_lower_bound_nan_without_relu(tmp_path, activation):
+    # the lower bound is proved for ReLU only; the ReLU formula gives 7.27
+    # here, above the cap R_V sqrt(m) = 1.73 that |tanh| <= 1 sets
+    row = _rad_row(tmp_path, "--activation", activation, "--rw", "100",
+                   "--n", "6", "--d", "3", "--m", "3")
+    assert math.isnan(row["lower_bound"])
+    assert row["estimate"] <= row["upper_bound_path"]
+
+
+def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
+    n, d, m, seed, R_W, R_V = 5, 3, 2, 4, 0.05, 1.3
+    row = _rad_row(tmp_path, "--n", str(n), "--d", str(d), "--m", str(m),
+                   "--seed", str(seed), "--rw", repr(R_W), "--rv", repr(R_V))
+    # the instance `rad` draws from its seed
+    rng = make_rng(seed)
+    X = rng.standard_normal((d, n))
+    X /= np.linalg.norm(X, axis=0)
+    W0 = np.asarray(init_kaiming(rng, m, d, 1, RELU)[1].W0)
+    assert R_W < np.min(np.linalg.norm(W0, axis=1))  # R_W < r0
+    inputs = class_bound_inputs(Dataset(X, np.ones(n)), W0, RELU, R_W, R_V)
+    assert row["lower_bound"] == rad_lower(inputs, R_W)
+    assert row["lower_bound"] <= row["upper_bound_path"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma-samples", "0"],
+    ["--n", "100", "--d", "100", "--m", "100"],
+    ["--n", "0"],
+    ["--rw", "-1"],
+], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius"])
+def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
+    out_csv = os.path.join(tmp_path, "rad.csv")
+    assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not os.path.exists(out_csv)
 
 
 @pytest.fixture(scope="module")

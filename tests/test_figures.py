@@ -61,10 +61,15 @@ def test_fig1a_series():
 def test_fig2_and_fig3_series():
     mrows = [_measure_row(16, 0, 1.0, 4.0), _measure_row(64, 0, 2.0, 8.0)]
     brows = _bound_rows([16, 64], [0, 1])
+    comparators = ["vc_dim", "inf1_product", "spn_radbound", "fro_product",
+                   "spectral_12", "pacbayes", "relu_decomp",
+                   "lipschitz_smooth", "adl"]
     f2 = figure_series("fig2", mrows, brows)
-    assert len(f2) == 10  # nine comparators plus the dominant-term series
+    # nine comparators plus the dominant-term series
+    assert [s.label for s in f2] == comparators + ["pn_dominant"]
     f3 = figure_series("fig3", mrows, brows)
     assert [s.label for s in f3] == FIG3_METHODS
+    assert FIG3_METHODS == comparators + ["pn_ours", "spn_ours"]
     for s in f3:
         assert s.x == [16, 64]
 
@@ -97,6 +102,14 @@ def test_svg_deterministic_and_wellformed():
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
     assert a.count("<polyline") == len(series)
     assert a.count("<polygon") == len(series)
+
+
+def test_svg_width_ticks():
+    rows = [_measure_row(m, 0, 1.0, 4.0) for m in (16, 24, 64)]
+    svg = render_svg(figure_series("fig1b", rows, []))
+    ticks = [line.rsplit(">", 2)[1].removesuffix("</text")
+             for line in svg.splitlines() if 'text-anchor="middle"' in line]
+    assert ticks == ["2^4", "24", "2^6"]
 
 
 def test_svg_rejects_empty():
