@@ -16,7 +16,7 @@ from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
 from .rademacher import (RadConfig, RadEstimate, closed_form_linear_sup,
                          closed_form_toplayer_sup, enumerate_signs,
                          khintchine_sandwich_check, mc_rad_estimate,
-                         pga_sup_estimate, project_fro_ball)
+                         pga_sup_estimate)
 from .trainer import (TrainConfig, TrainReport, bce_logits, ramp_risk,
                       sgd_train, zero_one_error)
 

@@ -44,9 +44,7 @@ class BoundInputs:
     m: int
     c: int = 1
     d: int = 0
-    G: float = 1.0         # loss Lipschitz constant
     G_gamma: float = 1.0   # activation Lipschitz constant
-    b: float = 1.0         # loss range
     delta: float = 0.01
     sup_kappa: float = None  # class-level sup of the path-norm
 
@@ -55,8 +53,8 @@ class BoundInputs:
             raise ValueError("n, m, c must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if min(self.G, self.G_gamma, self.b) <= 0:
-            raise ValueError("G, G_gamma, b must be positive")
+        if self.G_gamma <= 0:
+            raise ValueError("G_gamma must be positive")
         if self.sup_kappa is None:
             # sup over the smallest class containing the model itself
             self.sup_kappa = math.sqrt(self.c) * self.report.R_W * self.report.R_V
@@ -80,18 +78,20 @@ def cm_constant(m, c, R_W, R_V, sup_kappa):
     if sup_kappa <= 0:
         raise ValueError("sup_kappa must be positive")
     ratio = 2.0 * R_W * R_V * math.sqrt(c * m) / sup_kappa
-    shells = max(1, math.ceil(math.log2(ratio))) if ratio > 1 else 1
-    lg = math.log(2.0 * m * c)
-    return 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / (2.0 * lg)) \
-        * math.sqrt(math.log(2.0 * m * c * shells))
+    return _peeling(m, c, math.ceil(math.log2(ratio)) if ratio > 1 else 1)
 
 
 def cm_prime_constant(m, c, r1, r2):
     """Union-shell variant: the log2 argument is max{2 r1 r2 sqrt(cm), 2 sqrt(m)}."""
     if r1 < 1 or r2 < 1:
         raise ValueError("r1 and r2 must be >= 1")
+    # the argument is >= 2, so the ceiling is >= 1
     arg = max(2.0 * r1 * r2 * math.sqrt(c * m), 2.0 * math.sqrt(m))
-    shells = max(1, math.ceil(math.log2(arg)))
+    return _peeling(m, c, math.ceil(math.log2(arg)))
+
+
+def _peeling(m, c, shells):
+    """2*sqrt(2) * (1 + 1/(2 log(2mc))) * log^(1/2)(2mc * shells)."""
     lg = math.log(2.0 * m * c)
     return 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / (2.0 * lg)) \
         * math.sqrt(math.log(2.0 * m * c * shells))
@@ -151,7 +151,9 @@ def gen_bound_pn(inputs, reduce_both_terms=True):
 
     For c = 1 the leading 2*sqrt(2) Rademacher factors reduce to 2; by
     default the reduction is applied to both Rademacher-derived terms
-    (``reduce_both_terms=False`` restricts it to the first term).
+    (``reduce_both_terms=False`` restricts it to the first term).  The loss
+    is the ramp loss, 1-Lipschitz with range [0, 1], so its Lipschitz
+    constant and range factors are 1.
     """
     r = inputs.report
     kappa = r.kappa
@@ -162,12 +164,12 @@ def gen_bound_pn(inputs, reduce_both_terms=True):
         lead1 = 2.0
         lead2 = 2.0 if reduce_both_terms else full
     cm = cm_prime_constant(inputs.m, inputs.c, R1 + 1.0, R2 + 1.0)
-    term1 = lead1 * inputs.G * (R2 + 1.0) / r.n * r.init_term
-    term2 = lead2 * inputs.G * inputs.G_gamma * (kappa + 1.0) * (
+    term1 = lead1 * (R2 + 1.0) / r.n * r.init_term
+    term2 = lead2 * inputs.G_gamma * (kappa + 1.0) * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     log_arg = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
         * (kappa + 1.0) * (kappa + 2.0) / inputs.delta
-    term3 = 3.0 * inputs.b * math.sqrt(math.log(log_arg) / (2.0 * r.n))
+    term3 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * r.n))
     return term1 + term2 + term3
 
 
@@ -251,15 +253,15 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
                        G_gamma=activation.lipschitz, delta=delta)
 
 
-def all_bound_values(report, m, c, d, activation, delta=0.01, G=1.0, b=1.0):
+def all_bound_values(report, m, c, d, activation, delta=0.01):
     """Every implemented bound for one trained model as a list of BoundValue.
 
     ``report`` is the model's MeasureReport (in memory or read back from
     measures.csv); n and r0 come from it.  rad_lower is reported only where
     reported_rad_lower gives one (ReLU, c = 1).
     """
-    inputs = BoundInputs(report, m=m, c=c, d=d, G=G,
-                         G_gamma=activation.lipschitz, b=b, delta=delta)
+    inputs = BoundInputs(report, m=m, c=c, d=d,
+                         G_gamma=activation.lipschitz, delta=delta)
     values = [comparator_bound(k, inputs) for k in COMPARATOR_METHODS]
     ours = {"pn_ours": gen_bound_pn(inputs), "spn_ours": gen_bound_spn(inputs),
             "rad_upper_path": rad_upper_path(inputs),

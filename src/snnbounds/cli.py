@@ -20,8 +20,8 @@ from . import bounds as bounds_mod
 from . import datasets as data_mod
 from . import figures as fig_mod
 from .linalg import fork_rng, make_rng
-from .measures import (measure_report, measure_row, path_norm,
-                       report_from_row, write_measures_csv)
+from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
+                       path_norm, report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, checkpoint_load, checkpoint_save,
                     get_activation, init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
@@ -138,6 +138,9 @@ def _parse(f):
 def build_experiment_config(args):
     """ExperimentConfig from the --config file, overridden by any flag given."""
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(values) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
     kwargs = {}
     try:
         for f in fields(ExperimentConfig):
@@ -238,7 +241,7 @@ def cmd_measure(cfg, ds):
         rows.append(measure_row(report, ds.name, seed, m))
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
-    write_measures_csv(os.path.join(cfg.out, "measures.csv"), rows)
+    _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
     return 0
 
 
@@ -279,6 +282,8 @@ def cmd_figure(cfg):
     measure_rows = _read_stage_csv(measures_path, "measure")
     if not measure_rows:
         raise data_mod.DataError(f"no rows found in {measures_path}")
+    for row in measure_rows:  # a row of an older schema is a data error
+        report_from_row(row)
     bound_rows = []
     if any(kind in fig_mod.BOUNDS_FIGURE_KINDS for kind in kinds):
         bound_rows = _read_stage_csv(os.path.join(cfg.out, "bounds.csv"),

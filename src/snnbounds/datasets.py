@@ -23,11 +23,7 @@ IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 LOAD_BLOCK = 256  # images converted, resized and normalized at a time
-
-CIFAR_CLASSES = {
-    "airplane": 0, "automobile": 1, "bird": 2, "cat": 3, "deer": 4,
-    "dog": 5, "frog": 6, "horse": 7, "ship": 8, "truck": 9,
-}
+TARGET_SIDE = 32  # images become TARGET_SIDE x TARGET_SIDE, so d = 1024
 
 
 class ParseError(Exception):
@@ -53,7 +49,6 @@ class TaskSpec:
     source: str  # "mnist" or "cifar10"
     positive_class: int
     negative_class: int
-    target_side: int = 32
 
     def __post_init__(self):
         if self.positive_class == self.negative_class:
@@ -217,7 +212,7 @@ def build_binary_task(raw, spec):
     for cls in (spec.positive_class, spec.negative_class):
         if not np.any(labels == cls):
             raise DataError(f"class {cls} absent from the raw set")
-    side = spec.target_side
+    side = TARGET_SIDE
     resize = raw.images.shape[1:3] != (side, side)
     X = np.empty((side * side, keep.size), order="C" if resize else "F")
     for block in column_blocks(keep.size, LOAD_BLOCK):
@@ -246,13 +241,12 @@ def subsample(ds, n_keep, rng):
     return Dataset(ds.X[:, idx], ds.y[idx], name=ds.name)
 
 
-def load_mnist_dir(path, split="train"):
-    """RawImageSet from the canonical MNIST IDX files in a directory."""
-    prefix = "train" if split == "train" else "t10k"
-    names = [f"{prefix}-images-idx3-ubyte", f"{prefix}-images.idx3-ubyte"]
-    lnames = [f"{prefix}-labels-idx1-ubyte", f"{prefix}-labels.idx1-ubyte"]
-    img_path = _first_existing(path, names)
-    lab_path = _first_existing(path, lnames)
+def load_mnist_dir(path):
+    """RawImageSet from the canonical MNIST IDX train files in a directory."""
+    img_path = _first_existing(path, ["train-images-idx3-ubyte",
+                                      "train-images.idx3-ubyte"])
+    lab_path = _first_existing(path, ["train-labels-idx1-ubyte",
+                                      "train-labels.idx1-ubyte"])
     with open(img_path, "rb") as f:
         images = parse_idx_images(f.read())
     with open(lab_path, "rb") as f:
@@ -260,14 +254,10 @@ def load_mnist_dir(path, split="train"):
     return RawImageSet(images, labels)
 
 
-def load_cifar_dir(path, split="train"):
-    """RawImageSet from the CIFAR-10 binary batches in a directory."""
-    if split == "train":
-        names = [f"data_batch_{i}.bin" for i in range(1, 6)]
-    else:
-        names = ["test_batch.bin"]
+def load_cifar_dir(path):
+    """RawImageSet from the CIFAR-10 binary train batches in a directory."""
     parts = []
-    for name in names:
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)]:
         full = os.path.join(path, name)
         if not os.path.exists(full):
             full = os.path.join(path, "cifar-10-batches-bin", name)

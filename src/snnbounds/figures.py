@@ -3,8 +3,7 @@
 Each figure is derived from measures.csv / bounds.csv alone and written as a
 tidy CSV (figure, m, series, mean, min, max) plus an SVG with a log2 x-axis,
 log10 y-axis, one polyline per series and a shaded min-max band across seeds.
-The sample size n is recovered from the unit-norm-column identity
-||X||_F = sqrt(n).
+The sample size n is the n column of measures.csv.
 """
 
 import csv
@@ -67,13 +66,11 @@ def figure_series(kind, measure_rows, bound_rows):
     """Series definitions for the four figure kinds."""
     if kind == "fig1a":
         def init_scaled(r):
-            n = float(r["X_fro"]) ** 2
-            return float(r["R_V"]) * float(r["init_term"]) / n
+            return float(r["R_V"]) * float(r["init_term"]) / int(r["n"])
 
         def spectral_proxy(r):
-            n = float(r["X_fro"]) ** 2
             return float(r["R_V"]) * float(r["b_x"]) * float(r["w0_spectral"]) \
-                / math.sqrt(n)
+                / math.sqrt(int(r["n"]))
         return [_series_from(measure_rows, "init_activation_term", init_scaled),
                 _series_from(measure_rows, "spectral_norm_proxy", spectral_proxy)]
     if kind == "fig1b":
@@ -84,9 +81,8 @@ def figure_series(kind, measure_rows, bound_rows):
         series = [_bound_series(bound_rows, method) for method in COMPARATOR_NAMES]
 
         def pn_dominant(r):
-            n = float(r["X_fro"]) ** 2
             return (float(r["R_V"]) * float(r["init_term"]) / float(r["X_fro"])
-                    + float(r["kappa"])) * float(r["X_fro"]) / n
+                    + float(r["kappa"])) * float(r["X_fro"]) / int(r["n"])
         series.append(_series_from(measure_rows, "pn_dominant", pn_dominant))
         return series
     if kind == "fig3":

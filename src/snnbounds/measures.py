@@ -8,7 +8,6 @@ carries every data statistic the bounds need, so the bounds are a function
 of one measures.csv row.
 """
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -111,20 +110,9 @@ def measure_row(report, dataset, seed, m):
     return row
 
 
-def write_measures_csv(path, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(MEASURE_CSV_FIELDS)
-        writer.writerows(rows)
-
-
-def read_measures_csv(path):
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def report_from_row(row):
-    """MeasureReport from a read_measures_csv row; the inverse of measure_row.
+    """MeasureReport from a csv.DictReader row of measures.csv; the inverse
+    of measure_row.
 
     Values are parsed with their field's type, so the repr-written floats
     read back exactly.  A row that lacks a field, e.g. from a file written

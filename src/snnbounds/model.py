@@ -101,16 +101,12 @@ def init_kaiming(rng, m, d, c, activation=RELU):
     return params, snapshot
 
 
-def hidden_activations(params, X):
+def forward(params, X):
+    """Network outputs, shape (c, n), for column-stacked inputs X of shape (d, n)."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] != params.d:
         raise ValueError(f"X has {X.shape[0]} rows, expected d={params.d}")
-    return params.activation.fn(params.W @ X)
-
-
-def forward(params, X):
-    """Network outputs, shape (c, n), for column-stacked inputs X of shape (d, n)."""
-    return params.V @ hidden_activations(params, X)
+    return params.V @ params.activation.fn(params.W @ X)
 
 
 @dataclass

@@ -18,7 +18,8 @@ import numpy as np
 
 from .linalg import fork_rng, frobenius_norm, sample_signs
 
-SCALE_GUARD = 100_000  # max n * m * d without explicit override
+SCALE_GUARD = 100_000  # max n * m * d
+STEP_DECAY = 0.99  # PGA step size factor per step
 
 
 @dataclass
@@ -27,7 +28,6 @@ class RadConfig:
     pga_steps: int = 200
     pga_restarts: int = 5
     step_size: float = 0.05
-    step_decay: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
@@ -42,19 +42,6 @@ class RadEstimate:
     mean: float
     std_error: float
     samples: int
-
-
-def project_fro_ball(M, center, radius):
-    """Euclidean projection of M onto {A : ||A - center||_F <= radius}."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    diff = M - center
-    dist = frobenius_norm(diff) if diff.size else 0.0
-    if dist <= radius:
-        return M
-    if radius == 0.0:
-        return center.copy()
-    return center + diff * (radius / dist)
 
 
 def closed_form_linear_sup(sigma, X, radius):
@@ -139,7 +126,7 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
         # project after every step
         norms = np.sqrt(per_iterate_dot(D, D))
         D *= np.repeat(np.minimum(1.0, R_W / np.maximum(norms, 1e-30)), m)
-        step *= cfg.step_decay
+        step *= STEP_DECAY
 
     # certify feasibility of W, then evaluate at (W, V*)
     W0_tiled = np.tile(W0.T, (1, B))                          # (d, B*m)
@@ -172,7 +159,7 @@ def enumerate_signs(n):
 
 
 def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
-                    allow_large=False, exhaustive=None):
+                    exhaustive=None):
     """Empirical Rademacher complexity estimate (1/n) E_sigma sup(...).
 
     Sign vectors are enumerated exhaustively when n <= 10 and c = 1 (exact
@@ -186,10 +173,9 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
     W0 = np.asarray(W0, dtype=float)
     d, n = X.shape
     m = W0.shape[0]
-    if n * m * d > SCALE_GUARD and not allow_large:
+    if n * m * d > SCALE_GUARD:
         raise ValueError(
-            f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}; "
-            "pass allow_large=True to override")
+            f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
     if exhaustive is None:
         exhaustive = n <= 10 and c == 1
     if exhaustive:

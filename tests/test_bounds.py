@@ -11,8 +11,8 @@ from snnbounds import (BoundInputs, Dataset, RELU, TANH, SnnParams,
                        rad_upper_frob, rad_upper_path)
 from snnbounds.bounds import (COMPARATOR_METHODS, ClassMeasures, class_bound_inputs,
                               reported_rad_lower)
-from snnbounds.measures import (measure_row, read_measures_csv,
-                                report_from_row, write_measures_csv)
+from snnbounds.cli import _read_stage_csv, _write_csv
+from snnbounds.measures import MEASURE_CSV_FIELDS, measure_row, report_from_row
 from conftest import random_unit_dataset
 
 
@@ -317,7 +317,7 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(report, m=4, delta=1.0)
     with pytest.raises(ValueError):
-        BoundInputs(report, m=4, G=0.0)
+        BoundInputs(report, m=4, G_gamma=0.0)
 
 
 @pytest.mark.parametrize("act", [RELU, TANH], ids=["relu", "tanh"])
@@ -329,8 +329,9 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     ds = random_unit_dataset(make_rng(19), 3, 11)
     report = measure_report(params, snap, ds)
     path = str(tmp_path / "measures.csv")
-    write_measures_csv(path, [measure_row(report, ds.name, 0, params.m)])
-    read_back = report_from_row(read_measures_csv(path)[0])
+    _write_csv(path, MEASURE_CSV_FIELDS,
+               [measure_row(report, ds.name, 0, params.m)])
+    read_back = report_from_row(_read_stage_csv(path, "measure")[0])
     args = (params.m, params.c, ds.d, act)
     want = all_bound_values(report, *args, delta=0.05)
     got = all_bound_values(read_back, *args, delta=0.05)

@@ -106,12 +106,12 @@ def test_exit_code_bad_training_flag(tmp_path, flag, value):
     assert not os.path.exists(out)
 
 
-def test_exit_code_bad_config_file_value(tmp_path):
+def test_exit_code_bad_config_file_value(tmp_path, capsys):
     # rejected before the dataset is read (a missing directory would give 3)
     # and before any stage writes to --out
     for command, line in [("train", "batch_size=many"), ("train", "widths=4,x"),
                           ("train", "activation=foo"), ("train", "dataset=svhn"),
-                          ("all", "figure=9")]:
+                          ("all", "figure=9"), ("train", "batchsize=0")]:
         path = os.path.join(tmp_path, "exp.cfg")
         with open(path, "w") as f:
             f.write(line + "\n")
@@ -119,6 +119,8 @@ def test_exit_code_bad_config_file_value(tmp_path):
         assert _run([command, "--config", path, "--out", out, "--mnist-dir",
                      os.path.join(tmp_path, "nope")]) == 2, line
         assert not os.path.exists(out), line
+    assert capsys.readouterr().err.endswith(
+        "config error: unknown config key(s) batchsize\n")
 
 
 EXPERIMENT_SURFACE = [
@@ -381,7 +383,9 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
 def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "allow_large" not in err  # no flag lifts the scale guard
     assert not os.path.exists(out_csv)
 
 
@@ -439,15 +443,30 @@ def test_bounds_exit_3_on_checkpoint_without_row(tmp_path, mnist_dir,
     assert "no row for seed 0, m 8" in capsys.readouterr().err
 
 
-def test_bounds_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
+def _old_schema_run(measured_run, tmp_path):
+    """A copy of measured_run whose measures.csv lacks the n, r0 columns."""
     out = _copy_run(measured_run, tmp_path)
     path = os.path.join(out, "measures.csv")
     with open(path, newline="") as f:
-        rows = [r[:-2] for r in csv.reader(f)]  # drop the n, r0 columns
+        rows = [r[:-2] for r in csv.reader(f)]
     with open(path, "w", newline="") as f:
         csv.writer(f).writerows(rows)
+    return out
+
+
+def test_bounds_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
+    out = _old_schema_run(measured_run, tmp_path)
     assert _bounds_only(out) == 3
     assert "lacks n, r0" in capsys.readouterr().err
+
+
+def test_figure_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
+    # fig1b reads neither column; the rows are still rejected, before any
+    # figure file is written
+    out = _old_schema_run(measured_run, tmp_path)
+    assert _run(["figure", "--figure", "1b", "--out", out]) == 3
+    assert "lacks n, r0" in capsys.readouterr().err
+    assert not [name for name in os.listdir(out) if name.startswith("fig")]
 
 
 def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,

@@ -172,7 +172,7 @@ def _whole_stack_build(raw, spec):
     images = np.asarray(raw.images[keep], dtype=float)
     if images.ndim == 4:
         images = images.mean(axis=3)
-    side = spec.target_side
+    side = datasets_mod.TARGET_SIDE
     if images.shape[1:] != (side, side):
         images = _whole_stack_bilinear(images, side, side)
     X = images.reshape(len(images), -1).T.astype(float)

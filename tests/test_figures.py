@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from snnbounds.bounds import BoundInputs, ClassMeasures, rad_upper_path
 from snnbounds.figures import (FIG3_METHODS, FIGURE_KINDS, FigureError,
                                figure_series, render_svg, write_figure_csv)
 
@@ -14,6 +15,7 @@ def _measure_row(m, seed, kappa, kappa_s, n=16):
         "kappa": repr(kappa), "kappa_s": repr(kappa_s),
         "R_W": "0.5", "R_V": "1.5", "init_term": "2.0",
         "X_fro": repr(math.sqrt(n)), "b_x": "1.0", "w0_spectral": "1.2",
+        "n": str(n),
     }
 
 
@@ -52,10 +54,24 @@ def test_fig1a_series():
     rows = [_measure_row(16, 0, 1.0, 4.0)]
     series = figure_series("fig1a", rows, [])
     init = next(s for s in series if s.label == "init_activation_term")
-    # R_V * init_term / n with n recovered from X_fro^2
+    # R_V * init_term / n with n from the n column
     assert init.mean[0] == pytest.approx(1.5 * 2.0 / 16.0, rel=1e-12)
     proxy = next(s for s in series if s.label == "spectral_norm_proxy")
     assert proxy.mean[0] == pytest.approx(1.5 * 1.0 * 1.2 / 4.0, rel=1e-12)
+
+
+def test_fig1a_init_term_divides_by_the_n_column():
+    # ||X||_F of 13007 unit-norm columns as summed in floating point; its
+    # square is 13007.000000000013, not n
+    row = {**_measure_row(16, 0, 1.0, 4.0, n=13007), "X_fro": "114.04823540940917"}
+    assert float(row["X_fro"]) ** 2 != 13007
+    init = next(s for s in figure_series("fig1a", [row], [])
+                if s.label == "init_activation_term")
+    # the init term of rad_upper_path: all of it on a class with R_W = 0
+    cls = ClassMeasures(R_W=0.0, R_V=1.5, init_term=2.0, X_fro=1.0,
+                        gram_spec_sqrt=1.0, n=13007, r0=0.0)
+    assert init.mean[0] == 1.5 * 2.0 / 13007 \
+        == rad_upper_path(BoundInputs(cls, m=16))
 
 
 def test_fig2_and_fig3_series():

@@ -13,9 +13,9 @@ from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
 from snnbounds.linalg import COLUMN_BLOCK
+from snnbounds.cli import _read_stage_csv, _write_csv
 from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport,
-                                measure_row, read_measures_csv,
-                                report_from_row, write_measures_csv)
+                                measure_row, report_from_row)
 from conftest import random_unit_dataset
 
 
@@ -145,8 +145,9 @@ def test_csv_roundtrip(tmp_path):
     ds = random_unit_dataset(make_rng(7), 3, 6)
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
-    write_measures_csv(path, [measure_row(rep, "synthetic", 0, params.m)])
-    rows = read_measures_csv(path)
+    _write_csv(path, MEASURE_CSV_FIELDS,
+               [measure_row(rep, "synthetic", 0, params.m)])
+    rows = _read_stage_csv(path, "measure")
     assert len(rows) == 1
     row = rows[0]
     assert row["dataset"] == "synthetic" and int(row["m"]) == params.m
@@ -177,8 +178,9 @@ def test_report_from_row_roundtrip(tmp_path):
     ds = random_unit_dataset(make_rng(11), 3, 6)
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
-    write_measures_csv(path, [measure_row(rep, "synthetic", 0, params.m)])
-    back = report_from_row(read_measures_csv(path)[0])
+    _write_csv(path, MEASURE_CSV_FIELDS,
+               [measure_row(rep, "synthetic", 0, params.m)])
+    back = report_from_row(_read_stage_csv(path, "measure")[0])
     assert back == rep  # every field exactly, n as an int
 
 

@@ -7,43 +7,13 @@ from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
                        closed_form_linear_sup, closed_form_toplayer_sup,
                        enumerate_signs, init_kaiming,
                        khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       pga_sup_estimate, project_fro_ball, rad_upper_path)
+                       pga_sup_estimate, rad_upper_path)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.rademacher import _pga_best_values
 from conftest import random_unit_dataset
 
 FAST = RadConfig(sigma_samples=50, pga_steps=40, pga_restarts=2,
                  step_size=0.1, seed=0)
-
-
-def test_projection_inside_unchanged():
-    M = np.array([[0.1, 0.2], [0.0, 0.1]])
-    out = project_fro_ball(M, np.zeros((2, 2)), 1.0)
-    assert np.array_equal(out, M)
-
-
-def test_projection_pure_rescale():
-    M = np.array([[3.0, 0.0], [0.0, 4.0]])  # Frobenius norm 5
-    out = project_fro_ball(M, np.zeros((2, 2)), 1.0)
-    assert np.allclose(out, M / 5.0)
-    assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_projection_zero_radius_and_validation():
-    M = np.ones((2, 2))
-    C = np.full((2, 2), 0.5)
-    assert np.array_equal(project_fro_ball(M, C, 0.0), C)
-    with pytest.raises(ValueError):
-        project_fro_ball(M, C, -1.0)
-
-
-def test_projection_idempotent():
-    rng = make_rng(1)
-    M = rng.standard_normal((3, 4)) * 5
-    C = rng.standard_normal((3, 4))
-    once = project_fro_ball(M, C, 1.3)
-    twice = project_fro_ball(once, C, 1.3)
-    assert np.allclose(once, twice, atol=1e-14)
 
 
 def test_linear_sup_hand_345():
