@@ -19,6 +19,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import datasets as data_mod
 from . import figures as fig_mod
+from .files import atomic_open
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        path_norm, report_from_row)
@@ -163,7 +164,7 @@ def load_task_dataset(cfg):
         if not cfg.cifar_dir:
             raise ConfigError("--cifar-dir is required for the cifar10 dataset")
         raw = data_mod.load_cifar_dir(cfg.cifar_dir)
-    ds = data_mod.build_binary_task(raw, task)
+    ds = data_mod.load_prepared_task(raw, task, cfg.out)
     if cfg.subsample > ds.n:
         raise ConfigError(f"subsample={cfg.subsample} exceeds the {ds.n} "
                           f"examples of the {cfg.dataset} task")
@@ -183,7 +184,7 @@ def _read_stage_csv(path, stage):
 def _write_csv(path, header, rows):
     """A header and rows as CSV; no path or "-" writes to stdout."""
     with (nullcontext(sys.stdout) if path in (None, "", "-")
-          else open(path, "w", newline="")) as f:
+          else atomic_open(path, "w", newline="")) as f:
         csv.writer(f).writerows([header, *rows])
 
 
@@ -192,7 +193,6 @@ def _ckpt_path(cfg, seed, m):
 
 
 def cmd_train(cfg, ds):
-    os.makedirs(cfg.out, exist_ok=True)
     failures = []
     cells = []
     for m in cfg.widths:
@@ -219,9 +219,10 @@ def cmd_train(cfg, ds):
         "version": 1,
         "config": {k: getattr(cfg, k) for k in vars(cfg)},
         "dataset_name": ds.name, "n": ds.n, "d": ds.d,
+        "data_fingerprint": ds.fingerprint, "numpy": np.__version__,
         "cells": cells, "failures": failures,
     }
-    with open(os.path.join(cfg.out, "manifest.json"), "w") as f:
+    with atomic_open(os.path.join(cfg.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return 0
 
@@ -368,7 +369,10 @@ def main(argv=None):
             return cmd_bounds(cfg)
         if args.command == "figure":
             return cmd_figure(cfg)
-        # train and measure share one load of the data within `all`
+        # train and measure share one load of the data within `all`; train
+        # makes --out first, so that the load can keep the prepared data there
+        if args.command in ("train", "all"):
+            os.makedirs(cfg.out, exist_ok=True)
         ds = load_task_dataset(cfg)
         if args.command == "train":
             return cmd_train(cfg, ds)

@@ -7,15 +7,24 @@ vectors, then scale every column to unit l2 norm.
 
 Full-data passes run over fixed blocks of examples, so no float copy of the
 whole image stack and no temporary of the size of X is built.
+
+A task is prepared once per output directory: :func:`load_prepared_task`
+stores X, y and their statistics in ``prepared_<source>.npy``, keyed by a
+hash of everything they are computed from, and later stages read that file
+instead of rebuilding them.
 """
 
+import hashlib
+import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import linalg
+from .files import atomic_open
 from .linalg import COLUMN_BLOCK, column_blocks, frobenius_norm, spectral_norm
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -54,6 +63,10 @@ class TaskSpec:
         if self.positive_class == self.negative_class:
             raise ValueError("positive and negative class must differ")
 
+    @property
+    def name(self):
+        return f"{self.source}_{self.positive_class}v{self.negative_class}"
+
 
 @dataclass(frozen=True)
 class DataStats:
@@ -67,6 +80,7 @@ class Dataset:
     X: np.ndarray  # (d, n), columns are examples with unit l2 norm
     y: np.ndarray  # (n,) entries in {-1, +1}
     name: str = ""
+    fingerprint: str = ""  # key of the prepared data X and y come from
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -228,7 +242,99 @@ def build_binary_task(raw, spec):
             raise DataError("zero-norm image encountered")
         cols /= norms
     y = np.where(labels == spec.positive_class, 1.0, -1.0)
-    return Dataset(X, y, name=f"{spec.source}_{spec.positive_class}v{spec.negative_class}")
+    return Dataset(X, y, name=spec.name)
+
+
+def prepared_key(raw, spec):
+    """Hex sha256 of everything X, y and their statistics are computed from.
+
+    That is the parsed raw images and labels, the task, TARGET_SIDE, the
+    numpy version (its wheels bundle their BLAS) and the source of the
+    modules that compute them, so a change to any of these gives a new key.
+    """
+    digest = hashlib.sha256()
+    for arr in (raw.images, raw.labels):
+        arr = np.ascontiguousarray(arr)
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(arr.data)
+    digest.update(repr((spec, TARGET_SIDE, np.__version__)).encode())
+    for path in (__file__, linalg.__file__):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    return digest.hexdigest()
+
+
+def load_prepared_task(raw, spec, directory):
+    """build_binary_task(raw, spec) with its statistics, through the
+    prepared-data file ``prepared_<source>.npy`` in directory.
+
+    The file is read when it holds this key's task and otherwise rebuilt and
+    replaced, so a damaged or stale file costs a rebuild and nothing else.
+    No file is written when directory does not exist.  The returned Dataset
+    carries the key as its fingerprint.
+    """
+    key = prepared_key(raw, spec)
+    path = os.path.join(directory, f"prepared_{spec.source}.npy")
+    n = int(np.count_nonzero(np.isin(raw.labels, (spec.positive_class,
+                                                   spec.negative_class))))
+    ds = _read_prepared(path, key, spec, n)
+    if ds is None:
+        ds = build_binary_task(raw, spec)
+        ds.fingerprint = key
+        if os.path.isdir(directory):
+            with atomic_open(path, "wb") as f:
+                for arr in (np.frombuffer(key.encode(), dtype=np.uint8), ds.X,
+                            ds.y, np.array(astuple(ds.stats))):
+                    np.save(f, arr)
+    return ds
+
+
+def _npy_header(shape, dtype, fortran_order):
+    """The header np.save writes before an array of this shape, dtype and order."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": fortran_order, "shape": shape})
+    return buf.getvalue()
+
+
+def _read_record(f, shape, dtype):
+    """The next np.save record of f, an array of this shape and dtype in
+    either memory order; ValueError if it is not.
+
+    The header is compared byte for byte with the ones np.save writes, so
+    numpy's parser never sees a malformed one and no more than the expected
+    array is ever allocated.
+    """
+    headers = [_npy_header(shape, dtype, order) for order in (False, True)]
+    start = f.tell()
+    if f.read(len(headers[0])) not in headers:
+        raise ValueError("not a record of the expected shape and dtype")
+    f.seek(start)
+    return np.load(f, allow_pickle=False)
+
+
+def _read_prepared(path, key, spec, n):
+    """The Dataset in the prepared-data file at path, with its statistics, or
+    None unless the file is whole, of this key and holds n finite-statistic
+    examples of the task."""
+    try:
+        with open(path, "rb") as f:
+            stored = _read_record(f, (len(key),), np.uint8)
+            if stored.tobytes() != key.encode():
+                return None
+            X = _read_record(f, (TARGET_SIDE * TARGET_SIDE, n), np.float64)
+            y = _read_record(f, (n,), np.float64)
+            stats = _read_record(f, (3,), np.float64)
+            if f.read(1):
+                return None
+        ds = Dataset(X, y, name=spec.name, fingerprint=key)
+    except (OSError, ValueError, DataError):
+        return None
+    if not np.all(np.isfinite(stats)):
+        return None
+    ds.__dict__["stats"] = DataStats(*map(float, stats))  # the cached property
+    return ds
 
 
 def subsample(ds, n_keep, rng):
@@ -236,9 +342,11 @@ def subsample(ds, n_keep, rng):
     if not 1 <= n_keep <= ds.n:
         raise ValueError(f"n_keep={n_keep} out of range [1, {ds.n}]")
     if n_keep == ds.n:
-        return Dataset(ds.X.copy(), ds.y.copy(), name=ds.name)
+        return Dataset(ds.X.copy(), ds.y.copy(), name=ds.name,
+                       fingerprint=ds.fingerprint)
     idx = np.sort(rng.choice(ds.n, size=n_keep, replace=False))
-    return Dataset(ds.X[:, idx], ds.y[idx], name=ds.name)
+    return Dataset(ds.X[:, idx], ds.y[idx], name=ds.name,
+                   fingerprint=ds.fingerprint)
 
 
 def load_mnist_dir(path):

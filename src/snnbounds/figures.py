@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import COMPARATOR_NAMES
+from .files import atomic_open
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
 BOUNDS_FIGURE_KINDS = ("fig2", "fig3")  # the kinds that read bounds.csv
@@ -91,7 +92,7 @@ def figure_series(kind, measure_rows, bound_rows):
 
 
 def write_figure_csv(path, kind, series_list):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["figure", "m", "series", "mean", "min", "max"])
         for s in series_list:
@@ -170,6 +171,6 @@ def emit_figure(kind, measure_rows, bound_rows, out_csv, out_svg):
     """Write the figure CSV and SVG for one figure kind; returns the series."""
     series = figure_series(kind, measure_rows, bound_rows)
     write_figure_csv(out_csv, kind, series)
-    with open(out_svg, "w") as f:
+    with atomic_open(out_svg, "w") as f:
         f.write(render_svg(series, title=kind))
     return series

@@ -41,7 +41,7 @@ def init_activation_term(W0, X, activation, c=1):
     total = 0.0
     for cols in column_blocks(X.shape[1], COLUMN_BLOCK):
         A = activation.fn(W0 @ X[:, cols])
-        total += np.sum(A * A)
+        total += np.sum(np.multiply(A, A, out=A))
     return float(np.sqrt(c * total))
 
 

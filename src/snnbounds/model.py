@@ -10,6 +10,8 @@ from typing import Callable
 
 import numpy as np
 
+from .files import atomic_open
+
 
 @dataclass(frozen=True)
 class Activation:
@@ -129,7 +131,7 @@ class CheckpointError(Exception):
 def checkpoint_save(ck, path):
     """Binary checkpoint: magic, header, then W, V, W0, V0 as little-endian f64."""
     p = ck.params
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<5I", _VERSION, p.m, p.d, p.c,
                             _ACT_IDS[p.activation.name]))

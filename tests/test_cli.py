@@ -10,7 +10,9 @@ import pytest
 
 from snnbounds import (RELU, all_bound_values, checkpoint_load, init_kaiming,
                        make_rng, measure_report, rad_lower)
+from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
+from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
@@ -190,7 +192,8 @@ def test_train_cardinality_contract(tmp_path, mnist_dir):
     out = os.path.join(tmp_path, "run")
     assert _run(["train"] + _base_args(mnist_dir, out)) == 0
     assert os.path.exists(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
     assert manifest["n"] == 40 and manifest["d"] == 1024
     assert len(manifest["cells"]) == 1 and manifest["failures"] == []
     cell = manifest["cells"][0]
@@ -220,9 +223,9 @@ def test_rerun_bitwise_identical(tmp_path, mnist_dir):
         outs.append(out)
     for fname in ("measures.csv", "bounds.csv", "fig1b.csv", "fig3.svg",
                   "ckpt_mnist_s0_m4.snn"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
-        assert a == b, fname
+        with open(os.path.join(outs[0], fname), "rb") as a, \
+                open(os.path.join(outs[1], fname), "rb") as b:
+            assert a.read() == b.read(), fname
 
 
 def test_widths_partition_bounds_rows(tmp_path, mnist_dir):
@@ -246,8 +249,8 @@ def test_all_subcommand_emits_figures(tmp_path, mnist_dir):
                                      seeds="0,1")) == 0
     for kind in ("fig1a", "fig1b", "fig2", "fig3"):
         assert os.path.exists(os.path.join(out, f"{kind}.csv"))
-        svg = open(os.path.join(out, f"{kind}.svg")).read()
-        assert svg.startswith("<svg")
+        with open(os.path.join(out, f"{kind}.svg")) as f:
+            assert f.read().startswith("<svg")
 
 
 def test_all_loads_data_once_and_matches_stages(tmp_path, mnist_dir,
@@ -274,6 +277,51 @@ def test_all_loads_data_once_and_matches_stages(tmp_path, mnist_dir,
         with open(os.path.join(together, name), "rb") as a, \
                 open(os.path.join(staged, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+def test_train_then_measure_builds_once_and_records_fingerprint(
+        tmp_path, mnist_dir, monkeypatch):
+    builds = []
+
+    def counting_build(raw, spec):
+        builds.append(spec)
+        return build_binary_task(raw, spec)
+
+    monkeypatch.setattr(datasets_mod, "build_binary_task", counting_build)
+    out = os.path.join(tmp_path, "run")
+    for cmd in ("train", "measure"):
+        assert _run([cmd] + _base_args(mnist_dir, out)) == 0
+    assert len(builds) == 1
+    with open(os.path.join(out, "prepared_mnist.npy"), "rb") as f:
+        key = np.load(f).tobytes().decode()
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["data_fingerprint"] == key
+    assert key == datasets_mod.prepared_key(
+        datasets_mod.load_mnist_dir(mnist_dir), cli_mod.DEFAULT_TASKS["mnist"])
+    assert manifest["numpy"] == np.__version__
+
+
+def test_measure_into_missing_out_writes_nothing(tmp_path, mnist_dir):
+    out = os.path.join(tmp_path, "typo")
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    assert not os.path.exists(out)
+
+
+def test_csv_write_failing_midway_keeps_previous_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = os.path.join(tmp_path, "out.csv")
+    cli_mod._write_csv(path, ["a", "b"], [[1, 2]])
+    with open(path) as f:
+        before = f.read()
+    with pytest.raises(RuntimeError, match="cannot format"):
+        cli_mod._write_csv(path, ["a", "b"], [[3, 4], [Unprintable(), 5]])
+    with open(path) as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_single_figure_selection(tmp_path, mnist_dir):
@@ -320,7 +368,8 @@ def test_subsample_flag(tmp_path, mnist_dir):
     out = os.path.join(tmp_path, "run")
     assert _run(["train", "--subsample", "10"]
                 + _base_args(mnist_dir, out)) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
     assert manifest["n"] == 10
 
 
@@ -416,7 +465,8 @@ def test_bounds_reads_measures_csv_without_data(tmp_path, mnist_dir,
     with open(os.path.join(out, "bounds.csv"), newline="") as f:
         got = [(r["dataset"], r["m"], r["method"], r["value"])
                for r in csv.DictReader(f)]
-    cfg = ExperimentConfig(mnist_dir=mnist_dir, widths=[4, 8], seeds=[0])
+    cfg = ExperimentConfig(mnist_dir=mnist_dir, out=out, widths=[4, 8],
+                           seeds=[0])
     ds = load_task_dataset(cfg)
     want = []
     for m in (4, 8):

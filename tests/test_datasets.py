@@ -257,3 +257,151 @@ def test_dataset_xt_cached_contiguous_transpose():
     ds = build_binary_task(_raw_mnist_like(), TaskSpec("mnist", 1, 7))
     assert ds.XT is ds.XT
     assert ds.XT.flags.c_contiguous and np.array_equal(ds.XT, ds.X.T)
+
+
+# --- prepared-data file: read back bitwise, rebuilt whenever unusable ---
+
+def _counting_builds(monkeypatch):
+    builds = []
+
+    def build(raw, spec):
+        builds.append(spec)
+        return build_binary_task(raw, spec)
+
+    monkeypatch.setattr(datasets_mod, "build_binary_task", build)
+    return builds
+
+
+@pytest.mark.parametrize("kind, order", [("mnist28", "C"), ("mnist32", "F")])
+def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind, order):
+    raw = _raw_images(kind, 300)
+    spec = TaskSpec("mnist", 1, 7)
+    fresh = build_binary_task(raw, spec)
+    datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    builds = _counting_builds(monkeypatch)
+    ds = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    assert builds == []
+    assert ds.X.flags[f"{order}_CONTIGUOUS"]
+    assert ds.X.dtype == fresh.X.dtype and ds.X.strides == fresh.X.strides
+    assert ds.X.tobytes(order="A") == fresh.X.tobytes(order="A")
+    assert ds.y.dtype == fresh.y.dtype and ds.y.tobytes() == fresh.y.tobytes()
+    assert ds.name == fresh.name == "mnist_1v7"
+    assert ds.stats == fresh.stats
+    assert ds.fingerprint == datasets_mod.prepared_key(raw, spec)
+
+
+def test_prepared_task_second_load_neither_builds_nor_eigensolves(
+        tmp_path, monkeypatch):
+    raw = _raw_mnist_like()
+    spec = TaskSpec("mnist", 1, 7)
+    cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+
+    def forbidden(*args):
+        raise AssertionError("called on a second load")
+
+    monkeypatch.setattr(datasets_mod, "build_binary_task", forbidden)
+    monkeypatch.setattr(datasets_mod, "spectral_norm", forbidden)
+    warm = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    assert warm.stats == cold.stats
+
+
+def test_prepared_task_rebuilt_for_changed_bytes_or_task(tmp_path, monkeypatch):
+    raw = _raw_mnist_like()
+    spec = TaskSpec("mnist", 1, 7)
+    datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    builds = _counting_builds(monkeypatch)
+    changed = RawImageSet(raw.images.copy(), raw.labels)
+    changed.images[0, 5, 5] ^= 1
+    ds = datasets_mod.load_prepared_task(changed, spec, str(tmp_path))
+    assert builds == [spec]
+    assert ds.X.tobytes() == build_binary_task(changed, spec).X.tobytes()
+    swapped = TaskSpec("mnist", 7, 1)
+    ds = datasets_mod.load_prepared_task(changed, swapped, str(tmp_path))
+    assert builds == [spec, swapped]
+    assert np.array_equal(ds.y, build_binary_task(changed, swapped).y)
+    datasets_mod.load_prepared_task(changed, swapped, str(tmp_path))
+    assert len(builds) == 2
+
+
+def _write_records(path, *arrays):
+    with open(path, "wb") as f:
+        for arr in arrays:
+            np.save(f, arr)
+
+
+def _damage(kind, path, key, ds):
+    key_bytes = np.frombuffer(key.encode(), dtype=np.uint8)
+    stats = np.array([ds.stats.X_fro, ds.stats.gram_spec_sqrt, ds.stats.b_x])
+    with open(path, "rb") as f:
+        blob = f.read()
+    if kind == "truncated":
+        with open(path, "wb") as f:
+            f.write(blob[:len(blob) // 2])
+    elif kind == "garbage":
+        with open(path, "wb") as f:
+            f.write(make_rng(0).integers(0, 256, 5000).astype(np.uint8).tobytes())
+    elif kind == "wrong key":
+        _write_records(path, np.frombuffer(b"0" * 64, dtype=np.uint8),
+                       ds.X, ds.y, stats)
+    elif kind == "wrong shape":
+        _write_records(path, key_bytes, ds.X[:, 1:], ds.y[1:], stats)
+    elif kind == "float32":
+        _write_records(path, key_bytes, ds.X.astype(np.float32), ds.y, stats)
+    elif kind == "nan statistic":
+        _write_records(path, key_bytes, ds.X, ds.y, stats * np.nan)
+    elif kind == "trailing bytes":
+        with open(path, "wb") as f:
+            f.write(blob + b"\0")
+
+
+@pytest.mark.parametrize("kind", ["truncated", "garbage", "wrong key",
+                                  "wrong shape", "float32", "nan statistic",
+                                  "trailing bytes"])
+def test_prepared_task_bad_file_is_rebuilt(tmp_path, monkeypatch, kind):
+    raw = _raw_mnist_like()
+    spec = TaskSpec("mnist", 1, 7)
+    cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    path = tmp_path / "prepared_mnist.npy"
+    good = path.read_bytes()
+    _damage(kind, path, cold.fingerprint, cold)
+    builds = _counting_builds(monkeypatch)
+    ds = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    assert builds == [spec]
+    assert ds.X.tobytes() == cold.X.tobytes() and ds.stats == cold.stats
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.npy"]
+
+
+def test_prepared_file_kept_whole_when_a_write_fails(tmp_path, monkeypatch):
+    raw = _raw_mnist_like()
+    datasets_mod.load_prepared_task(raw, TaskSpec("mnist", 1, 7), str(tmp_path))
+    path = tmp_path / "prepared_mnist.npy"
+    before = path.read_bytes()
+    save = np.save
+    saved = []
+
+    def failing_save(f, arr):
+        saved.append(arr)
+        if len(saved) == 2:  # the key record is written, X is not
+            raise OSError("disk full")
+        save(f, arr)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        datasets_mod.load_prepared_task(raw, TaskSpec("mnist", 7, 1),
+                                        str(tmp_path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.npy"]
+
+
+def test_prepared_task_ignores_a_left_over_temporary_file(tmp_path, monkeypatch):
+    raw = _raw_mnist_like()
+    spec = TaskSpec("mnist", 1, 7)
+    left_over = tmp_path / "prepared_mnist.npy.99999.tmp"
+    left_over.write_bytes(b"half a file")
+    builds = _counting_builds(monkeypatch)
+    cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    warm = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    assert builds == [spec]
+    assert warm.X.tobytes() == cold.X.tobytes()
+    assert left_over.read_bytes() == b"half a file"

@@ -87,6 +87,8 @@ def test_init_term_blocked_matches_dense(act):
     dense = math.sqrt(3 * np.sum(A * A))
     assert init_activation_term(W0, X, activation, c=3) == \
         pytest.approx(dense, rel=1e-12)
+    if act == "relu":
+        assert init_activation_term(W0, X, activation, c=3) == dense
 
 
 def test_init_term_peak_memory_well_below_one_m_by_n_array():

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -113,7 +114,22 @@ def test_checkpoint_bytes_stable(tmp_path):
     p2 = os.path.join(tmp_path, "b.snn")
     checkpoint_save(ck, p1)
     checkpoint_save(checkpoint_load(p1), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with open(p1, "rb") as a, open(p2, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_checkpoint_save_failing_midway_keeps_previous_file(tmp_path):
+    path = os.path.join(tmp_path, "a.snn")
+    checkpoint_save(_random_checkpoint(), path)
+    with open(path, "rb") as f:
+        before = f.read()
+    bad = _random_checkpoint(seed=1)
+    bad.epochs = -1  # the trailer fails to pack, after the arrays are written
+    with pytest.raises(struct.error):
+        checkpoint_save(bad, path)
+    with open(path, "rb") as f:
+        assert f.read() == before
+    assert os.listdir(tmp_path) == ["a.snn"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -127,7 +143,8 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncation_fuzz(tmp_path):
     full = os.path.join(tmp_path, "full.snn")
     checkpoint_save(_random_checkpoint(), full)
-    blob = open(full, "rb").read()
+    with open(full, "rb") as f:
+        blob = f.read()
     cut = os.path.join(tmp_path, "cut.snn")
     # every strict prefix must be rejected, never crash
     for k in range(0, len(blob), 7):
@@ -140,7 +157,8 @@ def test_checkpoint_truncation_fuzz(tmp_path):
 def test_checkpoint_trailing_bytes(tmp_path):
     full = os.path.join(tmp_path, "full.snn")
     checkpoint_save(_random_checkpoint(), full)
-    blob = open(full, "rb").read() + b"\x00"
+    with open(full, "rb") as f:
+        blob = f.read() + b"\x00"
     with open(full, "wb") as f:
         f.write(blob)
     with pytest.raises(CheckpointError):
@@ -150,7 +168,8 @@ def test_checkpoint_trailing_bytes(tmp_path):
 def test_checkpoint_bad_version(tmp_path):
     full = os.path.join(tmp_path, "full.snn")
     checkpoint_save(_random_checkpoint(), full)
-    blob = bytearray(open(full, "rb").read())
+    with open(full, "rb") as f:
+        blob = bytearray(f.read())
     blob[8] = 99  # version field, little-endian low byte
     with open(full, "wb") as f:
         f.write(bytes(blob))
