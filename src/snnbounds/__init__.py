@@ -4,8 +4,8 @@ from .bounds import (BoundInputs, BoundValue, all_bound_values, cm_constant,
                      cm_prime_constant, comparator_bound, gen_bound_pn,
                      gen_bound_spn, rad_lower, rad_upper_frob, rad_upper_path)
 from .datasets import (DataStats, Dataset, RawImageSet, TaskSpec,
-                       build_binary_task, parse_cifar10_bin, parse_idx,
-                       parse_idx_images, parse_idx_labels, subsample)
+                       build_binary_task, parse_cifar10_bin, parse_idx_images,
+                       parse_idx_labels, subsample)
 from .linalg import (fork_rng, frobenius_norm, make_rng, pq_norm, row_l2_norms,
                      sample_signs, spectral_norm)
 from .measures import (MeasureReport, init_activation_term, measure_report,

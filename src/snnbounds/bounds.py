@@ -146,26 +146,21 @@ def reported_rad_lower(inputs, activation):
     return rad_lower(inputs, min(inputs.report.r0, inputs.report.R_W))
 
 
-def gen_bound_pn(inputs, reduce_both_terms=True):
+def gen_bound_pn(inputs):
     """Exact generalization bound in terms of the path-norm.
 
-    For c = 1 the leading 2*sqrt(2) Rademacher factors reduce to 2; by
-    default the reduction is applied to both Rademacher-derived terms
-    (``reduce_both_terms=False`` restricts it to the first term).  The loss
-    is the ramp loss, 1-Lipschitz with range [0, 1], so its Lipschitz
-    constant and range factors are 1.
+    For c = 1 the leading 2*sqrt(2) Rademacher factors of both
+    Rademacher-derived terms reduce to 2.  The loss is the ramp loss,
+    1-Lipschitz with range [0, 1], so its Lipschitz constant and range
+    factors are 1.
     """
     r = inputs.report
     kappa = r.kappa
     R1, R2 = r.R_W, r.R_V
-    full = 2.0 * math.sqrt(2.0)
-    lead1 = lead2 = full
-    if inputs.c == 1:
-        lead1 = 2.0
-        lead2 = 2.0 if reduce_both_terms else full
+    lead = 2.0 if inputs.c == 1 else 2.0 * math.sqrt(2.0)
     cm = cm_prime_constant(inputs.m, inputs.c, R1 + 1.0, R2 + 1.0)
-    term1 = lead1 * (R2 + 1.0) / r.n * r.init_term
-    term2 = lead2 * inputs.G_gamma * (kappa + 1.0) * (
+    term1 = lead * (R2 + 1.0) / r.n * r.init_term
+    term2 = lead * inputs.G_gamma * (kappa + 1.0) * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     log_arg = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
         * (kappa + 1.0) * (kappa + 2.0) / inputs.delta

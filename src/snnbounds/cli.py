@@ -235,7 +235,25 @@ def _iter_checkpoints(cfg):
                 yield seed, m, checkpoint_load(path)
 
 
+def _check_manifest(cfg, ds):
+    """ConfigError if --out holds a manifest.json of a run on other data
+    than ds; checkpoints without a manifest are taken as they are."""
+    path = os.path.join(cfg.out, "manifest.json")
+    if not os.path.exists(path):
+        return
+    with open(path) as f:
+        manifest = json.load(f)
+    for key, value in (("n", ds.n), ("d", ds.d),
+                       ("data_fingerprint", ds.fingerprint)):
+        if manifest.get(key) != value:
+            raise ConfigError(
+                f"{path} gives {key} {manifest.get(key)!r} but the loaded "
+                f"data has {value!r}; measure with the data and --subsample "
+                "that `snnbounds train` used")
+
+
 def cmd_measure(cfg, ds):
+    _check_manifest(cfg, ds)
     rows = []
     for seed, m, ck in _iter_checkpoints(cfg):
         report = measure_report(ck.params, ck.snapshot, ds)

@@ -5,6 +5,8 @@ to {-1, +1}, bring images to 32x32 single-channel (MNIST: bilinear resize of
 the 28x28 grid; CIFAR: unweighted channel mean), flatten to d = 1024 column
 vectors, then scale every column to unit l2 norm.
 
+X is F-ordered on every path, one contiguous column per example, so its
+transpose is a C-contiguous (n, d) view whose rows are the examples.
 Full-data passes run over fixed blocks of examples, so no float copy of the
 whole image stack and no temporary of the size of X is built.
 
@@ -113,15 +115,6 @@ class Dataset:
         return DataStats(X_fro=frobenius_norm(self.X),
                          gram_spec_sqrt=spectral_norm(self.X), b_x=b_x)
 
-    @cached_property
-    def XT(self):
-        """C-contiguous (n, d) copy of X: one example per row.
-
-        Built on first use and kept, like stats, so X must not be modified
-        afterwards.
-        """
-        return np.ascontiguousarray(self.X.T)
-
 
 def parse_idx_images(data):
     """Parse an IDX 3-D image file (big-endian) into an (n, h, w) uint8 array."""
@@ -146,18 +139,6 @@ def parse_idx_labels(data):
     if len(data) != 8 + n:
         raise ParseError(f"payload length {len(data)} != {8 + n} (offset 8)")
     return np.frombuffer(data, dtype=np.uint8, offset=8).copy()
-
-
-def parse_idx(data):
-    """Dispatch on the IDX magic: returns images array or labels array."""
-    if len(data) < 4:
-        raise ParseError(f"header truncated at byte {len(data)}")
-    magic, = struct.unpack_from(">i", data, 0)
-    if magic == IDX_IMAGE_MAGIC:
-        return parse_idx_images(data)
-    if magic == IDX_LABEL_MAGIC:
-        return parse_idx_labels(data)
-    raise ParseError(f"bad magic 0x{magic:08x} at byte 0")
 
 
 def parse_cifar10_bin(data):
@@ -211,12 +192,13 @@ def build_binary_task(raw, spec):
     -> -1, converts every image to a flattened 32x32 grayscale vector and
     normalizes each column to unit l2 norm.
 
-    X is allocated once and filled in blocks of about LOAD_BLOCK images, so
-    no float copy of the whole image stack is made.  X is C-ordered when the
-    images are resized and F-ordered (one contiguous column per image) when
-    they are not, the layouts a whole-stack computation produces.  Each
-    block's norms are reduced on its column view of X, which sums every
-    column in the same order as a reduction over the whole X.
+    X is allocated once, F-ordered (one contiguous column per image), and
+    filled in blocks of about LOAD_BLOCK images, so no float copy of the
+    whole image stack is made.  Each block is normalized before it is
+    copied in, in the layout a whole-stack computation gives its columns:
+    a C-ordered (d, block) buffer after the resize, F-ordered otherwise.
+    So every column is summed in the same order as in a reduction over the
+    whole stack, and X is bitwise what that computation gives.
     """
     if len(raw.labels) == 0:
         raise DataError("empty image set")
@@ -228,19 +210,21 @@ def build_binary_task(raw, spec):
             raise DataError(f"class {cls} absent from the raw set")
     side = TARGET_SIDE
     resize = raw.images.shape[1:3] != (side, side)
-    X = np.empty((side * side, keep.size), order="C" if resize else "F")
+    X = np.empty((side * side, keep.size), order="F")
     for block in column_blocks(keep.size, LOAD_BLOCK):
         images = np.asarray(raw.images[keep[block]], dtype=float)
         if images.ndim == 4:  # color -> grayscale by unweighted channel mean
             images = images.mean(axis=3)
-        if resize:
-            images = bilinear_resize(images, side, side)
-        cols = X[:, block]
-        cols[...] = images.reshape(len(images), -1).T
+        if resize:  # C-ordered, as the columns of the whole resized stack
+            cols = np.ascontiguousarray(bilinear_resize(
+                images, side, side).reshape(len(images), -1).T)
+        else:  # F-ordered, as X is
+            cols = images.reshape(len(images), -1).T
         norms = np.linalg.norm(cols, axis=0)
         if np.any(norms == 0):
             raise DataError("zero-norm image encountered")
         cols /= norms
+        X[:, block] = cols
     y = np.where(labels == spec.positive_class, 1.0, -1.0)
     return Dataset(X, y, name=spec.name)
 
@@ -299,17 +283,17 @@ def _npy_header(shape, dtype, fortran_order):
 
 
 def _read_record(f, shape, dtype):
-    """The next np.save record of f, an array of this shape and dtype in
-    either memory order; ValueError if it is not.
+    """The next np.save record of f, an array of this shape and dtype,
+    F-ordered if 2-D as X is; ValueError if it is not.
 
-    The header is compared byte for byte with the ones np.save writes, so
+    The header is compared byte for byte with the one np.save writes, so
     numpy's parser never sees a malformed one and no more than the expected
     array is ever allocated.
     """
-    headers = [_npy_header(shape, dtype, order) for order in (False, True)]
+    header = _npy_header(shape, dtype, len(shape) == 2)
     start = f.tell()
-    if f.read(len(headers[0])) not in headers:
-        raise ValueError("not a record of the expected shape and dtype")
+    if f.read(len(header)) != header:
+        raise ValueError("not a record of the expected shape, dtype and order")
     f.seek(start)
     return np.load(f, allow_pickle=False)
 
@@ -341,9 +325,6 @@ def subsample(ds, n_keep, rng):
     """Uniform sample of n_keep columns without replacement (sorted indices)."""
     if not 1 <= n_keep <= ds.n:
         raise ValueError(f"n_keep={n_keep} out of range [1, {ds.n}]")
-    if n_keep == ds.n:
-        return Dataset(ds.X.copy(), ds.y.copy(), name=ds.name,
-                       fingerprint=ds.fingerprint)
     idx = np.sort(rng.choice(ds.n, size=n_keep, replace=False))
     return Dataset(ds.X[:, idx], ds.y[idx], name=ds.name,
                    fingerprint=ds.fingerprint)

@@ -158,8 +158,7 @@ def enumerate_signs(n):
     return (2.0 * grid - 1.0).astype(float)
 
 
-def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
-                    exhaustive=None):
+def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None):
     """Empirical Rademacher complexity estimate (1/n) E_sigma sup(...).
 
     Sign vectors are enumerated exhaustively when n <= 10 and c = 1 (exact
@@ -176,8 +175,7 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None,
     if n * m * d > SCALE_GUARD:
         raise ValueError(
             f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
-    if exhaustive is None:
-        exhaustive = n <= 10 and c == 1
+    exhaustive = n <= 10 and c == 1
     if exhaustive:
         # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the
         # W-only PGA gives -sigma the value of sigma: search sigma_1 = +1 only

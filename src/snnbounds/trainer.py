@@ -122,9 +122,10 @@ def ramp_risk(params, ds):
 def sgd_train(params, snapshot, ds, cfg):
     """Train params in place with SGD + classical momentum; snapshot untouched.
 
-    Batches are row gathers from ds.XT, the C-contiguous (n, d) copy of X
-    kept on the dataset; their transposes have the same values and strides
-    as the column gather X[:, idx], so BLAS sees the same operands.
+    Batches are row gathers from ds.X.T, which for the F-ordered X of a
+    built or prepared task is a C-contiguous (n, d) view: each batch copies
+    only its own rows, and its transpose has the same values and strides as
+    the column gather X[:, idx], so BLAS sees the same operands.
     Momentum is updated in place.
     Each epoch ends with one full-data forward, over column blocks of X,
     whose margins give both the early-stop 0-1 error and, after the last
@@ -138,7 +139,7 @@ def sgd_train(params, snapshot, ds, cfg):
 
     start = time.perf_counter()
     y01 = (ds.y + 1.0) / 2.0
-    XT = ds.XT                              # (n, d)
+    XT = ds.X.T                             # (n, d)
     mu, lr = cfg.momentum, cfg.learning_rate
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)

@@ -207,13 +207,6 @@ def test_gen_bound_pn_monotonicities():
     assert gen_bound_pn(fat_inputs) > base
 
 
-def test_gen_bound_pn_reduction_flag():
-    params, snap, _, _, inputs = _trained_like(seed=7)
-    both = gen_bound_pn(inputs, reduce_both_terms=True)
-    first_only = gen_bound_pn(inputs, reduce_both_terms=False)
-    assert first_only >= both
-
-
 def test_gen_bound_spn_zero_path_norm():
     m, d, n = 3, 2, 16
     params = SnnParams(np.ones((m, d)), np.zeros((1, m)), RELU)

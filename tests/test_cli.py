@@ -373,6 +373,34 @@ def test_subsample_flag(tmp_path, mnist_dir):
     assert manifest["n"] == 10
 
 
+def test_measure_exit_2_on_data_other_than_trained(tmp_path, mnist_dir,
+                                                    capsys):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--subsample", "10"]
+                + _base_args(mnist_dir, out)) == 0
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gives n 10" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+    assert _run(["measure", "--subsample", "10"]
+                + _base_args(mnist_dir, out)) == 0
+    assert os.path.exists(os.path.join(out, "measures.csv"))
+
+
+def test_measure_exit_2_on_manifest_of_other_data(tmp_path, mnist_dir, capsys):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest["data_fingerprint"] = "0" * 64
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 2
+    assert "gives data_fingerprint '000" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
 def test_rad_subcommand(tmp_path):
     out_csv = os.path.join(tmp_path, "rad.csv")
     rc = _run(["rad", "--n", "6", "--d", "3", "--m", "3", "--rw", "1.5",

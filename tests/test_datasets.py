@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from snnbounds import (Dataset, TaskSpec, build_binary_task, make_rng,
-                       parse_cifar10_bin, parse_idx, parse_idx_images,
-                       parse_idx_labels, subsample)
+                       parse_cifar10_bin, parse_idx_images, parse_idx_labels,
+                       subsample)
 from snnbounds import datasets as datasets_mod
 from snnbounds.datasets import (DataError, ParseError, RawImageSet,
                                 bilinear_resize)
@@ -24,18 +24,12 @@ def test_idx_label_roundtrip_hand():
     assert np.array_equal(parsed, [1, 7, 1])
 
 
-def test_idx_dispatch():
-    img = np.zeros((2, 3, 3), dtype=np.uint8)
-    assert parse_idx(encode_idx_images(img)).shape == (2, 3, 3)
-    assert parse_idx(encode_idx_labels([4, 5])).shape == (2,)
-
-
 def test_idx_bad_magic():
     blob = b"\x00\x00\x00\x00" + b"\x00" * 12
     with pytest.raises(ParseError):
         parse_idx_images(blob)
-    with pytest.raises(ParseError):
-        parse_idx(blob)
+    with pytest.raises(ParseError, match="bad label magic"):
+        parse_idx_labels(blob)
 
 
 def test_idx_truncated():
@@ -138,6 +132,7 @@ def test_subsample_identity_and_edges():
     a = subsample(ds, 4, make_rng(3))
     b = subsample(ds, 4, make_rng(3))
     assert np.array_equal(a.X, b.X)
+    assert same.X.flags.f_contiguous and a.X.flags.f_contiguous  # as ds.X
     with pytest.raises(ValueError):
         subsample(ds, 0, make_rng(0))
     with pytest.raises(ValueError):
@@ -205,9 +200,11 @@ def test_build_binary_task_bitwise_matches_whole_stack(kind, n_blocks):
     ds = build_binary_task(raw, spec)
     X_ref, y_ref = _whole_stack_build(raw, spec)
     assert ds.X.dtype == X_ref.dtype and ds.X.shape == X_ref.shape
-    assert ds.X.strides == X_ref.strides
-    assert ds.X.tobytes(order="A") == X_ref.tobytes(order="A")
+    assert ds.X.flags.f_contiguous
+    assert ds.X.tobytes(order="F") == X_ref.tobytes(order="F")
     assert np.array_equal(ds.y, y_ref)
+    # the blocked b_x is the whole-array one of X in its own (F) order
+    X_ref = np.asfortranarray(X_ref)
     assert ds.stats.b_x == float(np.max(np.linalg.norm(X_ref, axis=0)))
 
 
@@ -253,12 +250,6 @@ def test_build_binary_task_peak_memory_below_two_outputs():
     assert peak < 2 * ds.X.nbytes
 
 
-def test_dataset_xt_cached_contiguous_transpose():
-    ds = build_binary_task(_raw_mnist_like(), TaskSpec("mnist", 1, 7))
-    assert ds.XT is ds.XT
-    assert ds.XT.flags.c_contiguous and np.array_equal(ds.XT, ds.X.T)
-
-
 # --- prepared-data file: read back bitwise, rebuilt whenever unusable ---
 
 def _counting_builds(monkeypatch):
@@ -272,8 +263,8 @@ def _counting_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("kind, order", [("mnist28", "C"), ("mnist32", "F")])
-def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind, order):
+@pytest.mark.parametrize("kind", ["mnist28", "mnist32"])
+def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind):
     raw = _raw_images(kind, 300)
     spec = TaskSpec("mnist", 1, 7)
     fresh = build_binary_task(raw, spec)
@@ -281,9 +272,9 @@ def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind, order):
     builds = _counting_builds(monkeypatch)
     ds = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
     assert builds == []
-    assert ds.X.flags[f"{order}_CONTIGUOUS"]
-    assert ds.X.dtype == fresh.X.dtype and ds.X.strides == fresh.X.strides
-    assert ds.X.tobytes(order="A") == fresh.X.tobytes(order="A")
+    assert ds.X.flags.f_contiguous and fresh.X.flags.f_contiguous
+    assert ds.X.dtype == fresh.X.dtype
+    assert ds.X.tobytes(order="F") == fresh.X.tobytes(order="F")
     assert ds.y.dtype == fresh.y.dtype and ds.y.tobytes() == fresh.y.tobytes()
     assert ds.name == fresh.name == "mnist_1v7"
     assert ds.stats == fresh.stats
@@ -347,6 +338,8 @@ def _damage(kind, path, key, ds):
         _write_records(path, key_bytes, ds.X[:, 1:], ds.y[1:], stats)
     elif kind == "float32":
         _write_records(path, key_bytes, ds.X.astype(np.float32), ds.y, stats)
+    elif kind == "C-ordered X":
+        _write_records(path, key_bytes, np.ascontiguousarray(ds.X), ds.y, stats)
     elif kind == "nan statistic":
         _write_records(path, key_bytes, ds.X, ds.y, stats * np.nan)
     elif kind == "trailing bytes":
@@ -355,8 +348,8 @@ def _damage(kind, path, key, ds):
 
 
 @pytest.mark.parametrize("kind", ["truncated", "garbage", "wrong key",
-                                  "wrong shape", "float32", "nan statistic",
-                                  "trailing bytes"])
+                                  "wrong shape", "float32", "C-ordered X",
+                                  "nan statistic", "trailing bytes"])
 def test_prepared_task_bad_file_is_rebuilt(tmp_path, monkeypatch, kind):
     raw = _raw_mnist_like()
     spec = TaskSpec("mnist", 1, 7)

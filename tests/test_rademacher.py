@@ -176,10 +176,9 @@ def test_mc_estimate_exhaustive_mode():
 
 
 def test_mc_estimate_sampled_mode():
-    ds = random_unit_dataset(make_rng(9), 2, 4)
+    ds = random_unit_dataset(make_rng(9), 2, 11)  # n > 10 samples the signs
     _, snap = init_kaiming(make_rng(9), 2, 2, 1)
-    est = mc_rad_estimate(ds.X, np.asarray(snap.W0), 0.5, 1.0, RELU, cfg=FAST,
-                          exhaustive=False)
+    est = mc_rad_estimate(ds.X, np.asarray(snap.W0), 0.5, 1.0, RELU, cfg=FAST)
     assert est.samples == FAST.sigma_samples
     assert est.std_error > 0.0
 

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snnbounds import (Dataset, RELU, TANH, SnnParams, TrainConfig,
-                       bce_logits, init_kaiming, make_rng, ramp_risk,
-                       sgd_train, zero_one_error)
+from snnbounds import (Dataset, RELU, TANH, RawImageSet, SnnParams,
+                       TaskSpec, TrainConfig, bce_logits, build_binary_task,
+                       init_kaiming, make_rng, ramp_risk, sgd_train,
+                       zero_one_error)
 from snnbounds.linalg import COLUMN_BLOCK, fork_rng
 from snnbounds.model import forward
 from snnbounds.trainer import TrainingDiverged, _batch_grads
@@ -288,3 +289,21 @@ def test_epoch_peak_memory_well_below_one_m_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
+
+
+def test_epoch_peak_memory_well_below_a_copy_of_x():
+    # d = 1024 >> m: X dominates, so an (n, d) copy of it would show.  X comes
+    # from the 28x28 build, whose blocks are C-ordered until copied into X.
+    m, n = 8, 4000
+    rng = make_rng(8)
+    raw = RawImageSet(rng.integers(1, 256, size=(n, 28, 28), dtype=np.uint8),
+                      np.resize(np.array([1, 7], dtype=np.uint8), n))
+    ds = build_binary_task(raw, TaskSpec("mnist", 1, 7))
+    params, snap = init_kaiming(rng, m, ds.d, 1)
+    tracemalloc.start()
+    try:
+        sgd_train(params, snap, ds, TrainConfig(max_epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.X.nbytes / 2  # X is 33 MB
