@@ -10,9 +10,10 @@ Nine comparator bounds from the literature are evaluated on the same
 measures; data-dependent ones carry a factor ||X||_F / n, data-independent
 ones a factor max_i ||x_i||_2 / sqrt(n).
 
-Every bound is a function of a MeasureReport plus the shape and activation
-of the network, so bounds.csv can be derived from measures.csv alone.  The
-Rademacher rows also take a ClassMeasures: a constrained class, no model.
+Every bound is a function of the width and a MeasureReport, which also
+carries the network's head size, input dimension and activation, so
+bounds.csv is derived from measures.csv alone.  The Rademacher rows also
+take a ClassMeasures: a constrained class, no model.
 """
 
 import math
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import init_activation_term
+from .model import ACTIVATION_BY_ID, get_activation
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 
@@ -232,7 +234,7 @@ def comparator_bound(method, inputs):
     return BoundValue(name, core * factor, data_dep, qualitative)
 
 
-def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
+def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1):
     """BoundInputs for a constrained class (radii R_W, R_V around W0).
 
     Used when there is no trained model, e.g. to compare the analytic upper
@@ -245,17 +247,18 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1, delta=0.01):
         X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
         r0=float(np.min(np.linalg.norm(W0, axis=1))))
     return BoundInputs(measures, m=W0.shape[0], c=c, d=ds.d,
-                       G_gamma=activation.lipschitz, delta=delta)
+                       G_gamma=activation.lipschitz)
 
 
-def all_bound_values(report, m, c, d, activation, delta=0.01):
-    """Every implemented bound for one trained model as a list of BoundValue.
+def all_bound_values(report, m, delta=0.01):
+    """Every implemented bound for one trained model of width m, as BoundValues.
 
     ``report`` is the model's MeasureReport (in memory or read back from
-    measures.csv); n and r0 come from it.  rad_lower is reported only where
-    reported_rad_lower gives one (ReLU, c = 1).
+    measures.csv); c, d, the activation, n and r0 come from it.  rad_lower
+    is reported only where reported_rad_lower gives one (ReLU, c = 1).
     """
-    inputs = BoundInputs(report, m=m, c=c, d=d,
+    activation = get_activation(ACTIVATION_BY_ID[report.activation])
+    inputs = BoundInputs(report, m=m, c=report.c, d=report.d,
                          G_gamma=activation.lipschitz, delta=delta)
     values = [comparator_bound(k, inputs) for k in COMPARATOR_METHODS]
     ours = {"pn_ours": gen_bound_pn(inputs), "spn_ours": gen_bound_spn(inputs),

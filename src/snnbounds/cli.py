@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import figures as fig_mod
 from .files import atomic_open
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
-                       path_norm, report_from_row)
+                       report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, checkpoint_load, checkpoint_save,
                     get_activation, init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
@@ -181,6 +181,15 @@ def _read_stage_csv(path, stage):
         return list(csv.DictReader(f))
 
 
+def _read_measures(out):
+    """(row, MeasureReport) per measures.csv row; DataError if absent or empty."""
+    path = os.path.join(out, "measures.csv")
+    rows = _read_stage_csv(path, "measure")
+    if not rows:
+        raise data_mod.DataError(f"no rows found in {path}")
+    return [(row, report_from_row(row)) for row in rows]
+
+
 def _write_csv(path, header, rows):
     """A header and rows as CSV; no path or "-" writes to stdout."""
     with (nullcontext(sys.stdout) if path in (None, "", "-")
@@ -193,6 +202,9 @@ def _ckpt_path(cfg, seed, m):
 
 
 def cmd_train(cfg, ds):
+    for name in ("measures.csv", "bounds.csv"):  # stale: of the models replaced here
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out, name))
     failures = []
     cells = []
     for m in cfg.widths:
@@ -203,6 +215,8 @@ def cmd_train(cfg, ds):
                 report = sgd_train(params, snapshot, ds, cfg.train_config(seed))
             except TrainingDiverged as exc:
                 failures.append({"seed": seed, "m": m, "error": str(exc)})
+                with suppress(FileNotFoundError):  # lest measure take the old one
+                    os.remove(_ckpt_path(cfg, seed, m))
                 continue
             ck = Checkpoint(params, snapshot, seed=seed,
                             epochs=report.epochs_run,
@@ -227,14 +241,6 @@ def cmd_train(cfg, ds):
     return 0
 
 
-def _iter_checkpoints(cfg):
-    for m in cfg.widths:
-        for seed in cfg.seeds:
-            path = _ckpt_path(cfg, seed, m)
-            if os.path.exists(path):
-                yield seed, m, checkpoint_load(path)
-
-
 def _check_manifest(cfg, ds):
     """ConfigError if --out holds a manifest.json of a run on other data
     than ds; checkpoints without a manifest are taken as they are."""
@@ -255,9 +261,13 @@ def _check_manifest(cfg, ds):
 def cmd_measure(cfg, ds):
     _check_manifest(cfg, ds)
     rows = []
-    for seed, m, ck in _iter_checkpoints(cfg):
-        report = measure_report(ck.params, ck.snapshot, ds)
-        rows.append(measure_row(report, ds.name, seed, m))
+    for m in cfg.widths:
+        for seed in cfg.seeds:
+            path = _ckpt_path(cfg, seed, m)
+            if os.path.exists(path):
+                ck = checkpoint_load(path)
+                report = measure_report(ck.params, ck.snapshot, ds)
+                rows.append(measure_row(report, ds.name, seed, m))
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
     _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
@@ -265,44 +275,22 @@ def cmd_measure(cfg, ds):
 
 
 def cmd_bounds(cfg):
-    """bounds.csv from measures.csv; checkpoints give activation, c and d."""
-    measures_path = os.path.join(cfg.out, "measures.csv")
-    by_cell = {(int(row["seed"]), int(row["m"])): row
-               for row in _read_stage_csv(measures_path, "measure")}
+    """bounds.csv from measures.csv alone, the bounds of every row."""
     rows = []
-    for seed, m, ck in _iter_checkpoints(cfg):
-        row = by_cell.get((seed, m))
-        if row is None:
-            raise data_mod.DataError(
-                f"{measures_path} has no row for seed {seed}, m {m}; "
-                "rerun `snnbounds measure`")
-        report = report_from_row(row)
-        kappa = path_norm(ck.params, ck.snapshot)
-        if report.kappa != kappa:
-            raise data_mod.DataError(
-                f"{measures_path} gives kappa {report.kappa!r} for seed {seed}, "
-                f"m {m} but its checkpoint gives {kappa!r}; the checkpoint "
-                "changed after `snnbounds measure`, rerun it")
-        p = ck.params
-        for bv in bounds_mod.all_bound_values(report, m, p.c, p.d, p.activation,
+    for row, report in _read_measures(cfg.out):
+        for bv in bounds_mod.all_bound_values(report, int(row["m"]),
                                               delta=cfg.delta):
-            rows.append([row["dataset"], seed, m, bv.method, repr(bv.value),
-                         repr(cfg.delta), bv.data_dependent, bv.qualitative])
-    if not rows:
-        raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
+            rows.append([row["dataset"], row["seed"], row["m"], bv.method,
+                         repr(bv.value), repr(cfg.delta), bv.data_dependent,
+                         bv.qualitative])
     _write_csv(os.path.join(cfg.out, "bounds.csv"), BOUNDS_CSV_FIELDS, rows)
     return 0
 
 
 def cmd_figure(cfg):
     kinds = [f"fig{cfg.figure}"] if cfg.figure else list(fig_mod.FIGURE_KINDS)
-    measures_path = os.path.join(cfg.out, "measures.csv")
     # every input is checked before the first figure file is written
-    measure_rows = _read_stage_csv(measures_path, "measure")
-    if not measure_rows:
-        raise data_mod.DataError(f"no rows found in {measures_path}")
-    for row in measure_rows:  # a row of an older schema is a data error
-        report_from_row(row)
+    measure_rows = [row for row, _ in _read_measures(cfg.out)]
     bound_rows = []
     if any(kind in fig_mod.BOUNDS_FIGURE_KINDS for kind in kinds):
         bound_rows = _read_stage_csv(os.path.join(cfg.out, "bounds.csv"),
@@ -329,10 +317,9 @@ def cmd_rad(args):
     _, snapshot = init_kaiming(rng, m, d, 1, act)
     W0 = np.asarray(snapshot.W0)
     ds = data_mod.Dataset(X, np.ones(n), name="rad_probe")
-    try:  # RadConfig's counts, delta and mc_rad_estimate's SCALE_GUARD
+    try:  # RadConfig's counts and mc_rad_estimate's SCALE_GUARD
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
-        inputs = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V,
-                                               delta=args.delta)
+        inputs = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
         est = mc_rad_estimate(X, W0, R_W, R_V, act, c=1, cfg=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -368,7 +355,6 @@ def build_parser():
     rad.add_argument("--m", type=int, default=4)
     rad.add_argument("--rw", type=float, default=1.0)
     rad.add_argument("--rv", type=float, default=1.0)
-    rad.add_argument("--delta", type=float, default=0.01)
     for name in _RAD_KNOBS:
         rad.add_argument(_flag(name), dest=name, type=int,
                          default=getattr(RadConfig, name))

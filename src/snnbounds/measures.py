@@ -4,8 +4,9 @@ The central quantity is the path-norm with a reference matrix,
 kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2, alongside the standard
 path-norm, Frobenius/spectral norms of weights and their distances from
 initialization, and the activation-at-initialization term.  A report also
-carries every data statistic the bounds need, so the bounds are a function
-of one measures.csv row.
+carries every data statistic the bounds need and the network's head size,
+input dimension and activation, so the bounds are a function of one
+measures.csv row.
 """
 
 from dataclasses import dataclass, fields
@@ -15,6 +16,7 @@ import numpy as np
 from .datasets import DataError
 from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
                      row_l2_norms, spectral_norm)
+from .model import ACTIVATION_BY_ID, ACTIVATION_IDS
 
 
 def path_norm(params, snapshot):
@@ -64,6 +66,9 @@ class MeasureReport:
     X_fro: float
     gram_spec_sqrt: float  # ||sum x_i x_i^T||_sigma^(1/2) = sigma_max(X)
     b_x: float             # max_i ||x_i||_2
+    c: int                 # head size
+    d: int                 # input dimension
+    activation: int        # model.ACTIVATION_IDS id
     n: int                 # number of examples
     r0: float              # min_j ||w_j0||_2
 
@@ -98,6 +103,8 @@ def measure_report(params, snapshot, ds):
         X_fro=stats.X_fro,
         gram_spec_sqrt=stats.gram_spec_sqrt,
         b_x=stats.b_x,
+        c=params.c, d=params.d,
+        activation=ACTIVATION_IDS[params.activation.name],
         n=ds.n,
         r0=float(np.min(np.linalg.norm(snapshot.W0, axis=1))),
     )
@@ -123,7 +130,10 @@ def report_from_row(row):
         raise DataError(f"measures.csv lacks {', '.join(missing)}; "
                         "rerun `snnbounds measure`")
     try:
-        return MeasureReport(**{f.name: f.type(row[f.name])
-                                for f in fields(MeasureReport)})
+        report = MeasureReport(**{f.name: f.type(row[f.name])
+                                  for f in fields(MeasureReport)})
     except ValueError as exc:
         raise DataError(f"measures.csv: {exc}") from None
+    if report.activation not in ACTIVATION_BY_ID:
+        raise DataError(f"measures.csv: unknown activation id {report.activation}")
+    return report

@@ -38,8 +38,9 @@ SIGMOID = Activation("sigmoid", _sigmoid,
                      lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), 0.25)
 
 ACTIVATIONS = {"relu": RELU, "tanh": TANH, "sigmoid": SIGMOID}
-_ACT_IDS = {"relu": 0, "tanh": 1, "sigmoid": 2}
-_ACT_BY_ID = {v: k for k, v in _ACT_IDS.items()}
+# the activation's id in a checkpoint header and in measures.csv
+ACTIVATION_IDS = {"relu": 0, "tanh": 1, "sigmoid": 2}
+ACTIVATION_BY_ID = {v: k for k, v in ACTIVATION_IDS.items()}
 
 
 def get_activation(name):
@@ -134,7 +135,7 @@ def checkpoint_save(ck, path):
     with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<5I", _VERSION, p.m, p.d, p.c,
-                            _ACT_IDS[p.activation.name]))
+                            ACTIVATION_IDS[p.activation.name]))
         f.write(struct.pack("<Q", ck.seed))
         for arr in (p.W, p.V, ck.snapshot.W0, ck.snapshot.V0):
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -157,7 +158,7 @@ def checkpoint_load(path):
         raise CheckpointError(f"truncated header: {exc}") from None
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if act_id not in _ACT_BY_ID:
+    if act_id not in ACTIVATION_BY_ID:
         raise CheckpointError(f"unknown activation id {act_id}")
     if max(m, d, c) > 2 ** 24 or min(m, d, c) < 1:
         raise CheckpointError(f"implausible dimensions m={m} d={d} c={c}")
@@ -181,6 +182,6 @@ def checkpoint_load(path):
     if off != len(data):
         raise CheckpointError("trailing bytes after checkpoint payload")
     W, V, W0, V0 = arrays
-    params = SnnParams(W, V, get_activation(_ACT_BY_ID[act_id]))
+    params = SnnParams(W, V, get_activation(ACTIVATION_BY_ID[act_id]))
     return Checkpoint(params, InitSnapshot(W0, V0), seed=seed, epochs=epochs,
                       final_train_error=final_err)

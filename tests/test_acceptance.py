@@ -136,8 +136,7 @@ def _cell_bounds(ds, m, params, snap):
     gen_bound_pn with delta = 0.01, and every bound value."""
     report = measure_report(params, snap, ds)
     inputs = BoundInputs(report, m=m, c=1, d=ds.d, delta=0.01)
-    values = all_bound_values(report, m, params.c, ds.d, params.activation,
-                              delta=0.01)
+    values = all_bound_values(report, m, delta=0.01)
     return report, gen_bound_pn(inputs), values
 
 

@@ -278,8 +278,7 @@ def test_comparator_rows_at_init():
 
 def test_all_bound_values_relu_full_set():
     params, snap, ds, report, inputs = _trained_like(seed=13)
-    values = all_bound_values(report, params.m, params.c, ds.d,
-                              params.activation)
+    values = all_bound_values(report, params.m)
     # bounds.csv order: the comparators, then the rows computed here
     assert [v.method for v in values] == [
         "vc_dim", "inf1_product", "spn_radbound", "fro_product",
@@ -297,8 +296,7 @@ def test_all_bound_values_tanh_drops_lower():
     params, snap = init_kaiming(make_rng(14), 4, 3, 1, TANH)
     ds = random_unit_dataset(make_rng(15), 3, 8)
     report = measure_report(params, snap, ds)
-    names = [v.method for v in all_bound_values(report, params.m, params.c,
-                                                ds.d, params.activation)]
+    names = [v.method for v in all_bound_values(report, params.m)]
     assert "rad_lower" not in names
     assert len(names) == 13
 
@@ -325,8 +323,7 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     _write_csv(path, MEASURE_CSV_FIELDS,
                [measure_row(report, ds.name, 0, params.m)])
     read_back = report_from_row(_read_stage_csv(path, "measure")[0])
-    args = (params.m, params.c, ds.d, act)
-    want = all_bound_values(report, *args, delta=0.05)
-    got = all_bound_values(read_back, *args, delta=0.05)
+    want = all_bound_values(report, params.m, delta=0.05)
+    got = all_bound_values(read_back, params.m, delta=0.05)
     assert [v.method for v in got] == [v.method for v in want]
     assert got == want

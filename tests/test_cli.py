@@ -1,5 +1,6 @@
 import argparse
 import csv
+import glob
 import json
 import math
 import os
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 from snnbounds import (RELU, all_bound_values, checkpoint_load, init_kaiming,
-                       make_rng, measure_report, rad_lower)
+                       make_rng, measure_report, rad_lower, report_from_row)
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
+from snnbounds.model import ACTIVATION_IDS
+from snnbounds.trainer import TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
@@ -149,7 +152,6 @@ RAD_SURFACE = [
     ("--m", "m", None, 4),
     ("--rw", "rw", None, 1.0),
     ("--rv", "rv", None, 1.0),
-    ("--delta", "delta", None, 0.01),
     ("--seed", "seed", None, 0),
     ("--sigma-samples", "sigma_samples", None, 200),
     ("--pga-steps", "pga_steps", None, 200),
@@ -306,6 +308,47 @@ def test_measure_into_missing_out_writes_nothing(tmp_path, mnist_dir):
     out = os.path.join(tmp_path, "typo")
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_measures_csv_columns_parse_as_finite_floats(tmp_path, mnist_dir,
+                                                     activation):
+    """Every column but dataset, seed and m reads with float() and is
+    finite, as the benchmark's checks read them; c, d and activation read
+    back as the checkpoint's ints."""
+    out = os.path.join(tmp_path, "run")
+    args = _base_args(mnist_dir, out) + ["--activation", activation]
+    for cmd in ("train", "measure"):
+        assert _run([cmd] + args) == 0
+    with open(os.path.join(out, "measures.csv"), newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    for key, value in row.items():
+        if key not in ("dataset", "seed", "m"):
+            assert math.isfinite(float(value)), key
+    report = report_from_row(row)
+    params = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn")).params
+    got = (report.c, report.d, report.activation)
+    assert all(type(v) is int for v in got)
+    assert got == (params.c, params.d, ACTIVATION_IDS[activation])
+
+
+def test_diverged_retrain_removes_the_old_checkpoint(tmp_path, mnist_dir,
+                                                     monkeypatch, capsys):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    assert os.path.exists(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
+
+    def diverging(*args, **kwargs):
+        raise TrainingDiverged(1, 0)
+
+    monkeypatch.setattr(cli_mod, "sgd_train", diverging)
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert [c["m"] for c in json.load(f)["failures"]] == [4]
+    assert not os.path.exists(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    assert "no checkpoints found" in capsys.readouterr().err
 
 
 def test_csv_write_failing_midway_keeps_previous_file(tmp_path):
@@ -482,7 +525,7 @@ def _copy_run(measured_run, tmp_path):
 
 
 def _bounds_only(out, widths="4,8"):
-    """bounds with no data directory: it reads measures.csv and checkpoints."""
+    """bounds with no data directory: it reads measures.csv alone."""
     return _run(["bounds", "--out", out, "--widths", widths, "--seeds", "0"])
 
 
@@ -501,8 +544,23 @@ def test_bounds_reads_measures_csv_without_data(tmp_path, mnist_dir,
         ck = checkpoint_load(os.path.join(out, f"ckpt_mnist_s0_m{m}.snn"))
         report = measure_report(ck.params, ck.snapshot, ds)
         want += [(ds.name, str(m), bv.method, repr(bv.value))
-                 for bv in all_bound_values(report, m, 1, ds.d, RELU)]
+                 for bv in all_bound_values(report, m)]
     assert got == want
+
+
+def test_bounds_reads_no_checkpoint(tmp_path, measured_run):
+    out = _copy_run(measured_run, tmp_path)
+    assert _bounds_only(out) == 0
+    with open(os.path.join(out, "bounds.csv"), "rb") as f:
+        with_checkpoints = f.read()
+    os.remove(os.path.join(out, "bounds.csv"))
+    checkpoints = glob.glob(os.path.join(out, "ckpt_*.snn"))
+    assert len(checkpoints) == 2
+    for path in checkpoints:
+        os.remove(path)
+    assert _bounds_only(out) == 0
+    with open(os.path.join(out, "bounds.csv"), "rb") as f:
+        assert f.read() == with_checkpoints
 
 
 def test_bounds_exit_3_without_measures_csv(tmp_path, measured_run, capsys):
@@ -513,12 +571,18 @@ def test_bounds_exit_3_without_measures_csv(tmp_path, measured_run, capsys):
     assert not os.path.exists(os.path.join(out, "bounds.csv"))
 
 
-def test_bounds_exit_3_on_checkpoint_without_row(tmp_path, mnist_dir,
-                                                 measured_run, capsys):
+def test_bounds_cells_are_measures_rows(tmp_path, mnist_dir, measured_run):
+    # the m = 8 checkpoint stays, but has no measures row, and --widths
+    # names it: bounds follows measures.csv, not the grid
     out = _copy_run(measured_run, tmp_path)
     assert _run(["measure"] + _base_args(mnist_dir, out, widths="4")) == 0
-    assert _bounds_only(out) == 3
-    assert "no row for seed 0, m 8" in capsys.readouterr().err
+    assert _bounds_only(out) == 0
+
+    def cells(name):
+        with open(os.path.join(out, name), newline="") as f:
+            return {(r["seed"], r["m"]) for r in csv.DictReader(f)}
+
+    assert cells("bounds.csv") == cells("measures.csv") == {("0", "4")}
 
 
 def _old_schema_run(measured_run, tmp_path):
@@ -550,8 +614,12 @@ def test_figure_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
 def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
                                                 measured_run, capsys):
     out = _copy_run(measured_run, tmp_path)
+    assert _bounds_only(out) == 0
     retrain = _base_args(mnist_dir, out, widths="4,8")
     retrain[retrain.index("--max-epochs") + 1] = "1"
     assert _run(["train"] + retrain) == 0
+    for name in ("measures.csv", "bounds.csv"):
+        assert not os.path.exists(os.path.join(out, name)), name
     assert _bounds_only(out) == 3
-    assert "changed after `snnbounds measure`" in capsys.readouterr().err
+    assert "snnbounds measure" in capsys.readouterr().err
+    assert _run(["figure", "--out", out]) == 3

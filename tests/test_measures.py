@@ -199,6 +199,19 @@ def test_report_from_row_rejects_old_schema():
         report_from_row(row)
 
 
+@pytest.mark.parametrize("value,match", [
+    ("3", "unknown activation id 3"), ("relu", "relu"), ("1.0", "1.0")])
+def test_report_from_row_rejects_bad_activation_id(value, match):
+    params, snap = _params_snap(seed=14)
+    ds = random_unit_dataset(make_rng(15), 3, 6)
+    row = dict(zip(MEASURE_CSV_FIELDS,
+                   measure_row(measure_report(params, snap, ds), "s", 0, 4)))
+    assert report_from_row(row).activation == 0  # relu
+    row["activation"] = value
+    with pytest.raises(DataError, match=match):
+        report_from_row(row)
+
+
 def test_data_stats_computed_once_per_dataset(monkeypatch):
     ds = random_unit_dataset(make_rng(14), 3, 9)
     want = (frobenius_norm(ds.X), spectral_norm(ds.X),
