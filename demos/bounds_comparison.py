@@ -33,7 +33,7 @@ print(f"trained m={m}: train error {report.final_train_error:.3f}, "
       f"ramp risk {report.final_ramp_risk:.3f}\n")
 
 measures = measure_report(params, snap, ds)
-values = all_bound_values(measures, m, delta=0.01)
+values = all_bound_values(measures, delta=0.01)
 print(f"{'method':<18} {'value':>12}  flags")
 for bv in sorted(values, key=lambda b: b.value):
     flags = []

@@ -3,8 +3,8 @@
 Builds a small random dataset and initialization, then compares:
   - the exhaustive Monte-Carlo feasible estimate (exact over all 2^n sign
     vectors, projected gradient ascent per sign vector),
-  - the path-norm upper bound,
-  - the Frobenius-product upper bound,
+  - the path-norm upper bound (the Frobenius-product bound is the same
+    number: sqrt(c) R_W R_V is the class's path-norm supremum),
   - the ReLU lower bound.
 The estimate is a certified lower bound on the true complexity, so it must
 land between the theoretical lower and upper bounds.
@@ -15,8 +15,7 @@ Run:  python3 demos/rademacher_probe.py
 import numpy as np
 
 from snnbounds import (RELU, RadConfig, init_kaiming, make_rng,
-                       mc_rad_estimate, rad_lower, rad_upper_frob,
-                       rad_upper_path)
+                       mc_rad_estimate, rad_lower, rad_upper_path)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
 
@@ -39,7 +38,6 @@ print(f"instance: n={n} d={d} m={m}  R_W={R_W:.3f} R_V={R_V}")
 print(f"lower bound (theory)     {rad_lower(inputs, r0):.6f}")
 print(f"MC estimate (exhaustive) {est.mean:.6f}  +- {est.std_error:.6f}")
 print(f"upper bound (path-norm)  {rad_upper_path(inputs):.6f}")
-print(f"upper bound (Frobenius)  {rad_upper_frob(inputs):.6f}")
 assert rad_lower(inputs, r0) <= rad_upper_path(inputs)
 assert est.mean <= rad_upper_path(inputs)
 print("sandwich holds")

@@ -1,8 +1,8 @@
 """Path-norm complexity measures and generalization bounds for shallow nets."""
 
-from .bounds import (BoundInputs, BoundValue, all_bound_values, cm_constant,
+from .bounds import (BoundValue, all_bound_values, cm_constant,
                      cm_prime_constant, comparator_bound, gen_bound_pn,
-                     gen_bound_spn, rad_lower, rad_upper_frob, rad_upper_path)
+                     gen_bound_spn, rad_lower, rad_upper_path)
 from .datasets import (DataStats, Dataset, RawImageSet, TaskSpec,
                        build_binary_task, parse_cifar10_bin, parse_idx_images,
                        parse_idx_labels, subsample)

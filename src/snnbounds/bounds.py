@@ -1,19 +1,20 @@
 """Rademacher complexity bounds, exact generalization bounds and comparators.
 
-Upper bounds come in two flavors: one scaling with the supremum of the
-path-norm over the constrained class, one with the Frobenius product
-sqrt(c) * R_W * R_V.  The exact generalization bound combines the complexity
-bound with a triple union over integer shells of ||W - W0||_F, ||V||_F and
-the path-norm, which is where the (.+1)(.+2) factors come from.
+Each bound is a function of one record: a MeasureReport (one trained
+network, so bounds.csv follows from measures.csv alone) or, for the
+Rademacher rows, a ClassMeasures (a constrained class, no model).
+
+The Rademacher upper bound scales with the path-norm's supremum over the
+class {||W - W0||_F <= R_W, ||V||_F <= R_V}: sqrt(c) * R_W * R_V by
+Cauchy-Schwarz, attained by one hidden unit.  So it equals the bound stated
+with that Frobenius product, and is reported under both names.  The exact
+generalization bound combines the complexity bound with a triple union over
+integer shells of ||W - W0||_F, ||V||_F and the path-norm, which is where
+the (.+1)(.+2) factors come from.
 
 Nine comparator bounds from the literature are evaluated on the same
 measures; data-dependent ones carry a factor ||X||_F / n, data-independent
 ones a factor max_i ||x_i||_2 / sqrt(n).
-
-Every bound is a function of the width and a MeasureReport, which also
-carries the network's head size, input dimension and activation, so
-bounds.csv is derived from measures.csv alone.  The Rademacher rows also
-take a ClassMeasures: a constrained class, no model.
 """
 
 import math
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import init_activation_term
-from .model import ACTIVATION_BY_ID, get_activation
+from .measures import check_sizes, init_activation_term
+from .model import ACTIVATION_BY_ID, ACTIVATION_IDS, get_activation
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 
@@ -31,6 +32,9 @@ TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 class ClassMeasures:
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
     ||V||_F <= R_V}; field meanings as in MeasureReport."""
+    m: int
+    c: int
+    activation: int
     R_W: float
     R_V: float
     init_term: float
@@ -39,27 +43,8 @@ class ClassMeasures:
     n: int
     r0: float
 
-
-@dataclass
-class BoundInputs:
-    report: object         # MeasureReport, or ClassMeasures for the rad_* rows
-    m: int
-    c: int = 1
-    d: int = 0
-    G_gamma: float = 1.0   # activation Lipschitz constant
-    delta: float = 0.01
-    sup_kappa: float = None  # class-level sup of the path-norm
-
     def __post_init__(self):
-        if min(self.report.n, self.m, self.c) < 1:
-            raise ValueError("n, m, c must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.G_gamma <= 0:
-            raise ValueError("G_gamma must be positive")
-        if self.sup_kappa is None:
-            # sup over the smallest class containing the model itself
-            self.sup_kappa = math.sqrt(self.c) * self.report.R_W * self.report.R_V
+        check_sizes(self)
 
 
 @dataclass
@@ -99,38 +84,39 @@ def _peeling(m, c, shells):
         * math.sqrt(math.log(2.0 * m * c * shells))
 
 
-def _rad_upper(inputs, kappa_factor, sup_kappa_for_cm):
-    r = inputs.report
+def _lipschitz(r):
+    """Lipschitz constant of the activation of record r."""
+    return get_activation(ACTIVATION_BY_ID[r.activation]).lipschitz
+
+
+def _confidence_term(union_weight, delta, n):
+    """3 sqrt(log(union_weight / delta) / (2n)): a union over integer shells."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return 3.0 * math.sqrt(math.log(union_weight / delta) / (2.0 * n))
+
+
+def rad_upper_path(r):
+    """Rademacher complexity upper bound of the class with r's radii, scaling
+    with the supremum sqrt(c) * R_W * R_V of its path-norm."""
     term_init = r.R_V * r.init_term / r.n
-    if kappa_factor == 0.0:
+    sup = math.sqrt(r.c) * r.R_W * r.R_V
+    if sup == 0.0:
         # degenerate class (R_W = 0 or R_V = 0): only the init term remains
         return term_init
-    cm = cm_constant(inputs.m, inputs.c, r.R_W, r.R_V, sup_kappa_for_cm)
-    term_data = inputs.G_gamma * kappa_factor * (
+    cm = cm_constant(r.m, r.c, r.R_W, r.R_V, sup)
+    term_data = _lipschitz(r) * sup * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     return term_init + term_data
 
 
-def rad_upper_path(inputs):
-    """Rademacher complexity upper bound scaling with sup of the path-norm."""
-    return _rad_upper(inputs, inputs.sup_kappa, inputs.sup_kappa)
-
-
-def rad_upper_frob(inputs):
-    """Upper bound with the path-norm sup replaced by sqrt(c) * R_W * R_V."""
-    r = inputs.report
-    frob = math.sqrt(inputs.c) * r.R_W * r.R_V
-    return _rad_upper(inputs, frob, frob)
-
-
-def rad_lower(inputs, r0):
+def rad_lower(r, r0):
     """Lower bound for ReLU, c = 1, with r0 = min_j ||w_j0||_2.
 
     (R_W - r0) R_V / (4 sqrt(2) n) * (sum ||x_i||^2)^(1/2)
       + R_V / (2 sqrt(2) n) * (sum_i sum_j gamma^2(x_i^T w_j0))^(1/2)
     """
-    r = inputs.report
-    if inputs.c != 1:
+    if r.c != 1:
         raise ValueError("lower bound requires c = 1")
     if r.R_W < r0:
         raise ValueError(f"R_W={r.R_W} < r0={r0}")
@@ -139,47 +125,43 @@ def rad_lower(inputs, r0):
     return first + second
 
 
-def reported_rad_lower(inputs, activation):
+def reported_rad_lower(r):
     """rad_lower as reported: for ReLU with c = 1, else None.  If R_W < r0 the
     linear-class term does not apply; the top-layer term alone is still a
     valid lower bound, obtained with r0 := R_W."""
-    if inputs.c != 1 or activation.name != "relu":
+    if r.c != 1 or ACTIVATION_BY_ID[r.activation] != "relu":
         return None
-    return rad_lower(inputs, min(inputs.report.r0, inputs.report.R_W))
+    return rad_lower(r, min(r.r0, r.R_W))
 
 
-def gen_bound_pn(inputs):
-    """Exact generalization bound in terms of the path-norm.
+def gen_bound_pn(r, delta):
+    """Exact generalization bound in terms of the path-norm, at confidence
+    1 - delta.
 
     For c = 1 the leading 2*sqrt(2) Rademacher factors of both
     Rademacher-derived terms reduce to 2.  The loss is the ramp loss,
     1-Lipschitz with range [0, 1], so its Lipschitz constant and range
     factors are 1.
     """
-    r = inputs.report
-    kappa = r.kappa
-    R1, R2 = r.R_W, r.R_V
-    lead = 2.0 if inputs.c == 1 else 2.0 * math.sqrt(2.0)
-    cm = cm_prime_constant(inputs.m, inputs.c, R1 + 1.0, R2 + 1.0)
+    R1, R2, kappa = r.R_W, r.R_V, r.kappa
+    lead = 2.0 if r.c == 1 else 2.0 * math.sqrt(2.0)
+    cm = cm_prime_constant(r.m, r.c, R1 + 1.0, R2 + 1.0)
     term1 = lead * (R2 + 1.0) / r.n * r.init_term
-    term2 = lead * inputs.G_gamma * (kappa + 1.0) * (
+    term2 = lead * _lipschitz(r) * (kappa + 1.0) * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
-    log_arg = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
-        * (kappa + 1.0) * (kappa + 2.0) / inputs.delta
-    term3 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * r.n))
-    return term1 + term2 + term3
+    union_weight = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
+        * (kappa + 1.0) * (kappa + 2.0)
+    return term1 + term2 + _confidence_term(union_weight, delta, r.n)
 
 
-def gen_bound_spn(inputs):
+def gen_bound_spn(r, delta):
     """Generalization bound in terms of the standard path-norm (c = 1)."""
-    if inputs.c != 1:
+    if r.c != 1:
         raise ValueError("standard path-norm bound is defined here for c = 1")
-    r = inputs.report
     kappa_s = r.kappa_s
     term1 = 4.0 / r.n * (kappa_s + 1.0) * r.X_fro
-    log_arg = 2.0 * (kappa_s + 1.0) * (kappa_s + 2.0) / inputs.delta
-    term2 = 3.0 * math.sqrt(math.log(log_arg) / (2.0 * r.n))
-    return term1 + term2
+    union_weight = 2.0 * (kappa_s + 1.0) * (kappa_s + 2.0)
+    return term1 + _confidence_term(union_weight, delta, r.n)
 
 
 # method id, data_dependent flag, qualitative flag
@@ -197,16 +179,15 @@ COMPARATOR_METHODS = {
 COMPARATOR_NAMES = [name for name, _, _ in COMPARATOR_METHODS.values()]
 
 
-def comparator_bound(method, inputs):
+def comparator_bound(method, r):
     """One of the nine comparator bounds, as a BoundValue.
 
     Data-dependent rows are multiplied by ||X||_F / n, data-independent rows
     by b_x / sqrt(n).  The row-9 value carries ``qualitative=True``: its
     hidden constants are not computable, only the dominant term is reported.
     """
-    r = inputs.report
     if method == 1:
-        core = math.sqrt(inputs.d * inputs.m)
+        core = math.sqrt(r.d * r.m)
     elif method == 2:
         core = r.w_inf1 * r.v_inf1
     elif method == 3:
@@ -216,9 +197,9 @@ def comparator_bound(method, inputs):
     elif method == 5:
         core = r.w_spectral * r.v_dist_12 + r.w_dist_12 * r.v_spectral
     elif method == 6:
-        core = r.w_spectral * r.v_dist + math.sqrt(inputs.m) * r.R_W * r.v_spectral
+        core = r.w_spectral * r.v_dist + math.sqrt(r.m) * r.R_W * r.v_spectral
     elif method == 7:
-        core = r.w0_spectral * r.R_V + r.R_W * r.R_V + math.sqrt(inputs.m)
+        core = r.w0_spectral * r.R_V + r.R_W * r.R_V + math.sqrt(r.m)
     elif method == 8:
         core = 1.0 / r.b_x + r.R_V * (
             r.w0_spectral + r.R_W * (1.0 + r.w0_spectral * r.b_x))
@@ -235,35 +216,33 @@ def comparator_bound(method, inputs):
 
 
 def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1):
-    """BoundInputs for a constrained class (radii R_W, R_V around W0).
+    """ClassMeasures of a constrained class (radii R_W, R_V around W0).
 
     Used when there is no trained model, e.g. to compare the analytic upper
-    and lower bounds against Monte-Carlo estimates.  Its ClassMeasures has no
-    model fields, so only the Rademacher rows can be computed from it.
+    and lower bounds against Monte-Carlo estimates.  It has no model fields,
+    so only the Rademacher rows can be computed from it.
     """
     stats = ds.stats
-    measures = ClassMeasures(
+    return ClassMeasures(
+        m=W0.shape[0], c=c, activation=ACTIVATION_IDS[activation.name],
         R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation, c),
         X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
         r0=float(np.min(np.linalg.norm(W0, axis=1))))
-    return BoundInputs(measures, m=W0.shape[0], c=c, d=ds.d,
-                       G_gamma=activation.lipschitz)
 
 
-def all_bound_values(report, m, delta=0.01):
-    """Every implemented bound for one trained model of width m, as BoundValues.
+def all_bound_values(report, delta=0.01):
+    """Every implemented bound for one trained model, as BoundValues.
 
     ``report`` is the model's MeasureReport (in memory or read back from
-    measures.csv); c, d, the activation, n and r0 come from it.  rad_lower
-    is reported only where reported_rad_lower gives one (ReLU, c = 1).
+    measures.csv).  rad_upper_frob is rad_upper_path (see the module
+    docstring); rad_lower is reported only where reported_rad_lower gives
+    one (ReLU, c = 1).
     """
-    activation = get_activation(ACTIVATION_BY_ID[report.activation])
-    inputs = BoundInputs(report, m=m, c=report.c, d=report.d,
-                         G_gamma=activation.lipschitz, delta=delta)
-    values = [comparator_bound(k, inputs) for k in COMPARATOR_METHODS]
-    ours = {"pn_ours": gen_bound_pn(inputs), "spn_ours": gen_bound_spn(inputs),
-            "rad_upper_path": rad_upper_path(inputs),
-            "rad_upper_frob": rad_upper_frob(inputs),
-            "rad_lower": reported_rad_lower(inputs, activation)}
+    upper = rad_upper_path(report)
+    values = [comparator_bound(k, report) for k in COMPARATOR_METHODS]
+    ours = {"pn_ours": gen_bound_pn(report, delta),
+            "spn_ours": gen_bound_spn(report, delta),
+            "rad_upper_path": upper, "rad_upper_frob": upper,
+            "rad_lower": reported_rad_lower(report)}
     return values + [BoundValue(name, value, data_dependent=True)
                      for name, value in ours.items() if value is not None]

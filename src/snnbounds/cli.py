@@ -23,8 +23,8 @@ from .files import atomic_open
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
-from .model import (ACTIVATIONS, Checkpoint, checkpoint_load, checkpoint_save,
-                    get_activation, init_kaiming)
+from .model import (ACTIVATIONS, Checkpoint, CheckpointError, checkpoint_load,
+                    checkpoint_save, get_activation, init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
@@ -202,7 +202,9 @@ def _ckpt_path(cfg, seed, m):
 
 
 def cmd_train(cfg, ds):
-    for name in ("measures.csv", "bounds.csv"):  # stale: of the models replaced here
+    stale = ["measures.csv", "bounds.csv"]  # derived from the models replaced here
+    stale += [kind + ext for kind in fig_mod.FIGURE_KINDS for ext in (".csv", ".svg")]
+    for name in stale:
         with suppress(FileNotFoundError):
             os.remove(os.path.join(cfg.out, name))
     failures = []
@@ -267,7 +269,7 @@ def cmd_measure(cfg, ds):
             if os.path.exists(path):
                 ck = checkpoint_load(path)
                 report = measure_report(ck.params, ck.snapshot, ds)
-                rows.append(measure_row(report, ds.name, seed, m))
+                rows.append(measure_row(report, ds.name, seed))
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
     _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
@@ -278,8 +280,7 @@ def cmd_bounds(cfg):
     """bounds.csv from measures.csv alone, the bounds of every row."""
     rows = []
     for row, report in _read_measures(cfg.out):
-        for bv in bounds_mod.all_bound_values(report, int(row["m"]),
-                                              delta=cfg.delta):
+        for bv in bounds_mod.all_bound_values(report, delta=cfg.delta):
             rows.append([row["dataset"], row["seed"], row["m"], bv.method,
                          repr(bv.value), repr(cfg.delta), bv.data_dependent,
                          bv.qualitative])
@@ -319,16 +320,15 @@ def cmd_rad(args):
     ds = data_mod.Dataset(X, np.ones(n), name="rad_probe")
     try:  # RadConfig's counts and mc_rad_estimate's SCALE_GUARD
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
-        inputs = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
+        measures = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
         est = mc_rad_estimate(X, W0, R_W, R_V, act, c=1, cfg=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    upper_path = bounds_mod.rad_upper_path(inputs)
-    upper_frob = bounds_mod.rad_upper_frob(inputs)
-    lower = bounds_mod.reported_rad_lower(inputs, act)
-    row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error, upper_path,
-           upper_frob, float("nan") if lower is None else lower,
-           upper_path - est.mean]
+    upper = bounds_mod.rad_upper_path(measures)
+    lower = bounds_mod.reported_rad_lower(measures)
+    # upper_bound_frob is upper_bound_path, as in bounds.csv
+    row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error, upper, upper,
+           float("nan") if lower is None else lower, upper - est.mean]
     _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
     return 0
 
@@ -388,7 +388,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (data_mod.DataError, data_mod.ParseError, fig_mod.FigureError,
-            FileNotFoundError) as exc:
+            CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

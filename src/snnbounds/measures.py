@@ -4,8 +4,8 @@ The central quantity is the path-norm with a reference matrix,
 kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2, alongside the standard
 path-norm, Frobenius/spectral norms of weights and their distances from
 initialization, and the activation-at-initialization term.  A report also
-carries every data statistic the bounds need and the network's head size,
-input dimension and activation, so the bounds are a function of one
+carries every data statistic the bounds need and the network's width, head
+size, input dimension and activation, so the bounds are a function of one
 measures.csv row.
 """
 
@@ -47,8 +47,16 @@ def init_activation_term(W0, X, activation, c=1):
     return float(np.sqrt(c * total))
 
 
+def check_sizes(record):
+    """ValueError unless a measures record's n, m and c are all >= 1."""
+    for name in ("n", "m", "c"):
+        if getattr(record, name) < 1:
+            raise ValueError(f"{name} = {getattr(record, name)} must be >= 1")
+
+
 @dataclass
 class MeasureReport:
+    m: int                # hidden width
     kappa: float
     kappa_s: float
     R_W: float            # ||W - W0||_F
@@ -72,8 +80,11 @@ class MeasureReport:
     n: int                 # number of examples
     r0: float              # min_j ||w_j0||_2
 
+    def __post_init__(self):
+        check_sizes(self)
 
-MEASURE_CSV_FIELDS = ["dataset", "seed", "m"] + [f.name for f in fields(MeasureReport)]
+
+MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport)]
 
 
 def measure_report(params, snapshot, ds):
@@ -85,6 +96,7 @@ def measure_report(params, snapshot, ds):
     kappa_s = standard_path_norm(params) if params.c == 1 else float("nan")
     stats = ds.stats
     return MeasureReport(
+        m=params.m,
         kappa=path_norm(params, snapshot),
         kappa_s=kappa_s,
         R_W=frobenius_norm(dW),
@@ -110,11 +122,10 @@ def measure_report(params, snapshot, ds):
     )
 
 
-def measure_row(report, dataset, seed, m):
+def measure_row(report, dataset, seed):
     """CSV row (list of values) in MEASURE_CSV_FIELDS order."""
-    row = [dataset, seed, m]
-    row += [repr(getattr(report, f.name)) for f in fields(MeasureReport)]
-    return row
+    return [dataset, seed] + [repr(getattr(report, f.name))
+                              for f in fields(MeasureReport)]
 
 
 def report_from_row(row):
@@ -122,8 +133,9 @@ def report_from_row(row):
     of measure_row.
 
     Values are parsed with their field's type, so the repr-written floats
-    read back exactly.  A row that lacks a field, e.g. from a file written
-    before the field existed, raises DataError.
+    read back exactly.  DataError, naming the column, for a missing field
+    (a file written before it existed) and for values no network gives:
+    n, m, c or d < 1, a negative norm (NaN kappa_s, for c > 1, passes), b_x = 0.
     """
     missing = [f.name for f in fields(MeasureReport) if row.get(f.name) is None]
     if missing:
@@ -136,4 +148,12 @@ def report_from_row(row):
         raise DataError(f"measures.csv: {exc}") from None
     if report.activation not in ACTIVATION_BY_ID:
         raise DataError(f"measures.csv: unknown activation id {report.activation}")
+    if report.d < 1:
+        raise DataError(f"measures.csv: d = {report.d} must be >= 1")
+    for f in fields(MeasureReport):
+        if f.type is float and getattr(report, f.name) < 0:
+            raise DataError(f"measures.csv: {f.name} = {getattr(report, f.name)!r} "
+                            "must be >= 0")
+    if report.b_x == 0:
+        raise DataError("measures.csv: b_x = 0.0 must be > 0")
     return report

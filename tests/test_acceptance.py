@@ -21,7 +21,7 @@ from snnbounds import (RELU, TANH, RadConfig, TaskSpec, TrainConfig,
                        measure_report, pga_sup_estimate, rad_lower,
                        rad_upper_path, sgd_train, spectral_norm, subsample,
                        closed_form_toplayer_sup, standard_path_norm,
-                       path_norm, gen_bound_pn, all_bound_values, BoundInputs,
+                       path_norm, gen_bound_pn, all_bound_values,
                        SnnParams, InitSnapshot, Dataset)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
@@ -135,9 +135,8 @@ def _cell_bounds(ds, m, params, snap):
     """Criterion 5's quantities for one trained cell: its MeasureReport,
     gen_bound_pn with delta = 0.01, and every bound value."""
     report = measure_report(params, snap, ds)
-    inputs = BoundInputs(report, m=m, c=1, d=ds.d, delta=0.01)
-    values = all_bound_values(report, m, delta=0.01)
-    return report, gen_bound_pn(inputs), values
+    values = all_bound_values(report, delta=0.01)
+    return report, gen_bound_pn(report, 0.01), values
 
 
 @requires_mnist

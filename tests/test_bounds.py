@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snnbounds import (BoundInputs, Dataset, RELU, TANH, SnnParams,
-                       all_bound_values, cm_constant, cm_prime_constant,
-                       comparator_bound, gen_bound_pn, gen_bound_spn,
-                       init_kaiming, make_rng, measure_report, rad_lower,
-                       rad_upper_frob, rad_upper_path)
+from snnbounds import (Dataset, RELU, TANH, SnnParams, all_bound_values,
+                       cm_constant, cm_prime_constant, comparator_bound,
+                       gen_bound_pn, gen_bound_spn, init_kaiming, make_rng,
+                       measure_report, rad_lower, rad_upper_path)
 from snnbounds.bounds import (COMPARATOR_METHODS, ClassMeasures, class_bound_inputs,
                               reported_rad_lower)
 from snnbounds.cli import _read_stage_csv, _write_csv
@@ -21,9 +20,7 @@ def _trained_like(seed=0, m=4, d=3, n=9):
     params.W = params.W + 0.3 * make_rng(seed + 1).standard_normal((m, d))
     params.V = params.V + 0.1
     ds = random_unit_dataset(make_rng(seed + 2), d, n)
-    report = measure_report(params, snap, ds)
-    inputs = BoundInputs(report, m=m, c=1, d=d)
-    return params, snap, ds, report, inputs
+    return params, snap, ds, measure_report(params, snap, ds)
 
 
 def test_cm_constant_default_sup_simplifies():
@@ -90,7 +87,6 @@ def test_rad_upper_vanishes_for_degenerate_class():
     ds = random_unit_dataset(make_rng(0), 2, 5)
     inputs = class_bound_inputs(ds, W0, RELU, R_W=1.0, R_V=0.0)
     assert rad_upper_path(inputs) == 0.0
-    assert rad_upper_frob(inputs) == 0.0
 
 
 def test_rad_upper_scales_linearly_in_data():
@@ -103,16 +99,12 @@ def test_rad_upper_scales_linearly_in_data():
 
 
 def test_rad_upper_frob_equals_path_at_default_sup():
-    _, _, _, _, inputs = _trained_like()
-    assert rad_upper_frob(inputs) == pytest.approx(rad_upper_path(inputs),
-                                                   rel=1e-12)
-
-
-def test_rad_upper_frob_dominates_smaller_sup():
-    _, _, _, report, _ = _trained_like(seed=3)
-    inputs = BoundInputs(report, m=4, c=1, d=3,
-                         sup_kappa=0.5 * report.R_W * report.R_V)
-    assert rad_upper_frob(inputs) >= rad_upper_path(inputs)
+    """The Frobenius product sqrt(c) R_W R_V is the class's path-norm sup,
+    so the two upper-bound rows are one number."""
+    _, _, _, report = _trained_like()
+    by_name = {v.method: v.value for v in all_bound_values(report)}
+    assert by_name["rad_upper_frob"] == by_name["rad_upper_path"]
+    assert by_name["rad_upper_path"] == rad_upper_path(report)
 
 
 def test_rad_lower_zero_init_collapse():
@@ -120,21 +112,21 @@ def test_rad_lower_zero_init_collapse():
     ds = random_unit_dataset(make_rng(2), 2, 7)
     R_W, R_V = 1.2, 0.9
     inputs = class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V)
-    want = R_W * R_V * inputs.report.X_fro / (4 * math.sqrt(2) * ds.n)
+    want = R_W * R_V * inputs.X_fro / (4 * math.sqrt(2) * ds.n)
     assert rad_lower(inputs, 0.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_rad_lower_boundary_first_term_vanishes():
-    _, snap, ds, _, _ = _trained_like(seed=4)
+    _, snap, ds, _ = _trained_like(seed=4)
     r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
     inputs = class_bound_inputs(ds, np.asarray(snap.W0), RELU, R_W=r0, R_V=1.0)
-    only_second = inputs.report.R_V * inputs.report.init_term \
+    only_second = inputs.R_V * inputs.init_term \
         / (2 * math.sqrt(2) * ds.n)
     assert rad_lower(inputs, r0) == pytest.approx(only_second, rel=1e-12)
 
 
 def test_rad_lower_precondition():
-    _, snap, ds, _, _ = _trained_like(seed=5)
+    _, snap, ds, _ = _trained_like(seed=5)
     r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
     inputs = class_bound_inputs(ds, np.asarray(snap.W0), RELU,
                                 R_W=0.5 * r0, R_V=1.0)
@@ -143,37 +135,38 @@ def test_rad_lower_precondition():
 
 
 def test_class_bound_inputs_hold_only_rademacher_fields():
-    _, snap, ds, _, _ = _trained_like(seed=20)
+    _, snap, ds, _ = _trained_like(seed=20)
     W0 = np.asarray(snap.W0)
-    inputs = class_bound_inputs(ds, W0, RELU, R_W=1.5, R_V=0.8)
-    r = inputs.report
+    r = class_bound_inputs(ds, W0, RELU, R_W=1.5, R_V=0.8)
     assert isinstance(r, ClassMeasures)
     assert (r.R_W, r.R_V, r.n) == (1.5, 0.8, ds.n)
     assert r.r0 == float(np.min(np.linalg.norm(W0, axis=1)))
-    assert math.isfinite(rad_upper_path(inputs))
-    assert math.isfinite(rad_lower(inputs, r.r0))
+    assert math.isfinite(rad_upper_path(r))
+    assert math.isfinite(rad_lower(r, r.r0))
     # the model-level bounds have no model to read: an error, not zeros
-    for bound in (gen_bound_pn, gen_bound_spn,
+    for bound in (lambda i: gen_bound_pn(i, 0.01),
+                  lambda i: gen_bound_spn(i, 0.01),
                   lambda i: comparator_bound(1, i),
                   lambda i: comparator_bound(7, i)):
         with pytest.raises(AttributeError):
-            bound(inputs)
+            bound(r)
 
 
 def test_reported_rad_lower_rule():
-    _, snap, ds, _, _ = _trained_like(seed=21)
+    _, snap, ds, _ = _trained_like(seed=21)
     W0 = np.asarray(snap.W0)
     r0 = float(np.min(np.linalg.norm(W0, axis=1)))
     above = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0)
-    assert reported_rad_lower(above, RELU) == rad_lower(above, r0)
+    assert reported_rad_lower(above) == rad_lower(above, r0)
     # R_W < r0: the top-layer term, i.e. the lower bound at r0 := R_W
     below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.0)
-    assert reported_rad_lower(below, RELU) == rad_lower(below, 0.5 * r0)
-    assert reported_rad_lower(below, RELU) <= rad_upper_path(below)
+    assert reported_rad_lower(below) == rad_lower(below, 0.5 * r0)
+    assert reported_rad_lower(below) <= rad_upper_path(below)
     # proved for ReLU with c = 1 only
-    assert reported_rad_lower(above, TANH) is None
+    tanh = class_bound_inputs(ds, W0, TANH, R_W=r0 + 0.5, R_V=1.0)
+    assert reported_rad_lower(tanh) is None
     two_heads = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0, c=2)
-    assert reported_rad_lower(two_heads, RELU) is None
+    assert reported_rad_lower(two_heads) is None
 
 
 def test_gen_bound_pn_zero_collapse():
@@ -185,26 +178,21 @@ def test_gen_bound_pn_zero_collapse():
     ds = Dataset(np.zeros((d, n)), np.ones(n))
     report = measure_report(params, snap, ds)
     delta = 0.05
-    inputs = BoundInputs(report, m=m, c=1, d=d, delta=delta)
     want = 3.0 * math.sqrt(math.log(16.0 / delta) / (2.0 * n))
-    assert gen_bound_pn(inputs) == pytest.approx(want, rel=1e-12)
+    assert gen_bound_pn(report, delta) == pytest.approx(want, rel=1e-12)
 
 
 def test_gen_bound_pn_monotonicities():
-    params, snap, ds, report, inputs = _trained_like(seed=6)
-    base = gen_bound_pn(inputs)
+    params, snap, ds, report = _trained_like(seed=6)
+    base = gen_bound_pn(report, 0.01)
     # shrinking confidence (smaller delta) can only raise the bound
-    tight = BoundInputs(report, m=params.m, c=1, d=ds.d, delta=0.001)
-    assert gen_bound_pn(tight) > base
+    assert gen_bound_pn(report, 0.001) > base
     # doubling n at fixed norms strictly decreases the bound
-    big_n = BoundInputs(replace(report, n=2 * ds.n), m=params.m, c=1,
-                        d=ds.d)
-    assert gen_bound_pn(big_n) < base
+    assert gen_bound_pn(replace(report, n=2 * ds.n), 0.01) < base
     # inflating the head inflates kappa, R_V and the bound
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
     fat_report = measure_report(fat, snap, ds)
-    fat_inputs = BoundInputs(fat_report, m=params.m, c=1, d=ds.d)
-    assert gen_bound_pn(fat_inputs) > base
+    assert gen_bound_pn(fat_report, 0.01) > base
 
 
 def test_gen_bound_spn_zero_path_norm():
@@ -214,27 +202,26 @@ def test_gen_bound_spn_zero_path_norm():
     _, snap = init_kaiming(make_rng(8), m, d, 1)
     report = measure_report(params, snap, ds)
     delta = 0.02
-    inputs = BoundInputs(report, m=m, c=1, d=d, delta=delta)
     want = 4.0 / math.sqrt(n) + 3.0 * math.sqrt(
         math.log(4.0 / delta) / (2.0 * n))
-    assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
+    assert gen_bound_spn(report, delta) == pytest.approx(want, rel=1e-12)
 
 
 def test_gen_bound_spn_compositional():
-    params, snap, ds, report, inputs = _trained_like(seed=9)
+    params, snap, ds, report = _trained_like(seed=9)
+    delta = 0.01
     kappa_s = float(np.abs(params.V[0]) @ np.linalg.norm(params.W, axis=1))
     want = 4.0 / ds.n * (kappa_s + 1.0) * report.X_fro + 3.0 * math.sqrt(
-        math.log(2 * (kappa_s + 1) * (kappa_s + 2) / inputs.delta) / (2 * ds.n))
-    assert gen_bound_spn(inputs) == pytest.approx(want, rel=1e-12)
+        math.log(2 * (kappa_s + 1) * (kappa_s + 2) / delta) / (2 * ds.n))
+    assert gen_bound_spn(report, delta) == pytest.approx(want, rel=1e-12)
     fat = SnnParams(params.W, 2.0 * params.V, RELU)
-    fat_inputs = BoundInputs(measure_report(fat, snap, ds), m=params.m,
-                             c=1, d=ds.d)
-    assert gen_bound_spn(fat_inputs) > gen_bound_spn(inputs)
+    fat_report = measure_report(fat, snap, ds)
+    assert gen_bound_spn(fat_report, delta) > gen_bound_spn(report, delta)
 
 
 def test_comparator_rows_recomputed():
     """Each comparator row re-derived from the report fields, 1e-12."""
-    params, snap, ds, r, inputs = _trained_like(seed=10)
+    params, snap, ds, r = _trained_like(seed=10)
     n, m, d = ds.n, params.m, ds.d
     dd = r.X_fro / n
     di = r.b_x / math.sqrt(n)
@@ -254,31 +241,30 @@ def test_comparator_rows_recomputed():
         "adl": (r.w0_spectral * r.R_V + r.R_W * r.R_V) * di,
     }
     for k, (name, data_dep, qualitative) in COMPARATOR_METHODS.items():
-        bv = comparator_bound(k, inputs)
+        bv = comparator_bound(k, r)
         assert bv.method == name
         assert bv.value == pytest.approx(want[name], rel=1e-12)
         assert bv.data_dependent == data_dep
         assert bv.qualitative == qualitative
-    assert comparator_bound(9, inputs).qualitative
+    assert comparator_bound(9, r).qualitative
     with pytest.raises(ValueError):
-        comparator_bound(10, inputs)
+        comparator_bound(10, r)
 
 
 def test_comparator_rows_at_init():
     params, snap = init_kaiming(make_rng(11), 4, 3, 1)
     ds = random_unit_dataset(make_rng(12), 3, 8)
     r = measure_report(params, snap, ds)
-    inputs = BoundInputs(r, m=4, c=1, d=3)
     # zero training distance: row 7 reduces to (w0_spectral R_V + sqrt(m)) X_fro/n
     want7 = (r.w0_spectral * r.R_V + math.sqrt(4)) * r.X_fro / ds.n
-    assert comparator_bound(7, inputs).value == pytest.approx(want7, rel=1e-12)
+    assert comparator_bound(7, r).value == pytest.approx(want7, rel=1e-12)
     want9 = r.w0_spectral * r.R_V * r.b_x / math.sqrt(ds.n)
-    assert comparator_bound(9, inputs).value == pytest.approx(want9, rel=1e-12)
+    assert comparator_bound(9, r).value == pytest.approx(want9, rel=1e-12)
 
 
 def test_all_bound_values_relu_full_set():
-    params, snap, ds, report, inputs = _trained_like(seed=13)
-    values = all_bound_values(report, params.m)
+    params, snap, ds, report = _trained_like(seed=13)
+    values = all_bound_values(report)
     # bounds.csv order: the comparators, then the rows computed here
     assert [v.method for v in values] == [
         "vc_dim", "inf1_product", "spn_radbound", "fro_product",
@@ -289,26 +275,27 @@ def test_all_bound_values_relu_full_set():
     by_name = {v.method: v.value for v in values}
     assert by_name["rad_lower"] <= by_name["rad_upper_path"] + 1e-12
     r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
-    assert by_name["rad_lower"] == rad_lower(inputs, min(r0, report.R_W))
+    assert by_name["rad_lower"] == rad_lower(report, min(r0, report.R_W))
 
 
 def test_all_bound_values_tanh_drops_lower():
     params, snap = init_kaiming(make_rng(14), 4, 3, 1, TANH)
     ds = random_unit_dataset(make_rng(15), 3, 8)
     report = measure_report(params, snap, ds)
-    names = [v.method for v in all_bound_values(report, params.m)]
+    names = [v.method for v in all_bound_values(report)]
     assert "rad_lower" not in names
     assert len(names) == 13
 
 
 def test_bound_inputs_validation():
-    _, _, _, report, _ = _trained_like(seed=16)
-    with pytest.raises(ValueError):
-        BoundInputs(replace(report, n=0), m=4)
-    with pytest.raises(ValueError):
-        BoundInputs(report, m=4, delta=1.0)
-    with pytest.raises(ValueError):
-        BoundInputs(report, m=4, G_gamma=0.0)
+    _, _, _, report = _trained_like(seed=16)
+    for size in ("n", "m", "c"):
+        with pytest.raises(ValueError, match=size):
+            replace(report, **{size: 0})
+    for bound in (gen_bound_pn, gen_bound_spn):
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="delta"):
+                bound(report, delta)
 
 
 @pytest.mark.parametrize("act", [RELU, TANH], ids=["relu", "tanh"])
@@ -321,9 +308,9 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     report = measure_report(params, snap, ds)
     path = str(tmp_path / "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(report, ds.name, 0, params.m)])
+               [measure_row(report, ds.name, 0)])
     read_back = report_from_row(_read_stage_csv(path, "measure")[0])
-    want = all_bound_values(report, params.m, delta=0.05)
-    got = all_bound_values(read_back, params.m, delta=0.05)
+    want = all_bound_values(report, delta=0.05)
+    got = all_bound_values(read_back, delta=0.05)
     assert [v.method for v in got] == [v.method for v in want]
     assert got == want

@@ -544,7 +544,7 @@ def test_bounds_reads_measures_csv_without_data(tmp_path, mnist_dir,
         ck = checkpoint_load(os.path.join(out, f"ckpt_mnist_s0_m{m}.snn"))
         report = measure_report(ck.params, ck.snapshot, ds)
         want += [(ds.name, str(m), bv.method, repr(bv.value))
-                 for bv in all_bound_values(report, m)]
+                 for bv in all_bound_values(report)]
     assert got == want
 
 
@@ -615,11 +615,49 @@ def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
                                                 measured_run, capsys):
     out = _copy_run(measured_run, tmp_path)
     assert _bounds_only(out) == 0
+    assert _run(["figure", "--out", out]) == 0
     retrain = _base_args(mnist_dir, out, widths="4,8")
     retrain[retrain.index("--max-epochs") + 1] = "1"
     assert _run(["train"] + retrain) == 0
     for name in ("measures.csv", "bounds.csv"):
         assert not os.path.exists(os.path.join(out, name)), name
+    assert not [name for name in os.listdir(out) if name.startswith("fig")]
     assert _bounds_only(out) == 3
     assert "snnbounds measure" in capsys.readouterr().err
     assert _run(["figure", "--out", out]) == 3
+
+
+@pytest.mark.parametrize("column,value", [
+    ("n", "0"), ("m", "0"), ("c", "0"), ("d", "-1"), ("R_W", "-1.0"),
+    ("kappa_s", "-1.0"), ("b_x", "0.0")])
+def test_bounds_and_figure_exit_3_on_out_of_range_measures(
+        tmp_path, measured_run, capsys, column, value):
+    # values no network gives are refused where measures.csv is read, not
+    # met later as a traceback in a bound or a figure series
+    out = _copy_run(measured_run, tmp_path)
+    path = os.path.join(out, "measures.csv")
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[0][column] = value
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    for command in ("bounds", "figure"):
+        assert _run([command, "--out", out]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and f"{column} = {value}" in err
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("bounds", "fig"))]
+
+
+def test_measure_exit_3_on_truncated_checkpoint(tmp_path, mnist_dir, capsys):
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) - 5)
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    assert capsys.readouterr().err.startswith("data error")
+    assert not os.path.exists(os.path.join(out, "measures.csv"))

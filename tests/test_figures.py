@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from snnbounds.bounds import BoundInputs, ClassMeasures, rad_upper_path
+from snnbounds.bounds import ClassMeasures, rad_upper_path
 from snnbounds.figures import (FIG3_METHODS, FIGURE_KINDS, FigureError,
                                figure_series, render_svg, write_figure_csv)
 
@@ -68,10 +68,10 @@ def test_fig1a_init_term_divides_by_the_n_column():
     init = next(s for s in figure_series("fig1a", [row], [])
                 if s.label == "init_activation_term")
     # the init term of rad_upper_path: all of it on a class with R_W = 0
-    cls = ClassMeasures(R_W=0.0, R_V=1.5, init_term=2.0, X_fro=1.0,
-                        gram_spec_sqrt=1.0, n=13007, r0=0.0)
-    assert init.mean[0] == 1.5 * 2.0 / 13007 \
-        == rad_upper_path(BoundInputs(cls, m=16))
+    cls = ClassMeasures(m=16, c=1, activation=0, R_W=0.0, R_V=1.5,
+                        init_term=2.0, X_fro=1.0, gram_spec_sqrt=1.0, n=13007,
+                        r0=0.0)
+    assert init.mean[0] == 1.5 * 2.0 / 13007 == rad_upper_path(cls)
 
 
 def test_fig2_and_fig3_series():

@@ -148,7 +148,7 @@ def test_csv_roundtrip(tmp_path):
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(rep, "synthetic", 0, params.m)])
+               [measure_row(rep, "synthetic", 0)])
     rows = _read_stage_csv(path, "measure")
     assert len(rows) == 1
     row = rows[0]
@@ -181,7 +181,7 @@ def test_report_from_row_roundtrip(tmp_path):
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(rep, "synthetic", 0, params.m)])
+               [measure_row(rep, "synthetic", 0)])
     back = report_from_row(_read_stage_csv(path, "measure")[0])
     assert back == rep  # every field exactly, n as an int
 
@@ -190,7 +190,7 @@ def test_report_from_row_rejects_old_schema():
     params, snap = _params_snap(seed=12)
     ds = random_unit_dataset(make_rng(13), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
-                   measure_row(measure_report(params, snap, ds), "s", 0, 4)))
+                   measure_row(measure_report(params, snap, ds), "s", 0)))
     del row["n"], row["r0"]
     with pytest.raises(DataError, match="n, r0"):
         report_from_row(row)
@@ -205,11 +205,22 @@ def test_report_from_row_rejects_bad_activation_id(value, match):
     params, snap = _params_snap(seed=14)
     ds = random_unit_dataset(make_rng(15), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
-                   measure_row(measure_report(params, snap, ds), "s", 0, 4)))
+                   measure_row(measure_report(params, snap, ds), "s", 0)))
     assert report_from_row(row).activation == 0  # relu
     row["activation"] = value
     with pytest.raises(DataError, match=match):
         report_from_row(row)
+
+
+def test_report_from_row_allows_nan_kappa_s():
+    # measure_report writes kappa_s as NaN where c > 1; the range check of
+    # the norm columns lets it through
+    params, snap = _params_snap(seed=16)
+    ds = random_unit_dataset(make_rng(17), 3, 6)
+    row = dict(zip(MEASURE_CSV_FIELDS,
+                   measure_row(measure_report(params, snap, ds), "s", 0)))
+    row["kappa_s"] = "nan"
+    assert math.isnan(report_from_row(row).kappa_s)
 
 
 def test_data_stats_computed_once_per_dataset(monkeypatch):
