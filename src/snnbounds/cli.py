@@ -55,8 +55,6 @@ def _int_list(text):
 
 
 _INT_LIST = {"type": _int_list}
-_FIGURE_CHOICES = {"choices": tuple(kind.removeprefix("fig")
-                                    for kind in fig_mod.FIGURE_KINDS)}
 
 
 @dataclass
@@ -72,7 +70,6 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4], metadata=_INT_LIST)
     delta: float = 0.01
     subsample: int = 0  # 0 = full dataset
-    figure: str = field(default="", metadata=_FIGURE_CHOICES)  # "" = every figure
     batch_size: int = 256
     momentum: float = 0.9
     learning_rate: float = 0.001
@@ -85,8 +82,7 @@ class ExperimentConfig:
         for f in fields(self):
             allowed = f.metadata.get("choices")
             value = getattr(self, f.name)
-            # a default outside the choices means unset, as figure ""
-            if allowed and value != f.default and value not in allowed:
+            if allowed and value not in allowed:
                 raise ConfigError(f"unknown {f.name} {value!r}")
         if not self.widths or sorted(set(self.widths)) != self.widths:
             raise ConfigError("widths must be nonempty and strictly increasing")
@@ -173,18 +169,13 @@ def load_task_dataset(cfg):
     return ds
 
 
-def _read_stage_csv(path, stage):
-    """Rows of a CSV that `snnbounds <stage>` writes; DataError if missing."""
-    if not os.path.exists(path):
-        raise data_mod.DataError(f"{path} not found; run `snnbounds {stage}` first")
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def _read_measures(out):
     """(row, MeasureReport) per measures.csv row; DataError if absent or empty."""
     path = os.path.join(out, "measures.csv")
-    rows = _read_stage_csv(path, "measure")
+    if not os.path.exists(path):
+        raise data_mod.DataError(f"{path} not found; run `snnbounds measure` first")
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
     if not rows:
         raise data_mod.DataError(f"no rows found in {path}")
     return [(row, report_from_row(row)) for row in rows]
@@ -201,12 +192,17 @@ def _ckpt_path(cfg, seed, m):
     return os.path.join(cfg.out, f"ckpt_{cfg.dataset}_s{seed}_m{m}.snn")
 
 
-def cmd_train(cfg, ds):
-    stale = ["measures.csv", "bounds.csv"]  # derived from the models replaced here
-    stale += [kind + ext for kind in fig_mod.FIGURE_KINDS for ext in (".csv", ".svg")]
-    for name in stale:
+def _remove_derived(out, first):
+    """Delete the stage output ``first`` of --out and every file derived from it."""
+    derived = ["measures.csv", "bounds.csv"]
+    derived += [kind + ext for kind in fig_mod.FIGURE_KINDS for ext in (".csv", ".svg")]
+    for name in derived[derived.index(first):]:
         with suppress(FileNotFoundError):
-            os.remove(os.path.join(cfg.out, name))
+            os.remove(os.path.join(out, name))
+
+
+def cmd_train(cfg, ds):
+    _remove_derived(cfg.out, "measures.csv")  # derived from the models replaced here
     failures = []
     cells = []
     for m in cfg.widths:
@@ -272,6 +268,7 @@ def cmd_measure(cfg, ds):
                 rows.append(measure_row(report, ds.name, seed))
     if not rows:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
+    _remove_derived(cfg.out, "bounds.csv")  # derived from the old measures.csv
     _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
     return 0
 
@@ -289,15 +286,11 @@ def cmd_bounds(cfg):
 
 
 def cmd_figure(cfg):
-    kinds = [f"fig{cfg.figure}"] if cfg.figure else list(fig_mod.FIGURE_KINDS)
-    # every input is checked before the first figure file is written
-    measure_rows = [row for row, _ in _read_measures(cfg.out)]
-    bound_rows = []
-    if any(kind in fig_mod.BOUNDS_FIGURE_KINDS for kind in kinds):
-        bound_rows = _read_stage_csv(os.path.join(cfg.out, "bounds.csv"),
-                                     "bounds")
-    for kind in kinds:
-        fig_mod.emit_figure(kind, measure_rows, bound_rows,
+    """Every figure from measures.csv alone, the bounds at --delta."""
+    # every row is checked before the first figure file is written
+    reports = [report for _, report in _read_measures(cfg.out)]
+    for kind in fig_mod.FIGURE_KINDS:
+        fig_mod.emit_figure(kind, reports, cfg.delta,
                             os.path.join(cfg.out, f"{kind}.csv"),
                             os.path.join(cfg.out, f"{kind}.svg"))
     return 0

@@ -1,22 +1,22 @@
 """Figure series assembly and a minimal deterministic SVG line-chart emitter.
 
-Each figure is derived from measures.csv / bounds.csv alone and written as a
+Each figure is a function of the MeasureReports of measures.csv and the
+confidence parameter delta: fig1a/fig1b plot measures, fig2/fig3 the bounds
+that bounds.all_bound_values gives for each report.  A figure is written as a
 tidy CSV (figure, m, series, mean, min, max) plus an SVG with a log2 x-axis,
 log10 y-axis, one polyline per series and a shaded min-max band across seeds.
-The sample size n is the n column of measures.csv.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 
-from .bounds import COMPARATOR_NAMES
+from . import bounds
 from .files import atomic_open
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
-BOUNDS_FIGURE_KINDS = ("fig2", "fig3")  # the kinds that read bounds.csv
 
-FIG3_METHODS = COMPARATOR_NAMES + ["pn_ours", "spn_ours"]
+FIG3_METHODS = bounds.COMPARATOR_NAMES + ["pn_ours", "spn_ours"]
 
 
 class FigureError(Exception):
@@ -32,63 +32,40 @@ class FigureSeries:
     hi: list
 
 
-def _group(rows, key_fn, value_fn):
-    """{key: [values]} over rows, keys sorted, skipping rows value_fn rejects."""
-    out = {}
-    for row in rows:
-        val = value_fn(row)
-        if val is None:
-            continue
-        out.setdefault(key_fn(row), []).append(val)
-    return dict(sorted(out.items()))
-
-
-def _series_from(rows, label, value_fn):
-    grouped = _group(rows, lambda r: int(r["m"]), value_fn)
-    if not grouped:
-        raise FigureError(f"no rows found for series {label!r}")
-    xs = list(grouped)
-    means = [sum(v) / len(v) for v in grouped.values()]
-    los = [min(v) for v in grouped.values()]
-    his = [max(v) for v in grouped.values()]
-    return FigureSeries(label, xs, means, los, his)
-
-
-def _bound_series(bound_rows, method):
-    return _series_from(bound_rows, method, lambda r: float(r["value"])
-                        if r["method"] == method else None)
-
-
-def _measure_value(field):
-    return lambda row: float(row[field])
-
-
-def figure_series(kind, measure_rows, bound_rows):
-    """Series definitions for the four figure kinds."""
+def _values(kind, r, delta):
+    """{series label: value} of one report r in a figure kind, in plot order."""
     if kind == "fig1a":
-        def init_scaled(r):
-            return float(r["R_V"]) * float(r["init_term"]) / int(r["n"])
-
-        def spectral_proxy(r):
-            return float(r["R_V"]) * float(r["b_x"]) * float(r["w0_spectral"]) \
-                / math.sqrt(int(r["n"]))
-        return [_series_from(measure_rows, "init_activation_term", init_scaled),
-                _series_from(measure_rows, "spectral_norm_proxy", spectral_proxy)]
+        return {"init_activation_term": r.R_V * r.init_term / r.n,
+                "spectral_norm_proxy":
+                    r.R_V * r.b_x * r.w0_spectral / math.sqrt(r.n)}
     if kind == "fig1b":
-        return [_series_from(measure_rows, "path_norm", _measure_value("kappa")),
-                _series_from(measure_rows, "standard_path_norm",
-                             _measure_value("kappa_s"))]
-    if kind == "fig2":
-        series = [_bound_series(bound_rows, method) for method in COMPARATOR_NAMES]
-
-        def pn_dominant(r):
-            return (float(r["R_V"]) * float(r["init_term"]) / float(r["X_fro"])
-                    + float(r["kappa"])) * float(r["X_fro"]) / int(r["n"])
-        series.append(_series_from(measure_rows, "pn_dominant", pn_dominant))
-        return series
+        return {"path_norm": r.kappa, "standard_path_norm": r.kappa_s}
+    bound = {bv.method: bv.value for bv in bounds.all_bound_values(r, delta)}
     if kind == "fig3":
-        return [_bound_series(bound_rows, method) for method in FIG3_METHODS]
-    raise FigureError(f"unknown figure kind {kind!r}")
+        return {method: bound[method] for method in FIG3_METHODS}
+    return {**{method: bound[method] for method in bounds.COMPARATOR_NAMES},
+            "pn_dominant": (r.R_V * r.init_term / r.X_fro + r.kappa)
+            * r.X_fro / r.n}
+
+
+def figure_series(kind, reports, delta):
+    """Series of one figure kind over MeasureReports, the bounds at delta:
+    per width, the mean, min and max over the reports of that width."""
+    if kind not in FIGURE_KINDS:
+        raise FigureError(f"unknown figure kind {kind!r}")
+    if not reports:
+        raise FigureError(f"no measures to plot in {kind}")
+    grouped = {}  # {label: {m: [value per report]}}
+    for r in reports:
+        for label, value in _values(kind, r, delta).items():
+            grouped.setdefault(label, {}).setdefault(r.m, []).append(value)
+    series = []
+    for label, by_m in grouped.items():
+        vals = [by_m[m] for m in sorted(by_m)]
+        series.append(FigureSeries(label, sorted(by_m),
+                                   [sum(v) / len(v) for v in vals],
+                                   [min(v) for v in vals], [max(v) for v in vals]))
+    return series
 
 
 def write_figure_csv(path, kind, series_list):
@@ -167,9 +144,9 @@ def render_svg(series_list, title=""):
     return "\n".join(parts) + "\n"
 
 
-def emit_figure(kind, measure_rows, bound_rows, out_csv, out_svg):
+def emit_figure(kind, reports, delta, out_csv, out_svg):
     """Write the figure CSV and SVG for one figure kind; returns the series."""
-    series = figure_series(kind, measure_rows, bound_rows)
+    series = figure_series(kind, reports, delta)
     write_figure_csv(out_csv, kind, series)
     with atomic_open(out_svg, "w") as f:
         f.write(render_svg(series, title=kind))

@@ -134,8 +134,9 @@ def report_from_row(row):
 
     Values are parsed with their field's type, so the repr-written floats
     read back exactly.  DataError, naming the column, for a missing field
-    (a file written before it existed) and for values no network gives:
-    n, m, c or d < 1, a negative norm (NaN kappa_s, for c > 1, passes), b_x = 0.
+    (a file written before it existed), for values no network gives (n, m or
+    d < 1, a norm that is negative, NaN or infinite, b_x = 0) and for c != 1,
+    the only head size the bounds are defined for.
     """
     missing = [f.name for f in fields(MeasureReport) if row.get(f.name) is None]
     if missing:
@@ -150,10 +151,13 @@ def report_from_row(row):
         raise DataError(f"measures.csv: unknown activation id {report.activation}")
     if report.d < 1:
         raise DataError(f"measures.csv: d = {report.d} must be >= 1")
+    if report.c != 1:
+        raise DataError(f"measures.csv: c = {report.c} must be 1 (a binary head)")
     for f in fields(MeasureReport):
-        if f.type is float and getattr(report, f.name) < 0:
-            raise DataError(f"measures.csv: {f.name} = {getattr(report, f.name)!r} "
-                            "must be >= 0")
+        value = getattr(report, f.name)
+        if f.type is float and not 0.0 <= value < np.inf:
+            raise DataError(f"measures.csv: {f.name} = {value!r} must be "
+                            "finite and >= 0")
     if report.b_x == 0:
         raise DataError("measures.csv: b_x = 0.0 must be > 0")
     return report

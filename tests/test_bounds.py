@@ -10,8 +10,8 @@ from snnbounds import (Dataset, RELU, TANH, SnnParams, all_bound_values,
                        measure_report, rad_lower, rad_upper_path)
 from snnbounds.bounds import (COMPARATOR_METHODS, ClassMeasures, class_bound_inputs,
                               reported_rad_lower)
-from snnbounds.cli import _read_stage_csv, _write_csv
-from snnbounds.measures import MEASURE_CSV_FIELDS, measure_row, report_from_row
+from snnbounds.cli import _read_measures, _write_csv
+from snnbounds.measures import MEASURE_CSV_FIELDS, measure_row
 from conftest import random_unit_dataset
 
 
@@ -309,7 +309,7 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     path = str(tmp_path / "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
                [measure_row(report, ds.name, 0)])
-    read_back = report_from_row(_read_stage_csv(path, "measure")[0])
+    [(_, read_back)] = _read_measures(str(tmp_path))
     want = all_bound_values(report, delta=0.05)
     got = all_bound_values(read_back, delta=0.05)
     assert [v.method for v in got] == [v.method for v in want]

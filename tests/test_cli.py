@@ -60,9 +60,6 @@ def test_config_defaults_and_validation():
         ExperimentConfig(max_epochs=-1)
     with pytest.raises(ConfigError, match="unknown activation 'foo'"):
         ExperimentConfig(activation="foo")
-    with pytest.raises(ConfigError, match="unknown figure '9'"):
-        ExperimentConfig(figure="9")
-    assert ExperimentConfig(figure="").figure == ""  # unset: every figure
 
 
 def test_config_file_parsing(tmp_path):
@@ -81,14 +78,14 @@ def test_config_file_parsing(tmp_path):
 def test_flags_override_config_file(tmp_path, mnist_dir):
     path = os.path.join(tmp_path, "exp.cfg")
     with open(path, "w") as f:
-        f.write("delta=0.5\nwidths=2,4\nactivation=tanh\nfigure=1b\n")
+        f.write("delta=0.5\nwidths=2,4\nactivation=tanh\n")
     parser = build_parser()
     args = parser.parse_args(["train", "--config", path, "--delta", "0.1"])
     from snnbounds.cli import build_experiment_config
     cfg = build_experiment_config(args)
     assert cfg.delta == 0.1       # flag wins
     assert cfg.widths == [2, 4]   # file survives where no flag given
-    assert (cfg.activation, cfg.figure) == ("tanh", "1b")
+    assert cfg.activation == "tanh"
 
 
 def test_exit_code_config_error(tmp_path):
@@ -116,7 +113,7 @@ def test_exit_code_bad_config_file_value(tmp_path, capsys):
     # and before any stage writes to --out
     for command, line in [("train", "batch_size=many"), ("train", "widths=4,x"),
                           ("train", "activation=foo"), ("train", "dataset=svhn"),
-                          ("all", "figure=9"), ("train", "batchsize=0")]:
+                          ("all", "activation=foo"), ("train", "batchsize=0")]:
         path = os.path.join(tmp_path, "exp.cfg")
         with open(path, "w") as f:
             f.write(line + "\n")
@@ -138,7 +135,6 @@ EXPERIMENT_SURFACE = [
     ("--seeds", "seeds", None, None),
     ("--delta", "delta", None, None),
     ("--subsample", "subsample", None, None),
-    ("--figure", "figure", ("1a", "1b", "2", "3"), None),
     ("--batch-size", "batch_size", None, None),
     ("--momentum", "momentum", None, None),
     ("--learning-rate", "learning_rate", None, None),
@@ -367,15 +363,6 @@ def test_csv_write_failing_midway_keeps_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
-def test_single_figure_selection(tmp_path, mnist_dir):
-    out = os.path.join(tmp_path, "run")
-    for cmd in ("train", "measure", "bounds"):
-        assert _run([cmd] + _base_args(mnist_dir, out)) == 0
-    assert _run(["figure", "--figure", "1b"] + _base_args(mnist_dir, out)) == 0
-    assert os.path.exists(os.path.join(out, "fig1b.csv"))
-    assert not os.path.exists(os.path.join(out, "fig3.csv"))
-
-
 @pytest.mark.parametrize("make_dir", [True, False])
 def test_figure_exit_3_without_measures_csv(tmp_path, capsys, make_dir):
     out = os.path.join(tmp_path, "empty")
@@ -386,18 +373,42 @@ def test_figure_exit_3_without_measures_csv(tmp_path, capsys, make_dir):
     assert err.startswith("data error:") and "snnbounds measure" in err
 
 
-def test_figure_exit_3_without_bounds_csv(tmp_path, capsys, mnist_dir):
+def _figure_bytes(out):
+    """{name: bytes} of the figure files in out."""
+    figures = {}
+    for name in sorted(os.listdir(out)):
+        if name.startswith("fig"):
+            with open(os.path.join(out, name), "rb") as f:
+                figures[name] = f.read()
+    return figures
+
+
+def test_figure_needs_no_bounds_csv(tmp_path, mnist_dir):
+    # fig2 and fig3 evaluate the bounds from measures.csv, as `bounds` does
     out = os.path.join(tmp_path, "run")
-    for cmd in ("train", "measure"):
-        assert _run([cmd] + _base_args(mnist_dir, out)) == 0
-    assert _run(["figure", "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "snnbounds bounds" in err
-    assert not [name for name in os.listdir(out) if name.startswith("fig")]
-    # the measures-only figures still need no bounds.csv
-    assert _run(["figure", "--figure", "1a", "--out", out]) == 0
-    assert sorted(name for name in os.listdir(out)
-                  if name.startswith("fig")) == ["fig1a.csv", "fig1a.svg"]
+    for cmd in ("train", "measure", "bounds", "figure"):
+        assert _run([cmd] + _base_args(mnist_dir, out, widths="4,8")) == 0
+    with_bounds = _figure_bytes(out)
+    assert len(with_bounds) == 8
+    for name in ["bounds.csv", *with_bounds]:
+        os.remove(os.path.join(out, name))
+    assert _run(["figure", "--out", out]) == 0
+    assert _figure_bytes(out) == with_bounds
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_figure_after_remeasure_plots_the_new_measures(tmp_path, mnist_dir):
+    # measure deletes the bounds.csv and figures of the measures.csv it
+    # replaces, and figure plots the widths of the new one alone
+    out = os.path.join(tmp_path, "run")
+    assert _run(["all"] + _base_args(mnist_dir, out, widths="4,8")) == 0
+    assert _run(["measure"] + _base_args(mnist_dir, out, widths="4")) == 0
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+    assert not _figure_bytes(out)
+    assert _run(["figure", "--out", out]) == 0
+    with open(os.path.join(out, "fig3.csv"), newline="") as f:
+        assert {r["m"] for r in csv.DictReader(f)} == {"4"}
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
 
 
 def test_figure_exit_3_on_measures_csv_without_rows(tmp_path, capsys):
@@ -603,10 +614,9 @@ def test_bounds_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
 
 
 def test_figure_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
-    # fig1b reads neither column; the rows are still rejected, before any
-    # figure file is written
+    # the rows are rejected before any figure file is written
     out = _old_schema_run(measured_run, tmp_path)
-    assert _run(["figure", "--figure", "1b", "--out", out]) == 3
+    assert _run(["figure", "--out", out]) == 3
     assert "lacks n, r0" in capsys.readouterr().err
     assert not [name for name in os.listdir(out) if name.startswith("fig")]
 
@@ -629,7 +639,8 @@ def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
 
 @pytest.mark.parametrize("column,value", [
     ("n", "0"), ("m", "0"), ("c", "0"), ("d", "-1"), ("R_W", "-1.0"),
-    ("kappa_s", "-1.0"), ("b_x", "0.0")])
+    ("kappa_s", "-1.0"), ("b_x", "0.0"), ("R_W", "nan"), ("X_fro", "inf"),
+    ("kappa_s", "nan"), ("c", "2")])
 def test_bounds_and_figure_exit_3_on_out_of_range_measures(
         tmp_path, measured_run, capsys, column, value):
     # values no network gives are refused where measures.csv is read, not

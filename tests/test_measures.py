@@ -13,7 +13,7 @@ from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
 from snnbounds.linalg import COLUMN_BLOCK
-from snnbounds.cli import _read_stage_csv, _write_csv
+from snnbounds.cli import _read_measures, _write_csv
 from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport,
                                 measure_row, report_from_row)
 from conftest import random_unit_dataset
@@ -149,7 +149,7 @@ def test_csv_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
                [measure_row(rep, "synthetic", 0)])
-    rows = _read_stage_csv(path, "measure")
+    rows = [row for row, _ in _read_measures(tmp_path)]
     assert len(rows) == 1
     row = rows[0]
     assert row["dataset"] == "synthetic" and int(row["m"]) == params.m
@@ -182,7 +182,7 @@ def test_report_from_row_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "measures.csv")
     _write_csv(path, MEASURE_CSV_FIELDS,
                [measure_row(rep, "synthetic", 0)])
-    back = report_from_row(_read_stage_csv(path, "measure")[0])
+    [(_, back)] = _read_measures(tmp_path)
     assert back == rep  # every field exactly, n as an int
 
 
@@ -212,15 +212,21 @@ def test_report_from_row_rejects_bad_activation_id(value, match):
         report_from_row(row)
 
 
-def test_report_from_row_allows_nan_kappa_s():
-    # measure_report writes kappa_s as NaN where c > 1; the range check of
-    # the norm columns lets it through
+def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
+    # measure_report writes kappa_s as NaN where c > 1; no bound is defined
+    # for such a row, and a NaN kappa_s with c = 1 is no network's
     params, snap = _params_snap(seed=16)
     ds = random_unit_dataset(make_rng(17), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
                    measure_row(measure_report(params, snap, ds), "s", 0)))
-    row["kappa_s"] = "nan"
-    assert math.isnan(report_from_row(row).kappa_s)
+    assert row["c"] == "1"
+    for column, value in [("kappa_s", "nan"), ("c", "2")]:
+        with pytest.raises(DataError, match=f"{column} = {value} must be"):
+            report_from_row({**row, column: value})
+    wide = measure_report(*_params_snap(seed=16, c=2), ds)
+    assert math.isnan(wide.kappa_s)
+    with pytest.raises(DataError, match="c = 2 must be 1"):
+        report_from_row(dict(zip(MEASURE_CSV_FIELDS, measure_row(wide, "s", 0))))
 
 
 def test_data_stats_computed_once_per_dataset(monkeypatch):
