@@ -4,7 +4,7 @@ Builds a small random dataset and initialization, then compares:
   - the exhaustive Monte-Carlo feasible estimate (exact over all 2^n sign
     vectors, projected gradient ascent per sign vector),
   - the path-norm upper bound (the Frobenius-product bound is the same
-    number: sqrt(c) R_W R_V is the class's path-norm supremum),
+    number: R_W R_V is the class's path-norm supremum),
   - the ReLU lower bound.
 The estimate is a certified lower bound on the true complexity, so it must
 land between the theoretical lower and upper bounds.

@@ -2,12 +2,14 @@
 
 Each bound is a function of one record: a MeasureReport (one trained
 network, so bounds.csv follows from measures.csv alone) or, for the
-Rademacher rows, a ClassMeasures (a constrained class, no model).
+Rademacher rows, a ClassMeasures (a constrained class, no model).  The
+paper's constants, stated for a head of c outputs, are specialised here to
+c = 1, the binary head of every network here.
 
 The Rademacher upper bound scales with the path-norm's supremum over the
-class {||W - W0||_F <= R_W, ||V||_F <= R_V}: sqrt(c) * R_W * R_V by
-Cauchy-Schwarz, attained by one hidden unit.  So it equals the bound stated
-with that Frobenius product, and is reported under both names.  The exact
+class {||W - W0||_F <= R_W, ||V||_F <= R_V}: R_W * R_V by Cauchy-Schwarz,
+attained by one hidden unit.  So it equals the bound stated with that
+Frobenius product, and is reported under both names.  The exact
 generalization bound combines the complexity bound with a triple union over
 integer shells of ||W - W0||_F, ||V||_F and the path-norm, which is where
 the (.+1)(.+2) factors come from.
@@ -33,7 +35,6 @@ class ClassMeasures:
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
     ||V||_F <= R_V}; field meanings as in MeasureReport."""
     m: int
-    c: int
     activation: int
     R_W: float
     R_V: float
@@ -55,33 +56,33 @@ class BoundValue:
     qualitative: bool = False
 
 
-def cm_constant(m, c, R_W, R_V, sup_kappa):
+def cm_constant(m, R_W, R_V, sup_kappa):
     """Peeling constant of the path-norm complexity bound.
 
-    2*sqrt(2) * (1 + 1/(2 log(2mc)))
-      * log^(1/2)(2mc * ceil(log2(2 R_W R_V sqrt(cm) / sup_kappa)))
+    2*sqrt(2) * (1 + 1/(2 log(2m)))
+      * log^(1/2)(2m * ceil(log2(2 R_W R_V sqrt(m) / sup_kappa)))
     with the ceiling clamped below at 1.
     """
     if sup_kappa <= 0:
         raise ValueError("sup_kappa must be positive")
-    ratio = 2.0 * R_W * R_V * math.sqrt(c * m) / sup_kappa
-    return _peeling(m, c, math.ceil(math.log2(ratio)) if ratio > 1 else 1)
+    ratio = 2.0 * R_W * R_V * math.sqrt(m) / sup_kappa
+    return _peeling(m, math.ceil(math.log2(ratio)) if ratio > 1 else 1)
 
 
-def cm_prime_constant(m, c, r1, r2):
-    """Union-shell variant: the log2 argument is max{2 r1 r2 sqrt(cm), 2 sqrt(m)}."""
+def cm_prime_constant(m, r1, r2):
+    """Union-shell variant: the log2 argument is 2 r1 r2 sqrt(m), the
+    paper's max{2 r1 r2 sqrt(m), 2 sqrt(m)} since r1, r2 >= 1."""
     if r1 < 1 or r2 < 1:
         raise ValueError("r1 and r2 must be >= 1")
     # the argument is >= 2, so the ceiling is >= 1
-    arg = max(2.0 * r1 * r2 * math.sqrt(c * m), 2.0 * math.sqrt(m))
-    return _peeling(m, c, math.ceil(math.log2(arg)))
+    return _peeling(m, math.ceil(math.log2(2.0 * r1 * r2 * math.sqrt(m))))
 
 
-def _peeling(m, c, shells):
-    """2*sqrt(2) * (1 + 1/(2 log(2mc))) * log^(1/2)(2mc * shells)."""
-    lg = math.log(2.0 * m * c)
+def _peeling(m, shells):
+    """2*sqrt(2) * (1 + 1/(2 log(2m))) * log^(1/2)(2m * shells)."""
+    lg = math.log(2.0 * m)
     return 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / (2.0 * lg)) \
-        * math.sqrt(math.log(2.0 * m * c * shells))
+        * math.sqrt(math.log(2.0 * m * shells))
 
 
 def _lipschitz(r):
@@ -98,26 +99,24 @@ def _confidence_term(union_weight, delta, n):
 
 def rad_upper_path(r):
     """Rademacher complexity upper bound of the class with r's radii, scaling
-    with the supremum sqrt(c) * R_W * R_V of its path-norm."""
+    with the supremum R_W * R_V of its path-norm."""
     term_init = r.R_V * r.init_term / r.n
-    sup = math.sqrt(r.c) * r.R_W * r.R_V
+    sup = r.R_W * r.R_V
     if sup == 0.0:
         # degenerate class (R_W = 0 or R_V = 0): only the init term remains
         return term_init
-    cm = cm_constant(r.m, r.c, r.R_W, r.R_V, sup)
+    cm = cm_constant(r.m, r.R_W, r.R_V, sup)
     term_data = _lipschitz(r) * sup * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     return term_init + term_data
 
 
 def rad_lower(r, r0):
-    """Lower bound for ReLU, c = 1, with r0 = min_j ||w_j0||_2.
+    """Lower bound for ReLU, with r0 = min_j ||w_j0||_2.
 
     (R_W - r0) R_V / (4 sqrt(2) n) * (sum ||x_i||^2)^(1/2)
       + R_V / (2 sqrt(2) n) * (sum_i sum_j gamma^2(x_i^T w_j0))^(1/2)
     """
-    if r.c != 1:
-        raise ValueError("lower bound requires c = 1")
     if r.R_W < r0:
         raise ValueError(f"R_W={r.R_W} < r0={r0}")
     first = (r.R_W - r0) * r.R_V / (4.0 * math.sqrt(2.0) * r.n) * r.X_fro
@@ -126,10 +125,10 @@ def rad_lower(r, r0):
 
 
 def reported_rad_lower(r):
-    """rad_lower as reported: for ReLU with c = 1, else None.  If R_W < r0 the
+    """rad_lower as reported: for ReLU, else None.  If R_W < r0 the
     linear-class term does not apply; the top-layer term alone is still a
     valid lower bound, obtained with r0 := R_W."""
-    if r.c != 1 or ACTIVATION_BY_ID[r.activation] != "relu":
+    if ACTIVATION_BY_ID[r.activation] != "relu":
         return None
     return rad_lower(r, min(r.r0, r.R_W))
 
@@ -138,16 +137,15 @@ def gen_bound_pn(r, delta):
     """Exact generalization bound in terms of the path-norm, at confidence
     1 - delta.
 
-    For c = 1 the leading 2*sqrt(2) Rademacher factors of both
+    With one output the leading 2*sqrt(2) Rademacher factors of both
     Rademacher-derived terms reduce to 2.  The loss is the ramp loss,
     1-Lipschitz with range [0, 1], so its Lipschitz constant and range
     factors are 1.
     """
     R1, R2, kappa = r.R_W, r.R_V, r.kappa
-    lead = 2.0 if r.c == 1 else 2.0 * math.sqrt(2.0)
-    cm = cm_prime_constant(r.m, r.c, R1 + 1.0, R2 + 1.0)
-    term1 = lead * (R2 + 1.0) / r.n * r.init_term
-    term2 = lead * _lipschitz(r) * (kappa + 1.0) * (
+    cm = cm_prime_constant(r.m, R1 + 1.0, R2 + 1.0)
+    term1 = 2.0 * (R2 + 1.0) / r.n * r.init_term
+    term2 = 2.0 * _lipschitz(r) * (kappa + 1.0) * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
     union_weight = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
         * (kappa + 1.0) * (kappa + 2.0)
@@ -155,9 +153,7 @@ def gen_bound_pn(r, delta):
 
 
 def gen_bound_spn(r, delta):
-    """Generalization bound in terms of the standard path-norm (c = 1)."""
-    if r.c != 1:
-        raise ValueError("standard path-norm bound is defined here for c = 1")
+    """Generalization bound in terms of the standard path-norm."""
     kappa_s = r.kappa_s
     term1 = 4.0 / r.n * (kappa_s + 1.0) * r.X_fro
     union_weight = 2.0 * (kappa_s + 1.0) * (kappa_s + 2.0)
@@ -215,7 +211,7 @@ def comparator_bound(method, r):
     return BoundValue(name, core * factor, data_dep, qualitative)
 
 
-def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1):
+def class_bound_inputs(ds, W0, activation, R_W, R_V):
     """ClassMeasures of a constrained class (radii R_W, R_V around W0).
 
     Used when there is no trained model, e.g. to compare the analytic upper
@@ -224,8 +220,8 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V, c=1):
     """
     stats = ds.stats
     return ClassMeasures(
-        m=W0.shape[0], c=c, activation=ACTIVATION_IDS[activation.name],
-        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation, c),
+        m=W0.shape[0], activation=ACTIVATION_IDS[activation.name],
+        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation),
         X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
         r0=float(np.min(np.linalg.norm(W0, axis=1))))
 
@@ -236,7 +232,7 @@ def all_bound_values(report, delta=0.01):
     ``report`` is the model's MeasureReport (in memory or read back from
     measures.csv).  rad_upper_frob is rad_upper_path (see the module
     docstring); rad_lower is reported only where reported_rad_lower gives
-    one (ReLU, c = 1).
+    one (ReLU).
     """
     upper = rad_upper_path(report)
     values = [comparator_bound(k, report) for k in COMPARATOR_METHODS]

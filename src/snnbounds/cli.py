@@ -30,7 +30,7 @@ from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
 BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
                      "data_dependent", "qualitative"]
-RAD_CSV_FIELDS = ["n", "d", "m", "c", "R_W", "R_V", "estimate", "std_error",
+RAD_CSV_FIELDS = ["n", "d", "m", "R_W", "R_V", "estimate", "std_error",
                   "upper_bound_path", "upper_bound_frob", "lower_bound",
                   "margin"]
 # the RadConfig fields that `rad` takes as flags, with RadConfig's defaults
@@ -264,6 +264,9 @@ def cmd_measure(cfg, ds):
             path = _ckpt_path(cfg, seed, m)
             if os.path.exists(path):
                 ck = checkpoint_load(path)
+                if ck.params.c != 1:
+                    raise data_mod.DataError(f"{path} has c = {ck.params.c} "
+                                             "outputs; measure takes c = 1 only")
                 report = measure_report(ck.params, ck.snapshot, ds)
                 rows.append(measure_row(report, ds.name, seed))
     if not rows:
@@ -314,13 +317,13 @@ def cmd_rad(args):
     try:  # RadConfig's counts and mc_rad_estimate's SCALE_GUARD
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
         measures = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
-        est = mc_rad_estimate(X, W0, R_W, R_V, act, c=1, cfg=cfg)
+        est = mc_rad_estimate(X, W0, R_W, R_V, act, cfg=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     upper = bounds_mod.rad_upper_path(measures)
     lower = bounds_mod.reported_rad_lower(measures)
     # upper_bound_frob is upper_bound_path, as in bounds.csv
-    row = [n, d, m, 1, R_W, R_V, est.mean, est.std_error, upper, upper,
+    row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper, upper,
            float("nan") if lower is None else lower, upper - est.mean]
     _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
     return 0

@@ -82,8 +82,8 @@ def spectral_norm(M):
     return float(np.sqrt(max(0.0, np.linalg.eigvalsh(A @ A.T)[-1])))
 
 
-def sample_signs(rng, n, c):
-    """n x c matrix of independent +-1 entries drawn from rng."""
-    if n < 1 or c < 1:
-        raise ValueError("n and c must be >= 1")
-    return (2.0 * rng.integers(0, 2, size=(n, c)) - 1.0).astype(float)
+def sample_signs(rng, rows, cols):
+    """rows x cols matrix of independent +-1 entries drawn from rng."""
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be >= 1")
+    return (2.0 * rng.integers(0, 2, size=(rows, cols)) - 1.0).astype(float)

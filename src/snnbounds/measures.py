@@ -4,9 +4,9 @@ The central quantity is the path-norm with a reference matrix,
 kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2, alongside the standard
 path-norm, Frobenius/spectral norms of weights and their distances from
 initialization, and the activation-at-initialization term.  A report also
-carries every data statistic the bounds need and the network's width, head
-size, input dimension and activation, so the bounds are a function of one
-measures.csv row.
+carries every data statistic the bounds need and the network's width, input
+dimension and activation, so the bounds are a function of one measures.csv
+row.
 """
 
 from dataclasses import dataclass, fields
@@ -34,8 +34,8 @@ def standard_path_norm(params):
     return float(np.abs(params.V[0]) @ row_l2_norms(params.W))
 
 
-def init_activation_term(W0, X, activation, c=1):
-    """(c * sum_j sum_i gamma^2(x_i^T w_j0))^(1/2) for the rows w_j0 of W0.
+def init_activation_term(W0, X, activation):
+    """(sum_j sum_i gamma^2(x_i^T w_j0))^(1/2) for the rows w_j0 of W0.
 
     Summed over blocks of at most COLUMN_BLOCK columns of X, so memory is
     O(m * block) rather than O(m * n).
@@ -44,12 +44,12 @@ def init_activation_term(W0, X, activation, c=1):
     for cols in column_blocks(X.shape[1], COLUMN_BLOCK):
         A = activation.fn(W0 @ X[:, cols])
         total += np.sum(np.multiply(A, A, out=A))
-    return float(np.sqrt(c * total))
+    return float(np.sqrt(total))
 
 
 def check_sizes(record):
-    """ValueError unless a measures record's n, m and c are all >= 1."""
-    for name in ("n", "m", "c"):
+    """ValueError unless a measures record's n and m are both >= 1."""
+    for name in ("n", "m"):
         if getattr(record, name) < 1:
             raise ValueError(f"{name} = {getattr(record, name)} must be >= 1")
 
@@ -70,11 +70,10 @@ class MeasureReport:
     v_dist_12: float      # ||V - V0||_{1,2}
     w_inf1: float
     v_inf1: float
-    init_term: float      # (c * sum gamma^2(x^T w0))^(1/2)
+    init_term: float      # (sum gamma^2(x^T w0))^(1/2)
     X_fro: float
     gram_spec_sqrt: float  # ||sum x_i x_i^T||_sigma^(1/2) = sigma_max(X)
     b_x: float             # max_i ||x_i||_2
-    c: int                 # head size
     d: int                 # input dimension
     activation: int        # model.ACTIVATION_IDS id
     n: int                 # number of examples
@@ -93,12 +92,11 @@ def measure_report(params, snapshot, ds):
         raise ValueError("params/snapshot shape mismatch")
     dW = params.W - snapshot.W0
     dV = params.V - snapshot.V0
-    kappa_s = standard_path_norm(params) if params.c == 1 else float("nan")
     stats = ds.stats
     return MeasureReport(
         m=params.m,
         kappa=path_norm(params, snapshot),
-        kappa_s=kappa_s,
+        kappa_s=standard_path_norm(params),
         R_W=frobenius_norm(dW),
         R_V=frobenius_norm(params.V),
         w_fro=frobenius_norm(params.W),
@@ -110,12 +108,11 @@ def measure_report(params, snapshot, ds):
         v_dist_12=pq_norm(dV, 1, 2),
         w_inf1=pq_norm(params.W, np.inf, 1),
         v_inf1=pq_norm(params.V, np.inf, 1),
-        init_term=init_activation_term(snapshot.W0, ds.X, params.activation,
-                                       params.c),
+        init_term=init_activation_term(snapshot.W0, ds.X, params.activation),
         X_fro=stats.X_fro,
         gram_spec_sqrt=stats.gram_spec_sqrt,
         b_x=stats.b_x,
-        c=params.c, d=params.d,
+        d=params.d,
         activation=ACTIVATION_IDS[params.activation.name],
         n=ds.n,
         r0=float(np.min(np.linalg.norm(snapshot.W0, axis=1))),
@@ -133,14 +130,17 @@ def report_from_row(row):
     of measure_row.
 
     Values are parsed with their field's type, so the repr-written floats
-    read back exactly.  DataError, naming the column, for a missing field
-    (a file written before it existed), for values no network gives (n, m or
-    d < 1, a norm that is negative, NaN or infinite, b_x = 0) and for c != 1,
-    the only head size the bounds are defined for.
+    read back exactly.  DataError for columns other than MEASURE_CSV_FIELDS
+    (a file written by another version, such as one that gave the head size
+    c a column; the extra columns are named with their values) or a short
+    row, and, naming the column, for values no network gives (n, m or d < 1,
+    a norm that is negative, NaN or infinite, b_x = 0).
     """
-    missing = [f.name for f in fields(MeasureReport) if row.get(f.name) is None]
-    if missing:
-        raise DataError(f"measures.csv lacks {', '.join(missing)}; "
+    if list(row) != MEASURE_CSV_FIELDS or None in row.values():
+        extra = ", ".join(f"{k} = {row[k]}" for k in row
+                          if k is not None and k not in MEASURE_CSV_FIELDS)
+        raise DataError("measures.csv has other columns than `snnbounds "
+                        f"measure` writes{f' ({extra})' if extra else ''}; "
                         "rerun `snnbounds measure`")
     try:
         report = MeasureReport(**{f.name: f.type(row[f.name])
@@ -151,8 +151,6 @@ def report_from_row(row):
         raise DataError(f"measures.csv: unknown activation id {report.activation}")
     if report.d < 1:
         raise DataError(f"measures.csv: d = {report.d} must be >= 1")
-    if report.c != 1:
-        raise DataError(f"measures.csv: c = {report.c} must be 1 (a binary head)")
     for f in fields(MeasureReport):
         value = getattr(report, f.name)
         if f.type is float and not 0.0 <= value < np.inf:

@@ -3,7 +3,7 @@
 The supremum over the constrained class {||W - W0||_F <= R_W, ||V||_F <= R_V}
 is estimated per sign vector by projected gradient ascent (PGA) over W only:
 for a fixed W the sup over V is attained in closed form, at
-V* = R_V G^T / ||G||_F with G = gamma(W X) Sigma.  Exhaustive mode searches
+V* = R_V G^T / ||G||_2 with G = gamma(W X) sigma.  Exhaustive mode searches
 only the 2^(n-1) sign vectors with sigma_1 = +1, since sigma and -sigma have
 the same supremum.  The returned value is always re-evaluated at a verified
 feasible (W, V*), so every estimate is a certified lower bound on the true
@@ -64,30 +64,30 @@ def closed_form_toplayer_sup(sigma, X, W0, R_V, activation):
 
 
 def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
-    """Certified feasible sup estimates for a batch of sign matrices.
+    """Certified feasible sup estimates for a batch of sign vectors.
 
-    sigmas has shape (S, n, c).  The PGA maximizes R_V ||gamma(W X) Sigma||_F,
+    sigmas has shape (S, n).  The PGA maximizes R_V ||gamma(W X) sigma||_2,
     the sup over V in closed form, over the deviation D = W - W0, with
     cfg.pga_restarts restarts per sigma run simultaneously.  Per sigma it
     returns the best value, evaluated at a checked feasible (W, V*).
     """
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
-    S, n, c = sigmas.shape
+    S, n = sigmas.shape
     m, d = W0.shape
     R = cfg.pga_restarts
     B = S * R
     # The B = S * R iterates are stacked along one axis of B * m hidden units,
     # unit j of iterate b = s * R + r in column b * m + j, so each product
     # with X is one GEMM and per-iterate factors broadcast along that axis.
-    sig = np.repeat(sigmas.transpose(1, 2, 0), R * m, axis=2)  # (n, c, B*m)
+    sig = np.repeat(sigmas.T, R * m, axis=1)                  # (n, B*m)
 
     def per_iterate_dot(M, N):
         return np.einsum("ibj,ibj->b", M.reshape(-1, B, m), N.reshape(-1, B, m))
 
     def sup_over_v(Z):
-        """G^T (c, B*m) and ||G||_F per iterate, for Z = (W X)^T (n, B*m)."""
-        G = np.einsum("ik,ick->ck", activation.fn(Z), sig)
+        """G^T (B*m,) and ||G||_2 per iterate, for Z = (W X)^T (n, B*m)."""
+        G = np.einsum("ik,ik->k", activation.fn(Z), sig)
         return G, np.sqrt(per_iterate_dot(G, G))
 
     # restart starts come from per-restart forked streams so that adding
@@ -117,10 +117,10 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
         Z = X.T @ D
         Z += Z0
         G, gnorm = sup_over_v(Z)
-        # grad_W R_V ||G||_F = ((U Sigma^T) * gamma'(W X)) X^T with
-        # U = R_V G / ||G||_F, here transposed
+        # grad_W R_V ||G||_2 = ((U sigma^T) * gamma'(W X)) X^T with
+        # U = R_V G / ||G||_2, here transposed
         G *= np.repeat(R_V / np.maximum(gnorm, 1e-30), m)
-        dZ = np.einsum("ck,ick->ik", G, sig)
+        dZ = sig * G
         dZ *= activation.deriv(Z)
         D += step * (X @ dZ)
         # project after every step
@@ -142,13 +142,11 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     return per_iterate_dot(V_star, G).reshape(S, R).max(axis=1)
 
 
-def pga_sup_estimate(sigma_matrix, X, W0, R_W, R_V, activation, cfg):
-    """Feasible lower estimate of the per-sigma supremum for one sign matrix."""
-    sigma_matrix = np.asarray(sigma_matrix, dtype=float)
-    if sigma_matrix.ndim != 2:
-        raise ValueError("sigma_matrix must be n x c")
-    values = _pga_best_values(sigma_matrix[None], X, W0, R_W, R_V,
-                              activation, cfg)
+def pga_sup_estimate(sigma, X, W0, R_W, R_V, activation, cfg):
+    """Feasible lower estimate of the per-sigma supremum for one sign vector
+    of n entries, in any shape (e.g. n or n x 1)."""
+    sigma = np.asarray(sigma, dtype=float).reshape(1, -1)
+    values = _pga_best_values(sigma, X, W0, R_W, R_V, activation, cfg)
     return float(values[0])
 
 
@@ -158,10 +156,10 @@ def enumerate_signs(n):
     return (2.0 * grid - 1.0).astype(float)
 
 
-def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None):
+def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     """Empirical Rademacher complexity estimate (1/n) E_sigma sup(...).
 
-    Sign vectors are enumerated exhaustively when n <= 10 and c = 1 (exact
+    Sign vectors are enumerated exhaustively when n <= 10 (exact
     sigma-expectation over the 2^(n-1) pairs {sigma, -sigma}; ``samples``
     counts all 2^n), otherwise sampled.  Every per-sigma value is a
     certified feasible lower estimate, so the result lower-bounds the true
@@ -175,15 +173,13 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, c=1, cfg=None):
     if n * m * d > SCALE_GUARD:
         raise ValueError(
             f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
-    exhaustive = n <= 10 and c == 1
+    exhaustive = n <= 10
     if exhaustive:
         # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the
         # W-only PGA gives -sigma the value of sigma: search sigma_1 = +1 only
-        sigmas = enumerate_signs(n)[2 ** (n - 1):, :, None]  # (2^(n-1), n, 1)
+        sigmas = enumerate_signs(n)[2 ** (n - 1):]           # (2^(n-1), n)
     else:
-        rng = fork_rng(cfg.seed, 2)
-        sigmas = np.stack([sample_signs(rng, n, c)
-                           for _ in range(cfg.sigma_samples)])
+        sigmas = sample_signs(fork_rng(cfg.seed, 2), cfg.sigma_samples, n)
     sups = _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg)
     per_sigma = sups / n
     mean = float(np.mean(per_sigma))

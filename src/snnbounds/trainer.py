@@ -90,6 +90,8 @@ def _margins(params, ds):
     The forward runs over blocks of at most COLUMN_BLOCK columns of X into
     one (n,) vector, so memory is O(m * block) rather than O(m * n).
     """
+    if params.c != 1:
+        raise ValueError("margins require c = 1")
     t = np.empty(ds.n)
     for cols in column_blocks(ds.n, COLUMN_BLOCK):
         t[cols] = forward(params, ds.X[:, cols])[0]
@@ -107,15 +109,11 @@ def _ramp_from_margins(t):
 
 def zero_one_error(params, ds):
     """Fraction of misclassified points; a zero score counts as an error."""
-    if params.c != 1:
-        raise ValueError("zero_one_error requires c = 1")
     return _error_from_margins(_margins(params, ds))
 
 
 def ramp_risk(params, ds):
     """Empirical risk under the 1-Lipschitz ramp loss clipped to [0, 1]."""
-    if params.c != 1:
-        raise ValueError("ramp_risk requires c = 1")
     return _ramp_from_margins(_margins(params, ds))
 
 

@@ -24,39 +24,39 @@ def _trained_like(seed=0, m=4, d=3, n=9):
 
 
 def test_cm_constant_default_sup_simplifies():
-    # with sup_kappa = sqrt(c) R_W R_V the inner ratio is 2 sqrt(m)
+    # with sup_kappa = R_W R_V the inner ratio is 2 sqrt(m)
     for m in (4, 64):
-        c, R_W, R_V = 1, 1.3, 0.7
-        got = cm_constant(m, c, R_W, R_V, math.sqrt(c) * R_W * R_V)
+        R_W, R_V = 1.3, 0.7
+        got = cm_constant(m, R_W, R_V, R_W * R_V)
         shells = math.ceil(math.log2(2.0 * math.sqrt(m)))
-        want = 2 * math.sqrt(2) * (1 + 1 / (2 * math.log(2 * m * c))) \
-            * math.sqrt(math.log(2 * m * c * shells))
+        want = 2 * math.sqrt(2) * (1 + 1 / (2 * math.log(2 * m))) \
+            * math.sqrt(math.log(2 * m * shells))
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_cm_constant_monotone_in_m():
-    assert cm_constant(64, 1, 1.0, 1.0, 1.0) <= cm_constant(4096, 1, 1.0, 1.0, 1.0)
+    assert cm_constant(64, 1.0, 1.0, 1.0) <= cm_constant(4096, 1.0, 1.0, 1.0)
 
 
 def test_cm_constant_monotone_in_rw():
-    base = cm_constant(8, 1, 1.0, 1.0, 0.5)
-    assert cm_constant(8, 1, 2.0, 1.0, 0.5) >= base
+    base = cm_constant(8, 1.0, 1.0, 0.5)
+    assert cm_constant(8, 2.0, 1.0, 0.5) >= base
 
 
 def test_cm_constant_rejects_bad_sup():
     with pytest.raises(ValueError):
-        cm_constant(4, 1, 1.0, 1.0, 0.0)
+        cm_constant(4, 1.0, 1.0, 0.0)
 
 
 def test_cm_constant_degenerate_ratio_clamped():
     # ratio below 1 must still give a positive finite constant
-    val = cm_constant(4, 1, 0.01, 0.01, 10.0)
+    val = cm_constant(4, 0.01, 0.01, 10.0)
     assert val > 0 and math.isfinite(val)
 
 
 def test_cm_prime_unit_radii_formula():
     for m in (4, 16, 256):
-        got = cm_prime_constant(m, 1, 1.0, 1.0)
+        got = cm_prime_constant(m, 1.0, 1.0)
         shells = math.ceil(math.log2(2.0 * math.sqrt(m)))
         want = 2 * math.sqrt(2) * (1 + 1 / (2 * math.log(2 * m))) \
             * math.sqrt(math.log(2 * m * shells))
@@ -66,20 +66,21 @@ def test_cm_prime_unit_radii_formula():
 def test_cm_prime_high_precision_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
-    m, c, r1, r2 = 16, 1, 2.0, 2.0
-    arg = mpmath.mpf(2) * r1 * r2 * mpmath.sqrt(c * m)
+    m, r1, r2 = 16, 2.0, 2.0
+    # the paper's c = 1 constant, max and all
+    arg = mpmath.mpf(2) * r1 * r2 * mpmath.sqrt(m)
     arg = max(arg, mpmath.mpf(2) * mpmath.sqrt(m))
     shells = int(mpmath.ceil(mpmath.log(arg, 2)))
-    want = 2 * mpmath.sqrt(2) * (1 + 1 / (2 * mpmath.log(2 * m * c))) \
-        * mpmath.sqrt(mpmath.log(2 * m * c * shells))
-    assert cm_prime_constant(m, c, r1, r2) == pytest.approx(float(want), rel=1e-12)
+    want = 2 * mpmath.sqrt(2) * (1 + 1 / (2 * mpmath.log(2 * m))) \
+        * mpmath.sqrt(mpmath.log(2 * m * shells))
+    assert cm_prime_constant(m, r1, r2) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_cm_prime_monotone_and_validated():
-    assert cm_prime_constant(8, 1, 2.0, 1.0) >= cm_prime_constant(8, 1, 1.0, 1.0)
-    assert cm_prime_constant(8, 1, 1.0, 3.0) >= cm_prime_constant(8, 1, 1.0, 1.0)
+    assert cm_prime_constant(8, 2.0, 1.0) >= cm_prime_constant(8, 1.0, 1.0)
+    assert cm_prime_constant(8, 1.0, 3.0) >= cm_prime_constant(8, 1.0, 1.0)
     with pytest.raises(ValueError):
-        cm_prime_constant(8, 1, 0.5, 1.0)
+        cm_prime_constant(8, 0.5, 1.0)
 
 
 def test_rad_upper_vanishes_for_degenerate_class():
@@ -99,7 +100,7 @@ def test_rad_upper_scales_linearly_in_data():
 
 
 def test_rad_upper_frob_equals_path_at_default_sup():
-    """The Frobenius product sqrt(c) R_W R_V is the class's path-norm sup,
+    """The Frobenius product R_W R_V is the class's path-norm sup,
     so the two upper-bound rows are one number."""
     _, _, _, report = _trained_like()
     by_name = {v.method: v.value for v in all_bound_values(report)}
@@ -162,11 +163,9 @@ def test_reported_rad_lower_rule():
     below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.0)
     assert reported_rad_lower(below) == rad_lower(below, 0.5 * r0)
     assert reported_rad_lower(below) <= rad_upper_path(below)
-    # proved for ReLU with c = 1 only
+    # proved for ReLU only
     tanh = class_bound_inputs(ds, W0, TANH, R_W=r0 + 0.5, R_V=1.0)
     assert reported_rad_lower(tanh) is None
-    two_heads = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0, c=2)
-    assert reported_rad_lower(two_heads) is None
 
 
 def test_gen_bound_pn_zero_collapse():
@@ -289,7 +288,7 @@ def test_all_bound_values_tanh_drops_lower():
 
 def test_bound_inputs_validation():
     _, _, _, report = _trained_like(seed=16)
-    for size in ("n", "m", "c"):
+    for size in ("n", "m"):
         with pytest.raises(ValueError, match=size):
             replace(report, **{size: 0})
     for bound in (gen_bound_pn, gen_bound_spn):

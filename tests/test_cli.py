@@ -9,8 +9,9 @@ import shutil
 import numpy as np
 import pytest
 
-from snnbounds import (RELU, all_bound_values, checkpoint_load, init_kaiming,
-                       make_rng, measure_report, rad_lower, report_from_row)
+from snnbounds import (RELU, Checkpoint, all_bound_values, checkpoint_load,
+                       checkpoint_save, init_kaiming, make_rng, measure_report,
+                       rad_lower, report_from_row)
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
@@ -310,7 +311,7 @@ def test_measure_into_missing_out_writes_nothing(tmp_path, mnist_dir):
 def test_measures_csv_columns_parse_as_finite_floats(tmp_path, mnist_dir,
                                                      activation):
     """Every column but dataset, seed and m reads with float() and is
-    finite, as the benchmark's checks read them; c, d and activation read
+    finite, as the benchmark's checks read them; d and activation read
     back as the checkpoint's ints."""
     out = os.path.join(tmp_path, "run")
     args = _base_args(mnist_dir, out) + ["--activation", activation]
@@ -323,9 +324,9 @@ def test_measures_csv_columns_parse_as_finite_floats(tmp_path, mnist_dir,
             assert math.isfinite(float(value)), key
     report = report_from_row(row)
     params = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn")).params
-    got = (report.c, report.d, report.activation)
+    got = (report.d, report.activation)
     assert all(type(v) is int for v in got)
-    assert got == (params.c, params.d, ACTIVATION_IDS[activation])
+    assert got == (params.d, ACTIVATION_IDS[activation])
 
 
 def test_diverged_retrain_removes_the_old_checkpoint(tmp_path, mnist_dir,
@@ -610,14 +611,14 @@ def _old_schema_run(measured_run, tmp_path):
 def test_bounds_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
     out = _old_schema_run(measured_run, tmp_path)
     assert _bounds_only(out) == 3
-    assert "lacks n, r0" in capsys.readouterr().err
+    assert "rerun `snnbounds measure`" in capsys.readouterr().err
 
 
 def test_figure_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
     # the rows are rejected before any figure file is written
     out = _old_schema_run(measured_run, tmp_path)
     assert _run(["figure", "--out", out]) == 3
-    assert "lacks n, r0" in capsys.readouterr().err
+    assert "rerun `snnbounds measure`" in capsys.readouterr().err
     assert not [name for name in os.listdir(out) if name.startswith("fig")]
 
 
@@ -638,13 +639,14 @@ def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
 
 
 @pytest.mark.parametrize("column,value", [
-    ("n", "0"), ("m", "0"), ("c", "0"), ("d", "-1"), ("R_W", "-1.0"),
-    ("kappa_s", "-1.0"), ("b_x", "0.0"), ("R_W", "nan"), ("X_fro", "inf"),
-    ("kappa_s", "nan"), ("c", "2")])
+    ("n", "0"), ("m", "0"), ("c", "0"), ("c", "2"), ("d", "-1"),
+    ("R_W", "-1.0"), ("kappa_s", "-1.0"), ("b_x", "0.0"), ("R_W", "nan"),
+    ("X_fro", "inf"), ("kappa_s", "nan")])
 def test_bounds_and_figure_exit_3_on_out_of_range_measures(
         tmp_path, measured_run, capsys, column, value):
     # values no network gives are refused where measures.csv is read, not
-    # met later as a traceback in a bound or a figure series
+    # met later as a traceback in a bound or a figure series; c, which
+    # measures.csv no longer has, is refused as a column of its own
     out = _copy_run(measured_run, tmp_path)
     path = os.path.join(out, "measures.csv")
     with open(path, newline="") as f:
@@ -660,6 +662,48 @@ def test_bounds_and_figure_exit_3_on_out_of_range_measures(
         assert err.startswith("data error") and f"{column} = {value}" in err
     assert not [name for name in os.listdir(out)
                 if name.startswith(("bounds", "fig"))]
+
+
+def test_bounds_and_figure_exit_3_on_measures_with_c_column(
+        tmp_path, measured_run, capsys):
+    # a measures.csv of the earlier schema, which gave the head size c a
+    # column, is refused rather than read without it
+    out = _copy_run(measured_run, tmp_path)
+    path = os.path.join(out, "measures.csv")
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    header = list(rows[0])
+    header.insert(header.index("d"), "c")
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=header)
+        writer.writeheader()
+        writer.writerows({**row, "c": "1"} for row in rows)
+    for command in ("bounds", "figure"):
+        assert _run([command, "--out", out]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "rerun `snnbounds measure`" in err
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("bounds", "fig"))]
+
+
+def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
+                                                 monkeypatch, capsys):
+    # every stage after the checkpoint takes a binary head, so measure
+    # refuses a c = 2 checkpoint, naming it, before it measures anything
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
+    d = checkpoint_load(path).params.d
+    params, snap = init_kaiming(make_rng(0), 4, d, 2)
+    checkpoint_save(Checkpoint(params, snap, seed=0, epochs=0,
+                               final_train_error=0.0), path)
+    monkeypatch.setattr(cli_mod, "measure_report",
+                        lambda *a: pytest.fail("measured a c = 2 checkpoint"))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and path in err and "c = 2" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 
 def test_measure_exit_3_on_truncated_checkpoint(tmp_path, mnist_dir, capsys):

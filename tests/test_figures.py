@@ -17,7 +17,7 @@ def _report(m, kappa, kappa_s, n=16):
         m=m, kappa=kappa, kappa_s=kappa_s, R_W=0.5, R_V=1.5, w_fro=2.5,
         v_dist=1.4, w0_spectral=1.2, w_spectral=1.3, v_spectral=1.5,
         w_dist_12=0.7, v_dist_12=1.6, w_inf1=3.0, v_inf1=2.0, init_term=2.0,
-        X_fro=math.sqrt(n), gram_spec_sqrt=1.1, b_x=1.0, c=1, d=8,
+        X_fro=math.sqrt(n), gram_spec_sqrt=1.1, b_x=1.0, d=8,
         activation=0, n=n, r0=0.9)
 
 
@@ -57,7 +57,7 @@ def test_fig1a_init_term_divides_by_the_n_column():
     init = next(s for s in figure_series("fig1a", [report], 0.01)
                 if s.label == "init_activation_term")
     # the init term of rad_upper_path: all of it on a class with R_W = 0
-    cls = ClassMeasures(m=16, c=1, activation=0, R_W=0.0, R_V=1.5,
+    cls = ClassMeasures(m=16, activation=0, R_W=0.0, R_V=1.5,
                         init_term=2.0, X_fro=1.0, gram_spec_sqrt=1.0, n=13007,
                         r0=0.0)
     assert init.mean[0] == 1.5 * 2.0 / 13007 == rad_upper_path(cls)

@@ -93,9 +93,9 @@ def test_row_norms():
 
 
 def test_sample_signs_deterministic_and_valid():
-    a = sample_signs(make_rng(7), 4, 1)
-    b = sample_signs(make_rng(7), 4, 1)
-    assert np.array_equal(a, b)
+    a = sample_signs(make_rng(7), 4, 3)
+    b = sample_signs(make_rng(7), 4, 3)
+    assert a.shape == (4, 3) and np.array_equal(a, b)
     assert set(np.unique(a)) <= {-1.0, 1.0}
     with pytest.raises(ValueError):
         sample_signs(make_rng(0), 0, 1)

@@ -84,11 +84,11 @@ def test_init_term_blocked_matches_dense(act):
     X = rng.standard_normal((5, n))
     W0 = rng.standard_normal((6, 5))
     A = activation.fn(W0 @ X)
-    dense = math.sqrt(3 * np.sum(A * A))
-    assert init_activation_term(W0, X, activation, c=3) == \
+    dense = math.sqrt(np.sum(A * A))
+    assert init_activation_term(W0, X, activation) == \
         pytest.approx(dense, rel=1e-12)
     if act == "relu":
-        assert init_activation_term(W0, X, activation, c=3) == dense
+        assert init_activation_term(W0, X, activation) == dense
 
 
 def test_init_term_peak_memory_well_below_one_m_by_n_array():
@@ -186,17 +186,25 @@ def test_report_from_row_roundtrip(tmp_path):
     assert back == rep  # every field exactly, n as an int
 
 
+def _with_c_column(row, c):
+    """row as a file of the earlier schema gives it: a c column before d."""
+    fields = list(MEASURE_CSV_FIELDS)
+    fields.insert(fields.index("d"), "c")
+    return {k: row.get(k, c) for k in fields}
+
+
 def test_report_from_row_rejects_old_schema():
     params, snap = _params_snap(seed=12)
     ds = random_unit_dataset(make_rng(13), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
                    measure_row(measure_report(params, snap, ds), "s", 0)))
-    del row["n"], row["r0"]
-    with pytest.raises(DataError, match="n, r0"):
-        report_from_row(row)
-    row.update(n="x", r0="0.5")
+    without_n_r0 = {k: v for k, v in row.items() if k not in ("n", "r0")}
+    short = {**row, "r0": None}  # csv.DictReader's value for a short row
+    for old in (without_n_r0, _with_c_column(row, "1"), short):
+        with pytest.raises(DataError, match="rerun `snnbounds measure`"):
+            report_from_row(old)
     with pytest.raises(DataError):
-        report_from_row(row)
+        report_from_row({**row, "n": "x"})
 
 
 @pytest.mark.parametrize("value,match", [
@@ -213,20 +221,19 @@ def test_report_from_row_rejects_bad_activation_id(value, match):
 
 
 def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
-    # measure_report writes kappa_s as NaN where c > 1; no bound is defined
-    # for such a row, and a NaN kappa_s with c = 1 is no network's
+    # a NaN kappa_s is no network's; a network with c > 1 outputs has no
+    # row: measure_report refuses it, and a row of the earlier schema,
+    # which gave c a column, is refused whatever its c
     params, snap = _params_snap(seed=16)
     ds = random_unit_dataset(make_rng(17), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
                    measure_row(measure_report(params, snap, ds), "s", 0)))
-    assert row["c"] == "1"
-    for column, value in [("kappa_s", "nan"), ("c", "2")]:
-        with pytest.raises(DataError, match=f"{column} = {value} must be"):
-            report_from_row({**row, column: value})
-    wide = measure_report(*_params_snap(seed=16, c=2), ds)
-    assert math.isnan(wide.kappa_s)
-    with pytest.raises(DataError, match="c = 2 must be 1"):
-        report_from_row(dict(zip(MEASURE_CSV_FIELDS, measure_row(wide, "s", 0))))
+    with pytest.raises(DataError, match="kappa_s = nan must be"):
+        report_from_row({**row, "kappa_s": "nan"})
+    with pytest.raises(DataError, match="rerun `snnbounds measure`"):
+        report_from_row(_with_c_column(row, "2"))
+    with pytest.raises(ValueError, match="c = 1"):
+        measure_report(*_params_snap(seed=16, c=2), ds)
 
 
 def test_data_stats_computed_once_per_dataset(monkeypatch):

@@ -7,8 +7,9 @@ from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
                        closed_form_linear_sup, closed_form_toplayer_sup,
                        enumerate_signs, init_kaiming,
                        khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       pga_sup_estimate, rad_upper_path)
+                       pga_sup_estimate, rad_upper_path, sample_signs)
 from snnbounds.bounds import class_bound_inputs
+from snnbounds.linalg import fork_rng
 from snnbounds.rademacher import _pga_best_values
 from conftest import random_unit_dataset
 
@@ -89,7 +90,7 @@ def test_pga_restart_monotonicity():
     ds = random_unit_dataset(make_rng(6), 3, 5)
     _, snap = init_kaiming(make_rng(6), 3, 3, 1)
     W0 = np.asarray(snap.W0)
-    sigmas = enumerate_signs(5)[:, :, None]
+    sigmas = enumerate_signs(5)
     vals = []
     for restarts in (1, 2, 4):
         cfg = RadConfig(pga_steps=30, pga_restarts=restarts, step_size=0.1,
@@ -108,7 +109,7 @@ def test_pga_sign_flip_bitwise_equal(activation):
     ds = random_unit_dataset(rng, 4, 7)
     _, snap = init_kaiming(rng, 3, 4, 1, activation)
     W0 = np.asarray(snap.W0)
-    sigma = np.sign(rng.standard_normal(7))[None, :, None]
+    sigma = np.sign(rng.standard_normal(7))[None, :]
     pos = _pga_best_values(sigma, ds.X, W0, 0.7, 1.3, activation, FAST)
     neg = _pga_best_values(-sigma, ds.X, W0, 0.7, 1.3, activation, FAST)
     assert pos[0] > 0.0
@@ -121,8 +122,8 @@ def test_mc_estimate_exhaustive_searches_half_the_signs():
     _, snap = init_kaiming(make_rng(13), 4, 3, 1)
     W0 = np.asarray(snap.W0)
     est = mc_rad_estimate(ds.X, W0, 0.6, 1.2, RELU, cfg=FAST)
-    half = enumerate_signs(n)[2 ** (n - 1):, :, None]
-    assert np.all(half[:, 0, 0] == 1.0) and len(half) == 2 ** (n - 1)
+    half = enumerate_signs(n)[2 ** (n - 1):]
+    assert np.all(half[:, 0] == 1.0) and len(half) == 2 ** (n - 1)
     sups = _pga_best_values(half, ds.X, W0, 0.6, 1.2, RELU, FAST)
     assert est.mean == float(np.mean(sups / n))
     assert est.samples == 2 ** n
@@ -143,14 +144,35 @@ def test_pga_frozen_w_matches_toplayer_closed_form(activation):
         assert got == pytest.approx(exact, rel=1e-12)
 
 
-def test_mc_estimate_sampled_two_outputs():
-    ds = random_unit_dataset(make_rng(15), 3, 5)
-    _, snap = init_kaiming(make_rng(15), 3, 3, 2)
-    est = mc_rad_estimate(ds.X, np.asarray(snap.W0), 0.8, 1.0, RELU, c=2,
-                          cfg=FAST)
+def test_mc_estimate_sampled_draws_signs_in_one_call():
+    """Sampled mode (n > 10) searches the sigma_samples rows of one
+    sample_signs draw from the stream forked for it."""
+    n = 12
+    ds = random_unit_dataset(make_rng(15), 3, n)
+    _, snap = init_kaiming(make_rng(15), 3, 3, 1)
+    W0 = np.asarray(snap.W0)
+    est = mc_rad_estimate(ds.X, W0, 0.8, 1.0, RELU, cfg=FAST)
+    sigmas = sample_signs(fork_rng(FAST.seed, 2), FAST.sigma_samples, n)
+    per_sigma = _pga_best_values(sigmas, ds.X, W0, 0.8, 1.0, RELU, FAST) / n
     assert est.samples == FAST.sigma_samples
-    assert math.isfinite(est.mean) and math.isfinite(est.std_error)
-    assert est.mean > 0.0
+    assert est.mean == float(np.mean(per_sigma)) > 0.0
+    assert est.std_error == float(np.std(per_sigma, ddof=1)
+                                  / math.sqrt(FAST.sigma_samples))
+
+
+@pytest.mark.parametrize("activation,n,want", [
+    (RELU, 6, 0.8909376714469519), (TANH, 6, 0.8196840576268659),
+    (SIGMOID, 6, 0.5609243371859274), (RELU, 12, 0.6629237119085747)],
+    ids=["relu", "tanh", "sigmoid", "sampled"])
+def test_mc_estimate_pinned(activation, n, want):
+    """Estimates pinned bit for bit to those of the multi-output probe the
+    single-output one replaced: exhaustive runs for each activation and a
+    sampled run (n > 10)."""
+    rng = make_rng(22 if n <= 10 else 23)
+    ds = random_unit_dataset(rng, 3, n)
+    _, snap = init_kaiming(rng, 4, 3, 1, activation)
+    est = mc_rad_estimate(ds.X, snap.W0, 0.7, 1.3, activation, cfg=FAST)
+    assert est.mean == want
 
 
 def test_enumerate_signs():
