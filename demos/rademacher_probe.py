@@ -1,11 +1,14 @@
 """Numerical check of the Rademacher complexity bounds on a tiny instance.
 
 Builds a small random dataset and initialization, then compares:
-  - the exhaustive Monte-Carlo feasible estimate (exact over all 2^n sign
-    vectors, projected gradient ascent per sign vector),
-  - the path-norm upper bound (the Frobenius-product bound is the same
-    number: R_W R_V is the class's path-norm supremum),
+  - the exhaustive Monte-Carlo feasible estimate (an exact mean over the
+    2^(n-1) sign vectors with sigma_1 = +1, which equals the mean over all
+    2^n; projected gradient ascent per sign vector),
+  - the path-norm upper bound, rad_upper_path: R_W R_V is the class's
+    path-norm supremum, so the Frobenius-product bound is the same number
+    and is not shown,
   - the ReLU lower bound.
+The bounds read the class's measures from measures.class_bound_inputs.
 The estimate is a certified lower bound on the true complexity, so it must
 land between the theoretical lower and upper bounds.
 
@@ -16,8 +19,8 @@ import numpy as np
 
 from snnbounds import (RELU, RadConfig, init_kaiming, make_rng,
                        mc_rad_estimate, rad_lower, rad_upper_path)
-from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
+from snnbounds.measures import class_bound_inputs
 
 n, d, m = 8, 4, 4
 R_V = 1.0

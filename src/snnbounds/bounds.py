@@ -1,51 +1,32 @@
 """Rademacher complexity bounds, exact generalization bounds and comparators.
 
-Each bound is a function of one record: a MeasureReport (one trained
-network, so bounds.csv follows from measures.csv alone) or, for the
-Rademacher rows, a ClassMeasures (a constrained class, no model).  The
-paper's constants, stated for a head of c outputs, are specialised here to
-c = 1, the binary head of every network here.
+Each bound is a function of one record: a measures.MeasureReport (one
+trained network, so bounds.csv follows from measures.csv alone) or, for the
+Rademacher rows, a measures.ClassMeasures (a constrained class, no model).
+The paper's constants, stated for a head of c outputs, are specialised here
+to c = 1, the binary head of every network here.
 
 The Rademacher upper bound scales with the path-norm's supremum over the
 class {||W - W0||_F <= R_W, ||V||_F <= R_V}: R_W * R_V by Cauchy-Schwarz,
 attained by one hidden unit.  So it equals the bound stated with that
-Frobenius product, and is reported under both names.  The exact
+Frobenius product; bounds.csv still reports it under both names.  The exact
 generalization bound combines the complexity bound with a triple union over
 integer shells of ||W - W0||_F, ||V||_F and the path-norm, which is where
-the (.+1)(.+2) factors come from.
+the (.+1)(.+2) factors come from.  Both share one data term, _data_term.
 
-Nine comparator bounds from the literature are evaluated on the same
-measures; data-dependent ones carry a factor ||X||_F / n, data-independent
-ones a factor max_i ||x_i||_2 / sqrt(n).
+Nine comparator bounds from the literature, one COMPARATORS entry each, are
+evaluated on the same measures; data-dependent ones carry a factor
+||X||_F / n, data-independent ones a factor max_i ||x_i||_2 / sqrt(n).
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .measures import check_sizes, init_activation_term
-from .model import ACTIVATION_BY_ID, ACTIVATION_IDS, get_activation
+# re-exported: cli.cmd_rad calls it here, where the benchmark's trace wraps it
+from .measures import class_bound_inputs
+from .model import ACTIVATION_BY_ID, get_activation
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
-
-
-@dataclass
-class ClassMeasures:
-    """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
-    ||V||_F <= R_V}; field meanings as in MeasureReport."""
-    m: int
-    activation: int
-    R_W: float
-    R_V: float
-    init_term: float
-    X_fro: float
-    gram_spec_sqrt: float
-    n: int
-    r0: float
-
-    def __post_init__(self):
-        check_sizes(self)
 
 
 @dataclass
@@ -56,17 +37,11 @@ class BoundValue:
     qualitative: bool = False
 
 
-def cm_constant(m, R_W, R_V, sup_kappa):
-    """Peeling constant of the path-norm complexity bound.
-
-    2*sqrt(2) * (1 + 1/(2 log(2m)))
-      * log^(1/2)(2m * ceil(log2(2 R_W R_V sqrt(m) / sup_kappa)))
-    with the ceiling clamped below at 1.
-    """
-    if sup_kappa <= 0:
-        raise ValueError("sup_kappa must be positive")
-    ratio = 2.0 * R_W * R_V * math.sqrt(m) / sup_kappa
-    return _peeling(m, math.ceil(math.log2(ratio)) if ratio > 1 else 1)
+def cm_constant(m):
+    """Peeling constant of the Rademacher upper bound: its log2 argument,
+    2 R_W R_V sqrt(m) over the class's path-norm supremum R_W R_V, is
+    2 sqrt(m), as in cm_prime_constant(m, 1, 1)."""
+    return cm_prime_constant(m, 1.0, 1.0)
 
 
 def cm_prime_constant(m, r1, r2):
@@ -85,16 +60,20 @@ def _peeling(m, shells):
         * math.sqrt(math.log(2.0 * m * shells))
 
 
-def _lipschitz(r):
-    """Lipschitz constant of the activation of record r."""
-    return get_activation(ACTIVATION_BY_ID[r.activation]).lipschitz
-
-
 def _confidence_term(union_weight, delta, n):
     """3 sqrt(log(union_weight / delta) / (2n)): a union over integer shells."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return 3.0 * math.sqrt(math.log(union_weight / delta) / (2.0 * n))
+
+
+def _data_term(r, scale, cm):
+    """L * scale * ((2 + sqrt(5)) ||X||_F + cm sigma_max(X)) / n, with L the
+    activation's Lipschitz constant: the data term of a complexity bound at
+    path-norm scale `scale`."""
+    lipschitz = get_activation(ACTIVATION_BY_ID[r.activation]).lipschitz
+    return lipschitz * scale * (
+        TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
 
 
 def rad_upper_path(r):
@@ -105,10 +84,7 @@ def rad_upper_path(r):
     if sup == 0.0:
         # degenerate class (R_W = 0 or R_V = 0): only the init term remains
         return term_init
-    cm = cm_constant(r.m, r.R_W, r.R_V, sup)
-    term_data = _lipschitz(r) * sup * (
-        TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
-    return term_init + term_data
+    return term_init + _data_term(r, sup, cm_constant(r.m))
 
 
 def rad_lower(r, r0):
@@ -145,8 +121,7 @@ def gen_bound_pn(r, delta):
     R1, R2, kappa = r.R_W, r.R_V, r.kappa
     cm = cm_prime_constant(r.m, R1 + 1.0, R2 + 1.0)
     term1 = 2.0 * (R2 + 1.0) / r.n * r.init_term
-    term2 = 2.0 * _lipschitz(r) * (kappa + 1.0) * (
-        TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
+    term2 = 2.0 * _data_term(r, kappa + 1.0, cm)
     union_weight = 2.0 * (R1 + 1.0) * (R1 + 2.0) * (R2 + 1.0) * (R2 + 2.0) \
         * (kappa + 1.0) * (kappa + 2.0)
     return term1 + term2 + _confidence_term(union_weight, delta, r.n)
@@ -160,70 +135,34 @@ def gen_bound_spn(r, delta):
     return term1 + _confidence_term(union_weight, delta, r.n)
 
 
-# method id, data_dependent flag, qualitative flag
-COMPARATOR_METHODS = {
-    1: ("vc_dim", False, False),
-    2: ("inf1_product", True, False),
-    3: ("spn_radbound", False, False),
-    4: ("fro_product", True, False),
-    5: ("spectral_12", True, False),
-    6: ("pacbayes", False, False),
-    7: ("relu_decomp", True, False),
-    8: ("lipschitz_smooth", False, False),
-    9: ("adl", False, True),
+# name: (data_dependent, qualitative, the norm expression of a report r)
+COMPARATORS = {
+    "vc_dim": (False, False, lambda r: math.sqrt(r.d * r.m)),
+    "inf1_product": (True, False, lambda r: r.w_inf1 * r.v_inf1),
+    "spn_radbound": (False, False, lambda r: r.kappa_s),
+    "fro_product": (True, False, lambda r: r.w_fro * r.R_V),
+    "spectral_12": (True, False, lambda r: r.w_spectral * r.v_dist_12
+                    + r.w_dist_12 * r.v_spectral),
+    "pacbayes": (False, False, lambda r: r.w_spectral * r.v_dist
+                 + math.sqrt(r.m) * r.R_W * r.v_spectral),
+    "relu_decomp": (True, False, lambda r: r.w0_spectral * r.R_V
+                    + r.R_W * r.R_V + math.sqrt(r.m)),
+    "lipschitz_smooth": (False, False, lambda r: 1.0 / r.b_x + r.R_V * (
+        r.w0_spectral + r.R_W * (1.0 + r.w0_spectral * r.b_x))),
+    "adl": (False, True, lambda r: r.w0_spectral * r.R_V + r.R_W * r.R_V),
 }
-COMPARATOR_NAMES = [name for name, _, _ in COMPARATOR_METHODS.values()]
 
 
-def comparator_bound(method, r):
-    """One of the nine comparator bounds, as a BoundValue.
+def comparator_bound(name, r):
+    """The comparator bound `name` of COMPARATORS, as a BoundValue.
 
     Data-dependent rows are multiplied by ||X||_F / n, data-independent rows
-    by b_x / sqrt(n).  The row-9 value carries ``qualitative=True``: its
+    by b_x / sqrt(n).  The adl value carries ``qualitative=True``: its
     hidden constants are not computable, only the dominant term is reported.
     """
-    if method == 1:
-        core = math.sqrt(r.d * r.m)
-    elif method == 2:
-        core = r.w_inf1 * r.v_inf1
-    elif method == 3:
-        core = r.kappa_s
-    elif method == 4:
-        core = r.w_fro * r.R_V
-    elif method == 5:
-        core = r.w_spectral * r.v_dist_12 + r.w_dist_12 * r.v_spectral
-    elif method == 6:
-        core = r.w_spectral * r.v_dist + math.sqrt(r.m) * r.R_W * r.v_spectral
-    elif method == 7:
-        core = r.w0_spectral * r.R_V + r.R_W * r.R_V + math.sqrt(r.m)
-    elif method == 8:
-        core = 1.0 / r.b_x + r.R_V * (
-            r.w0_spectral + r.R_W * (1.0 + r.w0_spectral * r.b_x))
-    elif method == 9:
-        core = r.w0_spectral * r.R_V + r.R_W * r.R_V
-    else:
-        raise ValueError(f"unknown comparator method {method}")
-    name, data_dep, qualitative = COMPARATOR_METHODS[method]
-    if data_dep:
-        factor = r.X_fro / r.n
-    else:
-        factor = r.b_x / math.sqrt(r.n)
-    return BoundValue(name, core * factor, data_dep, qualitative)
-
-
-def class_bound_inputs(ds, W0, activation, R_W, R_V):
-    """ClassMeasures of a constrained class (radii R_W, R_V around W0).
-
-    Used when there is no trained model, e.g. to compare the analytic upper
-    and lower bounds against Monte-Carlo estimates.  It has no model fields,
-    so only the Rademacher rows can be computed from it.
-    """
-    stats = ds.stats
-    return ClassMeasures(
-        m=W0.shape[0], activation=ACTIVATION_IDS[activation.name],
-        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation),
-        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
-        r0=float(np.min(np.linalg.norm(W0, axis=1))))
+    data_dep, qualitative, norm = COMPARATORS[name]
+    factor = r.X_fro / r.n if data_dep else r.b_x / math.sqrt(r.n)
+    return BoundValue(name, norm(r) * factor, data_dep, qualitative)
 
 
 def all_bound_values(report, delta=0.01):
@@ -235,7 +174,7 @@ def all_bound_values(report, delta=0.01):
     one (ReLU).
     """
     upper = rad_upper_path(report)
-    values = [comparator_bound(k, report) for k in COMPARATOR_METHODS]
+    values = [comparator_bound(name, report) for name in COMPARATORS]
     ours = {"pn_ours": gen_bound_pn(report, delta),
             "spn_ours": gen_bound_spn(report, delta),
             "rad_upper_path": upper, "rad_upper_frob": upper,

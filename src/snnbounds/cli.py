@@ -23,16 +23,16 @@ from .files import atomic_open
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
-from .model import (ACTIVATIONS, Checkpoint, CheckpointError, checkpoint_load,
-                    checkpoint_save, get_activation, init_kaiming)
+from .model import (ACTIVATIONS, Checkpoint, CheckpointError, checkpoint_header,
+                    checkpoint_load, checkpoint_save, get_activation,
+                    init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
 BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
                      "data_dependent", "qualitative"]
 RAD_CSV_FIELDS = ["n", "d", "m", "R_W", "R_V", "estimate", "std_error",
-                  "upper_bound_path", "upper_bound_frob", "lower_bound",
-                  "margin"]
+                  "upper_bound_path", "lower_bound", "margin"]
 # the RadConfig fields that `rad` takes as flags, with RadConfig's defaults
 _RAD_KNOBS = ("seed", "sigma_samples", "pga_steps", "pga_restarts")
 
@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError("widths must be nonempty and strictly increasing")
         if self.widths[0] < 1:
             raise ConfigError("widths must be >= 1")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be nonempty and distinct")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be >= 0")
         if not 0.0 < self.delta < 1.0:
@@ -256,21 +256,30 @@ def _check_manifest(cfg, ds):
                 "that `snnbounds train` used")
 
 
-def cmd_measure(cfg, ds):
+def _grid_checkpoints(cfg):
+    """(seed, path) of each checkpoint on the grid; DataError if there is
+    none, or, from its header alone, for one with other than c = 1 outputs."""
+    found = [(seed, path) for m in cfg.widths for seed in cfg.seeds
+             if os.path.exists(path := _ckpt_path(cfg, seed, m))]
+    if not found:
+        raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
+    for _, path in found:
+        with open(path, "rb") as f:
+            c = checkpoint_header(f).c
+        if c != 1:
+            raise data_mod.DataError(f"{path} has c = {c} outputs; measure "
+                                     "takes c = 1 only")
+    return found
+
+
+def cmd_measure(cfg, ds, checkpoints):
+    """measures.csv of the (seed, path) checkpoints of _grid_checkpoints."""
     _check_manifest(cfg, ds)
     rows = []
-    for m in cfg.widths:
-        for seed in cfg.seeds:
-            path = _ckpt_path(cfg, seed, m)
-            if os.path.exists(path):
-                ck = checkpoint_load(path)
-                if ck.params.c != 1:
-                    raise data_mod.DataError(f"{path} has c = {ck.params.c} "
-                                             "outputs; measure takes c = 1 only")
-                report = measure_report(ck.params, ck.snapshot, ds)
-                rows.append(measure_row(report, ds.name, seed))
-    if not rows:
-        raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
+    for seed, path in checkpoints:
+        ck = checkpoint_load(path)
+        report = measure_report(ck.params, ck.snapshot, ds)
+        rows.append(measure_row(report, ds.name, seed))
     _remove_derived(cfg.out, "bounds.csv")  # derived from the old measures.csv
     _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
     return 0
@@ -322,8 +331,7 @@ def cmd_rad(args):
         raise ConfigError(str(exc)) from None
     upper = bounds_mod.rad_upper_path(measures)
     lower = bounds_mod.reported_rad_lower(measures)
-    # upper_bound_frob is upper_bound_path, as in bounds.csv
-    row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper, upper,
+    row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper,
            float("nan") if lower is None else lower, upper - est.mean]
     _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
     return 0
@@ -369,16 +377,18 @@ def main(argv=None):
             return cmd_bounds(cfg)
         if args.command == "figure":
             return cmd_figure(cfg)
+        if args.command == "measure":
+            # every checkpoint's header is read before the data is prepared
+            checkpoints = _grid_checkpoints(cfg)
+            return cmd_measure(cfg, load_task_dataset(cfg), checkpoints)
         # train and measure share one load of the data within `all`; train
         # makes --out first, so that the load can keep the prepared data there
-        if args.command in ("train", "all"):
-            os.makedirs(cfg.out, exist_ok=True)
+        os.makedirs(cfg.out, exist_ok=True)
         ds = load_task_dataset(cfg)
         if args.command == "train":
             return cmd_train(cfg, ds)
-        if args.command == "measure":
-            return cmd_measure(cfg, ds)
-        return (cmd_train(cfg, ds) or cmd_measure(cfg, ds)  # all
+        return (cmd_train(cfg, ds)  # all
+                or cmd_measure(cfg, ds, _grid_checkpoints(cfg))
                 or cmd_bounds(cfg) or cmd_figure(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

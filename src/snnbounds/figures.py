@@ -16,7 +16,7 @@ from .files import atomic_open
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
 
-FIG3_METHODS = bounds.COMPARATOR_NAMES + ["pn_ours", "spn_ours"]
+FIG3_METHODS = [*bounds.COMPARATORS, "pn_ours", "spn_ours"]
 
 
 class FigureError(Exception):
@@ -43,7 +43,7 @@ def _values(kind, r, delta):
     bound = {bv.method: bv.value for bv in bounds.all_bound_values(r, delta)}
     if kind == "fig3":
         return {method: bound[method] for method in FIG3_METHODS}
-    return {**{method: bound[method] for method in bounds.COMPARATOR_NAMES},
+    return {**{method: bound[method] for method in bounds.COMPARATORS},
             "pn_dominant": (r.R_V * r.init_term / r.X_fro + r.kappa)
             * r.X_fro / r.n}
 

@@ -6,7 +6,7 @@ path-norm, Frobenius/spectral norms of weights and their distances from
 initialization, and the activation-at-initialization term.  A report also
 carries every data statistic the bounds need and the network's width, input
 dimension and activation, so the bounds are a function of one measures.csv
-row.
+row.  Its class fields are those of a ClassMeasures.
 """
 
 from dataclasses import dataclass, fields
@@ -86,19 +86,50 @@ class MeasureReport:
 MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport)]
 
 
+@dataclass
+class ClassMeasures:
+    """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
+    ||V||_F <= R_V}; field meanings as in MeasureReport."""
+    m: int
+    activation: int
+    R_W: float
+    R_V: float
+    init_term: float
+    X_fro: float
+    gram_spec_sqrt: float
+    n: int
+    r0: float
+
+    def __post_init__(self):
+        check_sizes(self)
+
+
+def class_bound_inputs(ds, W0, activation, R_W, R_V):
+    """ClassMeasures of a constrained class (radii R_W, R_V around W0).
+
+    measure_report takes a network's class fields from it.  With no model
+    fields, only the Rademacher rows can be computed from it, e.g. to compare
+    them against Monte-Carlo estimates.
+    """
+    stats = ds.stats
+    return ClassMeasures(
+        m=W0.shape[0], activation=ACTIVATION_IDS[activation.name],
+        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation),
+        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
+        r0=float(np.min(np.linalg.norm(W0, axis=1))))
+
+
 def measure_report(params, snapshot, ds):
-    """All scalar measures in one pass; the data statistics come from ds.stats."""
+    """All scalar measures; the class fields are class_bound_inputs' ones."""
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
         raise ValueError("params/snapshot shape mismatch")
     dW = params.W - snapshot.W0
     dV = params.V - snapshot.V0
-    stats = ds.stats
+    cls = class_bound_inputs(ds, snapshot.W0, params.activation,
+                             frobenius_norm(dW), frobenius_norm(params.V))
     return MeasureReport(
-        m=params.m,
         kappa=path_norm(params, snapshot),
         kappa_s=standard_path_norm(params),
-        R_W=frobenius_norm(dW),
-        R_V=frobenius_norm(params.V),
         w_fro=frobenius_norm(params.W),
         v_dist=frobenius_norm(dV),
         w0_spectral=spectral_norm(snapshot.W0),
@@ -108,14 +139,9 @@ def measure_report(params, snapshot, ds):
         v_dist_12=pq_norm(dV, 1, 2),
         w_inf1=pq_norm(params.W, np.inf, 1),
         v_inf1=pq_norm(params.V, np.inf, 1),
-        init_term=init_activation_term(snapshot.W0, ds.X, params.activation),
-        X_fro=stats.X_fro,
-        gram_spec_sqrt=stats.gram_spec_sqrt,
-        b_x=stats.b_x,
+        b_x=ds.stats.b_x,
         d=params.d,
-        activation=ACTIVATION_IDS[params.activation.name],
-        n=ds.n,
-        r0=float(np.min(np.linalg.norm(snapshot.W0, axis=1))),
+        **vars(cls),
     )
 
 

@@ -4,8 +4,10 @@ The network is x -> V @ gamma(W @ x) with W of shape (m, d) and V of shape
 (c, m).  No bias terms.
 """
 
+import os
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -123,65 +125,66 @@ class Checkpoint:
 
 _MAGIC = b"SNNCKPT1"
 _VERSION = 1
+# magic, version, m, d, c, activation id, seed; then W, V, W0, V0 as
+# little-endian f64; then the trailer: epochs, final training error
+_HEADER = struct.Struct("<8s5IQ")
+_TRAILER = struct.Struct("<Id")
 
 
 class CheckpointError(Exception):
     pass
 
 
+CheckpointHeader = namedtuple("CheckpointHeader", "m d c activation seed")
+
+
 def checkpoint_save(ck, path):
-    """Binary checkpoint: magic, header, then W, V, W0, V0 as little-endian f64."""
+    """Binary checkpoint in the layout described at _HEADER."""
     p = ck.params
     with atomic_open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<5I", _VERSION, p.m, p.d, p.c,
-                            ACTIVATION_IDS[p.activation.name]))
-        f.write(struct.pack("<Q", ck.seed))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, p.m, p.d, p.c,
+                             ACTIVATION_IDS[p.activation.name], ck.seed))
         for arr in (p.W, p.V, ck.snapshot.W0, ck.snapshot.V0):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.write(struct.pack("<I", ck.epochs))
-        f.write(struct.pack("<d", ck.final_train_error))
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
+        f.write(_TRAILER.pack(ck.epochs, ck.final_train_error))
+
+
+def checkpoint_header(f):
+    """CheckpointHeader of the checkpoint file open in f (binary mode), which
+    is left at the first array.
+
+    CheckpointError, naming the file, unless the magic, version, activation
+    id and dimensions are ones checkpoint_save writes and the file has
+    exactly the size they give: a truncated file and trailing bytes alike.
+    """
+    raw = f.read(_HEADER.size)
+    if raw[:8] != _MAGIC:
+        raise CheckpointError(f"{f.name}: bad checkpoint magic")
+    if len(raw) < _HEADER.size:
+        raise CheckpointError(f"{f.name}: truncated header")
+    _, version, m, d, c, act_id, seed = _HEADER.unpack(raw)
+    if version != _VERSION:
+        raise CheckpointError(f"{f.name}: unsupported version {version}")
+    if act_id not in ACTIVATION_BY_ID:
+        raise CheckpointError(f"{f.name}: unknown activation id {act_id}")
+    if max(m, d, c) > 2 ** 24 or min(m, d, c) < 1:
+        raise CheckpointError(f"{f.name}: implausible dimensions m={m} d={d} c={c}")
+    size = _HEADER.size + 8 * 2 * (m * d + c * m) + _TRAILER.size
+    actual = os.fstat(f.fileno()).st_size
+    if actual != size:
+        raise CheckpointError(f"{f.name}: {actual} bytes, header gives {size}")
+    return CheckpointHeader(m, d, c, get_activation(ACTIVATION_BY_ID[act_id]),
+                            seed)
 
 
 def checkpoint_load(path):
+    """Checkpoint at path; each array is read straight into its own memory."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != _MAGIC:
-        raise CheckpointError("bad checkpoint magic")
-    off = 8
-    try:
-        version, m, d, c, act_id = struct.unpack_from("<5I", data, off)
-        off += 20
-        seed, = struct.unpack_from("<Q", data, off)
-        off += 8
-    except struct.error as exc:
-        raise CheckpointError(f"truncated header: {exc}") from None
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if act_id not in ACTIVATION_BY_ID:
-        raise CheckpointError(f"unknown activation id {act_id}")
-    if max(m, d, c) > 2 ** 24 or min(m, d, c) < 1:
-        raise CheckpointError(f"implausible dimensions m={m} d={d} c={c}")
-    shapes = [(m, d), (c, m), (m, d), (c, m)]
-    arrays = []
-    for shape in shapes:
-        count = shape[0] * shape[1]
-        end = off + 8 * count
-        if end > len(data):
-            raise CheckpointError("truncated array payload")
-        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=off)
-                      .reshape(shape).copy())
-        off = end
-    try:
-        epochs, = struct.unpack_from("<I", data, off)
-        off += 4
-        final_err, = struct.unpack_from("<d", data, off)
-        off += 8
-    except struct.error:
-        raise CheckpointError("truncated trailer") from None
-    if off != len(data):
-        raise CheckpointError("trailing bytes after checkpoint payload")
-    W, V, W0, V0 = arrays
-    params = SnnParams(W, V, get_activation(ACTIVATION_BY_ID[act_id]))
-    return Checkpoint(params, InitSnapshot(W0, V0), seed=seed, epochs=epochs,
-                      final_train_error=final_err)
+        h = checkpoint_header(f)
+        W, V, W0, V0 = [np.empty(shape, dtype="<f8")
+                        for shape in [(h.m, h.d), (h.c, h.m)] * 2]
+        for arr in (W, V, W0, V0):
+            f.readinto(arr)
+        epochs, final_err = _TRAILER.unpack(f.read(_TRAILER.size))
+    return Checkpoint(SnnParams(W, V, h.activation), InitSnapshot(W0, V0),
+                      seed=h.seed, epochs=epochs, final_train_error=final_err)

@@ -8,10 +8,11 @@ from snnbounds import (Dataset, RELU, TANH, SnnParams, all_bound_values,
                        cm_constant, cm_prime_constant, comparator_bound,
                        gen_bound_pn, gen_bound_spn, init_kaiming, make_rng,
                        measure_report, rad_lower, rad_upper_path)
-from snnbounds.bounds import (COMPARATOR_METHODS, ClassMeasures, class_bound_inputs,
+from snnbounds.bounds import (COMPARATORS, class_bound_inputs,
                               reported_rad_lower)
 from snnbounds.cli import _read_measures, _write_csv
-from snnbounds.measures import MEASURE_CSV_FIELDS, measure_row
+from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
+                                MeasureReport, measure_row)
 from conftest import random_unit_dataset
 
 
@@ -24,10 +25,10 @@ def _trained_like(seed=0, m=4, d=3, n=9):
 
 
 def test_cm_constant_default_sup_simplifies():
-    # with sup_kappa = R_W R_V the inner ratio is 2 sqrt(m)
-    for m in (4, 64):
-        R_W, R_V = 1.3, 0.7
-        got = cm_constant(m, R_W, R_V, R_W * R_V)
+    # at sup_kappa = R_W R_V the inner ratio is 2 sqrt(m)
+    for m in (1, 4, 64, 100):
+        got = cm_constant(m)
+        assert got == cm_prime_constant(m, 1.0, 1.0)
         shells = math.ceil(math.log2(2.0 * math.sqrt(m)))
         want = 2 * math.sqrt(2) * (1 + 1 / (2 * math.log(2 * m))) \
             * math.sqrt(math.log(2 * m * shells))
@@ -35,23 +36,7 @@ def test_cm_constant_default_sup_simplifies():
 
 
 def test_cm_constant_monotone_in_m():
-    assert cm_constant(64, 1.0, 1.0, 1.0) <= cm_constant(4096, 1.0, 1.0, 1.0)
-
-
-def test_cm_constant_monotone_in_rw():
-    base = cm_constant(8, 1.0, 1.0, 0.5)
-    assert cm_constant(8, 2.0, 1.0, 0.5) >= base
-
-
-def test_cm_constant_rejects_bad_sup():
-    with pytest.raises(ValueError):
-        cm_constant(4, 1.0, 1.0, 0.0)
-
-
-def test_cm_constant_degenerate_ratio_clamped():
-    # ratio below 1 must still give a positive finite constant
-    val = cm_constant(4, 0.01, 0.01, 10.0)
-    assert val > 0 and math.isfinite(val)
+    assert cm_constant(64) <= cm_constant(4096)
 
 
 def test_cm_prime_unit_radii_formula():
@@ -147,8 +132,8 @@ def test_class_bound_inputs_hold_only_rademacher_fields():
     # the model-level bounds have no model to read: an error, not zeros
     for bound in (lambda i: gen_bound_pn(i, 0.01),
                   lambda i: gen_bound_spn(i, 0.01),
-                  lambda i: comparator_bound(1, i),
-                  lambda i: comparator_bound(7, i)):
+                  lambda i: comparator_bound("vc_dim", i),
+                  lambda i: comparator_bound("relu_decomp", i)):
         with pytest.raises(AttributeError):
             bound(r)
 
@@ -239,26 +224,29 @@ def test_comparator_rows_recomputed():
             r.w0_spectral + r.R_W * (1.0 + r.w0_spectral * r.b_x))) * di,
         "adl": (r.w0_spectral * r.R_V + r.R_W * r.R_V) * di,
     }
-    for k, (name, data_dep, qualitative) in COMPARATOR_METHODS.items():
-        bv = comparator_bound(k, r)
+    assert list(COMPARATORS) == list(want)
+    for name, (data_dep, qualitative, _) in COMPARATORS.items():
+        bv = comparator_bound(name, r)
         assert bv.method == name
         assert bv.value == pytest.approx(want[name], rel=1e-12)
         assert bv.data_dependent == data_dep
         assert bv.qualitative == qualitative
-    assert comparator_bound(9, r).qualitative
-    with pytest.raises(ValueError):
-        comparator_bound(10, r)
+    assert comparator_bound("adl", r).qualitative
+    with pytest.raises(KeyError):
+        comparator_bound("nope", r)
 
 
 def test_comparator_rows_at_init():
     params, snap = init_kaiming(make_rng(11), 4, 3, 1)
     ds = random_unit_dataset(make_rng(12), 3, 8)
     r = measure_report(params, snap, ds)
-    # zero training distance: row 7 reduces to (w0_spectral R_V + sqrt(m)) X_fro/n
+    # zero training distance: relu_decomp reduces to
+    # (w0_spectral R_V + sqrt(m)) X_fro/n
     want7 = (r.w0_spectral * r.R_V + math.sqrt(4)) * r.X_fro / ds.n
-    assert comparator_bound(7, r).value == pytest.approx(want7, rel=1e-12)
+    assert comparator_bound("relu_decomp", r).value == pytest.approx(
+        want7, rel=1e-12)
     want9 = r.w0_spectral * r.R_V * r.b_x / math.sqrt(ds.n)
-    assert comparator_bound(9, r).value == pytest.approx(want9, rel=1e-12)
+    assert comparator_bound("adl", r).value == pytest.approx(want9, rel=1e-12)
 
 
 def test_all_bound_values_relu_full_set():
@@ -313,3 +301,44 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     got = all_bound_values(read_back, delta=0.05)
     assert [v.method for v in got] == [v.method for v in want]
     assert got == want
+
+
+# all_bound_values of two fixed reports at delta 0.01, as the reprs that
+# bounds.csv writes: the exact floating-point result of every bound
+_RELU_REPORT = dict(
+    m=64, kappa=3.7, kappa_s=12.5, R_W=2.3, R_V=1.1, w_fro=9.8, v_dist=0.4,
+    w0_spectral=3.1, w_spectral=3.4, v_spectral=1.1, w_dist_12=5.2,
+    v_dist_12=0.4, w_inf1=4.5, v_inf1=0.9, init_term=210.0, X_fro=54.7,
+    gram_spec_sqrt=33.3, b_x=1.0, d=1024, activation=0, n=3000, r0=1.2)
+_RELU_BOUNDS = {
+    "vc_dim": "4.673899157377417", "inf1_product": "0.073845",
+    "spn_radbound": "0.2282177322938192", "fro_product": "0.19655533333333336",
+    "spectral_12": "0.129092", "pacbayes": "0.39436024140371956",
+    "relu_decomp": "0.2541726666666667",
+    "lipschitz_smooth": "0.26989941891996233", "adl": "0.10844906638602289",
+    "pn_ours": "2.009027210254742", "spn_ours": "1.1105473443631442",
+    "rad_upper_path": "0.49124660818495564",
+    "rad_upper_frob": "0.49124660818495564", "rad_lower": "0.03112371745288158"}
+_TANH_REPORT = dict(
+    m=256, kappa=0.83, kappa_s=25.1, R_W=0.61, R_V=1.7, w_fro=16.3,
+    v_dist=0.09, w0_spectral=3.9, w_spectral=3.95, v_spectral=1.7,
+    w_dist_12=9.1, v_dist_12=0.09, w_inf1=6.2, v_inf1=0.31, init_term=771.5,
+    X_fro=54.7, gram_spec_sqrt=33.3, b_x=1.0, d=1024, activation=1, n=3000,
+    r0=1.31)
+_TANH_BOUNDS = {
+    "vc_dim": "9.347798314754835", "inf1_product": "0.03504446666666667",
+    "spn_radbound": "0.458261206445989", "fro_product": "0.5052456666666667",
+    "spectral_12": "0.2885516166666666", "pacbayes": "0.30941760144396",
+    "relu_decomp": "0.43152830000000003",
+    "lipschitz_smooth": "0.2320755248405139", "adl": "0.13997962827973695",
+    "pn_ours": "2.1559219095720223", "spn_ours": "2.0369379577484357",
+    "rad_upper_path": "0.6157940496581421",
+    "rad_upper_frob": "0.6157940496581421"}
+
+
+@pytest.mark.parametrize("report, want", [(_RELU_REPORT, _RELU_BOUNDS),
+                                          (_TANH_REPORT, _TANH_BOUNDS)],
+                         ids=["relu", "tanh"])
+def test_all_bound_values_pinned(report, want):
+    values = all_bound_values(MeasureReport(**report), delta=0.01)
+    assert {v.method: repr(v.value) for v in values} == want

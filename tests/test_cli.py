@@ -98,7 +98,7 @@ def test_exit_code_config_error(tmp_path):
     ("--batch-size", "0"), ("--momentum", "1.5"), ("--momentum", "-0.1"),
     ("--learning-rate", "-1"), ("--max-epochs", "-1"), ("--subsample", "-1"),
     ("--widths", "0,4"), ("--seeds", "-1"), ("--widths", "4,x"),
-    ("--seeds", "1,,x"),
+    ("--seeds", "1,,x"), ("--seeds", "0,0"),
 ])
 def test_exit_code_bad_training_flag(tmp_path, flag, value):
     # rejected before the dataset is read: a missing directory would give 3
@@ -689,7 +689,8 @@ def test_bounds_and_figure_exit_3_on_measures_with_c_column(
 def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
                                                  monkeypatch, capsys):
     # every stage after the checkpoint takes a binary head, so measure
-    # refuses a c = 2 checkpoint, naming it, before it measures anything
+    # refuses a c = 2 checkpoint, naming it, from the headers alone: before
+    # it prepares the data or measures anything
     out = str(tmp_path / "run")
     assert _run(["train"] + _base_args(mnist_dir, out)) == 0
     path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
@@ -699,6 +700,8 @@ def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
                                final_train_error=0.0), path)
     monkeypatch.setattr(cli_mod, "measure_report",
                         lambda *a: pytest.fail("measured a c = 2 checkpoint"))
+    monkeypatch.setattr(cli_mod, "load_task_dataset",
+                        lambda *a: pytest.fail("prepared the data first"))
     capsys.readouterr()
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     err = capsys.readouterr().err

@@ -5,10 +5,10 @@ import os
 
 import pytest
 
-from snnbounds.bounds import ClassMeasures, all_bound_values, rad_upper_path
+from snnbounds.bounds import all_bound_values, rad_upper_path
 from snnbounds.figures import (FIG3_METHODS, FIGURE_KINDS, FigureError,
                                figure_series, render_svg, write_figure_csv)
-from snnbounds.measures import MeasureReport
+from snnbounds.measures import ClassMeasures, MeasureReport
 
 
 def _report(m, kappa, kappa_s, n=16):

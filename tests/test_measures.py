@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -14,8 +15,8 @@ from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
 from snnbounds.linalg import COLUMN_BLOCK
 from snnbounds.cli import _read_measures, _write_csv
-from snnbounds.measures import (MEASURE_CSV_FIELDS, MeasureReport,
-                                measure_row, report_from_row)
+from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
+                                MeasureReport, measure_row, report_from_row)
 from conftest import random_unit_dataset
 
 
@@ -253,3 +254,18 @@ def test_data_stats_computed_once_per_dataset(monkeypatch):
         assert (rep.X_fro, rep.gram_spec_sqrt, rep.b_x) == want
     class_bound_inputs(ds, np.asarray(snap.W0), RELU, R_W=1.0, R_V=1.0)
     assert calls == [ds.X.shape]
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
+def test_measure_report_class_fields_are_class_bound_inputs(act):
+    """A report's class fields are class_bound_inputs' at its radii, bit for
+    bit, so the Rademacher rows of a network and of its class agree."""
+    activation = get_activation(act)
+    params, snap = init_kaiming(make_rng(30), 5, 3, 1, activation)
+    params.W = params.W + 0.3 * make_rng(31).standard_normal(params.W.shape)
+    ds = random_unit_dataset(make_rng(32), 3, 9)
+    rep = measure_report(params, snap, ds)
+    cls = class_bound_inputs(ds, np.asarray(snap.W0), activation,
+                             rep.R_W, rep.R_V)
+    for f in dataclasses.fields(ClassMeasures):
+        assert repr(getattr(rep, f.name)) == repr(getattr(cls, f.name)), f.name

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from snnbounds import (ACTIVATIONS, RELU, SIGMOID, TANH, Checkpoint,
                        InitSnapshot, SnnParams, checkpoint_load,
                        checkpoint_save, forward, get_activation, init_kaiming,
                        make_rng)
-from snnbounds.model import CheckpointError
+from snnbounds.model import CheckpointError, checkpoint_header
 
 
 def test_relu_values():
@@ -175,3 +176,28 @@ def test_checkpoint_bad_version(tmp_path):
         f.write(bytes(blob))
     with pytest.raises(CheckpointError):
         checkpoint_load(full)
+
+
+def test_checkpoint_header_reads_the_header_only(tmp_path):
+    path = os.path.join(tmp_path, "a.snn")
+    checkpoint_save(_random_checkpoint(seed=3, m=5, d=2, c=2), path)
+    with open(path, "rb") as f:
+        header = checkpoint_header(f)
+        assert f.tell() == 36  # left at the first array
+    assert (header.m, header.d, header.c, header.seed) == (5, 2, 2, 3)
+    assert header.activation is TANH
+
+
+def test_checkpoint_load_peak_memory_is_one_copy(tmp_path):
+    # each array is read straight into its own memory, with no buffer of
+    # the whole file besides
+    params, snap = init_kaiming(make_rng(0), 256, 256, 1)
+    path = os.path.join(tmp_path, "big.snn")
+    checkpoint_save(Checkpoint(params, snap), path)
+    tracemalloc.start()
+    try:
+        checkpoint_load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * os.path.getsize(path)
