@@ -17,6 +17,7 @@ the (.+1)(.+2) factors come from.  Both share one data term, _data_term.
 Nine comparator bounds from the literature, one COMPARATORS entry each, are
 evaluated on the same measures; data-dependent ones carry a factor
 ||X||_F / n, data-independent ones a factor max_i ||x_i||_2 / sqrt(n).
+A one-row V has spectral norm R_V and (1,2) distance v_dist from V0.
 """
 
 import math
@@ -141,10 +142,10 @@ COMPARATORS = {
     "inf1_product": (True, False, lambda r: r.w_inf1 * r.v_inf1),
     "spn_radbound": (False, False, lambda r: r.kappa_s),
     "fro_product": (True, False, lambda r: r.w_fro * r.R_V),
-    "spectral_12": (True, False, lambda r: r.w_spectral * r.v_dist_12
-                    + r.w_dist_12 * r.v_spectral),
+    "spectral_12": (True, False, lambda r: r.w_spectral * r.v_dist
+                    + r.w_dist_12 * r.R_V),
     "pacbayes": (False, False, lambda r: r.w_spectral * r.v_dist
-                 + math.sqrt(r.m) * r.R_W * r.v_spectral),
+                 + math.sqrt(r.m) * r.R_W * r.R_V),
     "relu_decomp": (True, False, lambda r: r.w0_spectral * r.R_V
                     + r.R_W * r.R_V + math.sqrt(r.m)),
     "lipschitz_smooth": (False, False, lambda r: 1.0 / r.b_x + r.R_V * (

@@ -115,15 +115,18 @@ class ExperimentConfig:
 def parse_config_file(path):
     """Flat key=value file; blank lines and '#' comments ignored."""
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value")
+                key, _, val = line.partition("=")
+                values[key.strip()] = val.strip()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
     return values
 
 
@@ -174,8 +177,11 @@ def _read_measures(out):
     path = os.path.join(out, "measures.csv")
     if not os.path.exists(path):
         raise data_mod.DataError(f"{path} not found; run `snnbounds measure` first")
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            rows = list(csv.DictReader(f))
+        except UnicodeDecodeError:
+            raise data_mod.DataError(f"{path} is not UTF-8 text") from None
     if not rows:
         raise data_mod.DataError(f"no rows found in {path}")
     return [(row, report_from_row(row)) for row in rows]
@@ -245,8 +251,13 @@ def _check_manifest(cfg, ds):
     path = os.path.join(cfg.out, "manifest.json")
     if not os.path.exists(path):
         return
-    with open(path) as f:
-        manifest = json.load(f)
+    with open(path, encoding="utf-8") as f:
+        try:
+            manifest = json.load(f)
+        except ValueError:  # not JSON, or not UTF-8
+            manifest = None
+    if not isinstance(manifest, dict):
+        raise data_mod.DataError(f"{path} is not a JSON object")
     for key, value in (("n", ds.n), ("d", ds.d),
                        ("data_fingerprint", ds.fingerprint)):
         if manifest.get(key) != value:
@@ -310,18 +321,16 @@ def cmd_figure(cfg):
 
 def cmd_rad(args):
     """Tiny-instance Rademacher probe: MC feasible estimate vs. the bounds."""
-    n, d, m = args.n, args.d, args.m
-    R_W, R_V = args.rw, args.rv
+    n, d, m, R_W, R_V = args.n, args.d, args.m, args.rw, args.rv
     if min(n, d, m) < 1:
         raise ConfigError("n, d and m must be >= 1")
-    if min(R_W, R_V) < 0:
-        raise ConfigError("radii must be >= 0")
+    if not all(0.0 <= r < np.inf for r in (R_W, R_V)):
+        raise ConfigError("radii must be finite and >= 0")
     act = get_activation(args.activation)
     rng = make_rng(args.seed)
     X = rng.standard_normal((d, n))
     X /= np.linalg.norm(X, axis=0)
-    _, snapshot = init_kaiming(rng, m, d, 1, act)
-    W0 = np.asarray(snapshot.W0)
+    W0 = init_kaiming(rng, m, d, 1, act)[1].W0
     ds = data_mod.Dataset(X, np.ones(n), name="rad_probe")
     try:  # RadConfig's counts and mc_rad_estimate's SCALE_GUARD
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})

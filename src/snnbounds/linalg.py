@@ -59,13 +59,6 @@ def pq_norm(M, p, q):
     return float(np.linalg.norm(col_norms, ord=q))
 
 
-def row_l2_norms(M):
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("empty matrix")
-    return np.linalg.norm(M, axis=1)
-
-
 def spectral_norm(M):
     """Largest singular value of M from one dense eigensolve of the smaller
     Gram matrix, M M^T or M^T M.

@@ -6,7 +6,7 @@ path-norm, Frobenius/spectral norms of weights and their distances from
 initialization, and the activation-at-initialization term.  A report also
 carries every data statistic the bounds need and the network's width, input
 dimension and activation, so the bounds are a function of one measures.csv
-row.  Its class fields are those of a ClassMeasures.
+row.  A MeasureReport extends the ClassMeasures of the network's class.
 """
 
 from dataclasses import dataclass, fields
@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import DataError
 from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
-                     row_l2_norms, spectral_norm)
+                     spectral_norm)
 from .model import ACTIVATION_BY_ID, ACTIVATION_IDS
 
 
@@ -31,7 +31,7 @@ def standard_path_norm(params):
     """kappa_s = sum_j |v_j| * ||w_j||_2 (binary head only)."""
     if params.c != 1:
         raise ValueError("standard path-norm is defined here for c = 1")
-    return float(np.abs(params.V[0]) @ row_l2_norms(params.W))
+    return float(np.abs(params.V[0]) @ np.linalg.norm(params.W, axis=1))
 
 
 def init_activation_term(W0, X, activation):
@@ -47,61 +47,42 @@ def init_activation_term(W0, X, activation):
     return float(np.sqrt(total))
 
 
-def check_sizes(record):
-    """ValueError unless a measures record's n and m are both >= 1."""
-    for name in ("n", "m"):
-        if getattr(record, name) < 1:
-            raise ValueError(f"{name} = {getattr(record, name)} must be >= 1")
-
-
 @dataclass
-class MeasureReport:
-    m: int                # hidden width
-    kappa: float
-    kappa_s: float
-    R_W: float            # ||W - W0||_F
-    R_V: float            # ||V||_F
-    w_fro: float          # ||W||_F (full norm, for the Frobenius-product bound)
-    v_dist: float         # ||V - V0||_F
-    w0_spectral: float
-    w_spectral: float
-    v_spectral: float
-    w_dist_12: float      # ||W - W0||_{1,2}
-    v_dist_12: float      # ||V - V0||_{1,2}
-    w_inf1: float
-    v_inf1: float
-    init_term: float      # (sum gamma^2(x^T w0))^(1/2)
+class ClassMeasures:
+    """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
+    ||V||_F <= R_V}: the class fields of a MeasureReport."""
+    m: int                 # hidden width
+    activation: int        # model.ACTIVATION_IDS id
+    R_W: float             # ||W - W0||_F
+    R_V: float             # ||V||_F
+    init_term: float       # (sum gamma^2(x^T w0))^(1/2)
     X_fro: float
     gram_spec_sqrt: float  # ||sum x_i x_i^T||_sigma^(1/2) = sigma_max(X)
-    b_x: float             # max_i ||x_i||_2
-    d: int                 # input dimension
-    activation: int        # model.ACTIVATION_IDS id
     n: int                 # number of examples
     r0: float              # min_j ||w_j0||_2
 
     def __post_init__(self):
-        check_sizes(self)
-
-
-MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport)]
+        for name in ("n", "m"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)} must be >= 1")
 
 
 @dataclass
-class ClassMeasures:
-    """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
-    ||V||_F <= R_V}; field meanings as in MeasureReport."""
-    m: int
-    activation: int
-    R_W: float
-    R_V: float
-    init_term: float
-    X_fro: float
-    gram_spec_sqrt: float
-    n: int
-    r0: float
+class MeasureReport(ClassMeasures):
+    kappa: float
+    kappa_s: float
+    w_fro: float           # ||W||_F (full norm, for the Frobenius-product bound)
+    v_dist: float          # ||V - V0||_F
+    w0_spectral: float
+    w_spectral: float
+    w_dist_12: float       # ||W - W0||_{1,2}
+    w_inf1: float
+    v_inf1: float
+    b_x: float             # max_i ||x_i||_2
+    d: int                 # input dimension
 
-    def __post_init__(self):
-        check_sizes(self)
+
+MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport)]
 
 
 def class_bound_inputs(ds, W0, activation, R_W, R_V):
@@ -124,24 +105,20 @@ def measure_report(params, snapshot, ds):
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
         raise ValueError("params/snapshot shape mismatch")
     dW = params.W - snapshot.W0
-    dV = params.V - snapshot.V0
-    cls = class_bound_inputs(ds, snapshot.W0, params.activation,
-                             frobenius_norm(dW), frobenius_norm(params.V))
     return MeasureReport(
+        **vars(class_bound_inputs(ds, snapshot.W0, params.activation,
+                                  frobenius_norm(dW), frobenius_norm(params.V))),
         kappa=path_norm(params, snapshot),
         kappa_s=standard_path_norm(params),
         w_fro=frobenius_norm(params.W),
-        v_dist=frobenius_norm(dV),
+        v_dist=frobenius_norm(params.V - snapshot.V0),
         w0_spectral=spectral_norm(snapshot.W0),
         w_spectral=spectral_norm(params.W),
-        v_spectral=spectral_norm(params.V),
         w_dist_12=pq_norm(dW, 1, 2),
-        v_dist_12=pq_norm(dV, 1, 2),
         w_inf1=pq_norm(params.W, np.inf, 1),
         v_inf1=pq_norm(params.V, np.inf, 1),
         b_x=ds.stats.b_x,
         d=params.d,
-        **vars(cls),
     )
 
 
@@ -157,10 +134,10 @@ def report_from_row(row):
 
     Values are parsed with their field's type, so the repr-written floats
     read back exactly.  DataError for columns other than MEASURE_CSV_FIELDS
-    (a file written by another version, such as one that gave the head size
-    c a column; the extra columns are named with their values) or a short
-    row, and, naming the column, for values no network gives (n, m or d < 1,
-    a norm that is negative, NaN or infinite, b_x = 0).
+    (a file written by another version, such as one with a c, v_spectral or
+    v_dist_12 column; the extra columns are named with their values) or a
+    short row, and, naming the column, for values no network gives (n, m or
+    d < 1, a norm that is negative, NaN or infinite, b_x = 0).
     """
     if list(row) != MEASURE_CSV_FIELDS or None in row.values():
         extra = ", ".join(f"{k} = {row[k]}" for k in row

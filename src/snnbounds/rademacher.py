@@ -206,15 +206,11 @@ def khintchine_sandwich_check(X, samples=1000, rng=None):
     upper = rss
     if n <= 10:
         sigmas = enumerate_signs(n)
-        norms = np.linalg.norm(X @ sigmas.T, axis=0)
-        mean = float(np.mean(norms))
-        se = 0.0
     else:
-        rng = rng or fork_rng(0, 3)
-        sigmas = sample_signs(rng, samples, n)
-        norms = np.linalg.norm(X @ sigmas.T, axis=0)
-        mean = float(np.mean(norms))
-        se = float(np.std(norms, ddof=1) / math.sqrt(samples))
+        sigmas = sample_signs(rng or fork_rng(0, 3), samples, n)
+    norms = np.linalg.norm(X @ sigmas.T, axis=0)
+    mean = float(np.mean(norms))
+    se = 0.0 if n <= 10 else float(np.std(norms, ddof=1) / math.sqrt(samples))
     if not (lower - 3 * se - 1e-12 <= mean <= upper + 3 * se + 1e-12):
         raise AssertionError(
             f"Khintchine sandwich violated: {lower} <= {mean} <= {upper}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import COLUMN_BLOCK, column_blocks, fork_rng
-from .model import forward
+from .model import SIGMOID, forward
 
 
 @dataclass
@@ -29,8 +29,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not np.isfinite(self.target_train_error):
+            raise ValueError("target_train_error must be finite")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
 
@@ -61,9 +63,7 @@ def bce_logits(score, y01):
     s = np.asarray(score, dtype=float)
     y = np.asarray(y01, dtype=float)
     loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    # grad = sigmoid(s) - y, evaluated stably
-    grad = np.where(s >= 0, 1.0 / (1.0 + np.exp(-np.clip(s, 0, None))),
-                    np.exp(np.clip(s, None, 0)) / (1.0 + np.exp(np.clip(s, None, 0)))) - y
+    grad = SIGMOID.fn(s) - y
     if np.isscalar(score):
         return float(loss), float(grad)
     return loss, grad

@@ -204,20 +204,24 @@ def test_gen_bound_spn_compositional():
 
 
 def test_comparator_rows_recomputed():
-    """Each comparator row re-derived from the report fields, 1e-12."""
+    """Each comparator row re-derived from the report fields, 1e-12; the
+    norms of V that no field holds are taken from the parameters."""
     params, snap, ds, r = _trained_like(seed=10)
     n, m, d = ds.n, params.m, ds.d
     dd = r.X_fro / n
     di = r.b_x / math.sqrt(n)
+    v_spectral = np.linalg.svd(params.V, compute_uv=False)[0]
+    # ||V - V0||_{1,2}: the l2 norm of the columnwise l1 norms
+    v_dist_12 = np.linalg.norm(np.abs(params.V - snap.V0).sum(axis=0))
     want = {
         "vc_dim": math.sqrt(d * m) * di,
         "inf1_product": r.w_inf1 * r.v_inf1 * dd,
         "spn_radbound": r.kappa_s * di,
         "fro_product": r.w_fro * r.R_V * dd,
-        "spectral_12": (r.w_spectral * r.v_dist_12
-                        + r.w_dist_12 * r.v_spectral) * dd,
+        "spectral_12": (r.w_spectral * v_dist_12
+                        + r.w_dist_12 * v_spectral) * dd,
         "pacbayes": (r.w_spectral * r.v_dist
-                     + math.sqrt(m) * r.R_W * r.v_spectral) * di,
+                     + math.sqrt(m) * r.R_W * v_spectral) * di,
         "relu_decomp": (r.w0_spectral * r.R_V + r.R_W * r.R_V
                         + math.sqrt(m)) * dd,
         "lipschitz_smooth": (1.0 / r.b_x + r.R_V * (
@@ -307,8 +311,8 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
 # bounds.csv writes: the exact floating-point result of every bound
 _RELU_REPORT = dict(
     m=64, kappa=3.7, kappa_s=12.5, R_W=2.3, R_V=1.1, w_fro=9.8, v_dist=0.4,
-    w0_spectral=3.1, w_spectral=3.4, v_spectral=1.1, w_dist_12=5.2,
-    v_dist_12=0.4, w_inf1=4.5, v_inf1=0.9, init_term=210.0, X_fro=54.7,
+    w0_spectral=3.1, w_spectral=3.4, w_dist_12=5.2,
+    w_inf1=4.5, v_inf1=0.9, init_term=210.0, X_fro=54.7,
     gram_spec_sqrt=33.3, b_x=1.0, d=1024, activation=0, n=3000, r0=1.2)
 _RELU_BOUNDS = {
     "vc_dim": "4.673899157377417", "inf1_product": "0.073845",
@@ -321,8 +325,8 @@ _RELU_BOUNDS = {
     "rad_upper_frob": "0.49124660818495564", "rad_lower": "0.03112371745288158"}
 _TANH_REPORT = dict(
     m=256, kappa=0.83, kappa_s=25.1, R_W=0.61, R_V=1.7, w_fro=16.3,
-    v_dist=0.09, w0_spectral=3.9, w_spectral=3.95, v_spectral=1.7,
-    w_dist_12=9.1, v_dist_12=0.09, w_inf1=6.2, v_inf1=0.31, init_term=771.5,
+    v_dist=0.09, w0_spectral=3.9, w_spectral=3.95,
+    w_dist_12=9.1, w_inf1=6.2, v_inf1=0.31, init_term=771.5,
     X_fro=54.7, gram_spec_sqrt=33.3, b_x=1.0, d=1024, activation=1, n=3000,
     r0=1.31)
 _TANH_BOUNDS = {

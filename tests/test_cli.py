@@ -96,7 +96,9 @@ def test_exit_code_config_error(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--batch-size", "0"), ("--momentum", "1.5"), ("--momentum", "-0.1"),
-    ("--learning-rate", "-1"), ("--max-epochs", "-1"), ("--subsample", "-1"),
+    ("--learning-rate", "-1"), ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"), ("--target-train-error", "nan"),
+    ("--max-epochs", "-1"), ("--subsample", "-1"),
     ("--widths", "0,4"), ("--seeds", "-1"), ("--widths", "4,x"),
     ("--seeds", "1,,x"), ("--seeds", "0,0"),
 ])
@@ -124,6 +126,17 @@ def test_exit_code_bad_config_file_value(tmp_path, capsys):
         assert not os.path.exists(out), line
     assert capsys.readouterr().err.endswith(
         "config error: unknown config key(s) batchsize\n")
+
+
+def test_exit_code_config_file_not_utf8(tmp_path, capsys):
+    path = os.path.join(tmp_path, "exp.cfg")
+    with open(path, "wb") as f:
+        f.write(b"batch_size=\xff\n")
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--config", path, "--out", out, "--mnist-dir",
+                 os.path.join(tmp_path, "nope")]) == 2
+    assert capsys.readouterr().err == f"config error: {path} is not UTF-8 text\n"
+    assert not os.path.exists(out)
 
 
 EXPERIMENT_SURFACE = [
@@ -456,6 +469,22 @@ def test_measure_exit_2_on_manifest_of_other_data(tmp_path, mnist_dir, capsys):
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 
+@pytest.mark.parametrize("content", [b'{"n": 300, "d"', b"[]", b"\xff"],
+                         ids=["cut-short", "not-an-object", "not-utf8"])
+def test_measure_exit_3_on_damaged_manifest(tmp_path, mnist_dir, capsys,
+                                            content):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "manifest.json")
+    with open(path, "wb") as f:
+        f.write(content)
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path} is not a JSON object\n")
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
 def test_rad_subcommand(tmp_path):
     out_csv = os.path.join(tmp_path, "rad.csv")
     rc = _run(["rad", "--n", "6", "--d", "3", "--m", "3", "--rw", "1.5",
@@ -511,7 +540,10 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
     ["--n", "100", "--d", "100", "--m", "100"],
     ["--n", "0"],
     ["--rw", "-1"],
-], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius"])
+    ["--rw", "nan"],
+    ["--rv", "inf"],
+], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius",
+        "nan-radius", "infinite-radius"])
 def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
@@ -602,9 +634,12 @@ def _old_schema_run(measured_run, tmp_path):
     out = _copy_run(measured_run, tmp_path)
     path = os.path.join(out, "measures.csv")
     with open(path, newline="") as f:
-        rows = [r[:-2] for r in csv.reader(f)]
+        rows = list(csv.DictReader(f))
+    header = [k for k in rows[0] if k not in ("n", "r0")]
     with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(rows)
+        writer = csv.DictWriter(f, fieldnames=header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
     return out
 
 
@@ -620,6 +655,20 @@ def test_figure_exit_3_on_old_measures_schema(tmp_path, measured_run, capsys):
     assert _run(["figure", "--out", out]) == 3
     assert "rerun `snnbounds measure`" in capsys.readouterr().err
     assert not [name for name in os.listdir(out) if name.startswith("fig")]
+
+
+def test_bounds_and_figure_exit_3_on_measures_csv_not_utf8(
+        tmp_path, measured_run, capsys):
+    out = _copy_run(measured_run, tmp_path)
+    path = os.path.join(out, "measures.csv")
+    with open(path, "ab") as f:
+        f.write(b"mnist_1v7,\xff\n")
+    for command in ("bounds", "figure"):
+        assert _run([command, "--out", out]) == 3, command
+        assert capsys.readouterr().err == (
+            f"data error: {path} is not UTF-8 text\n")
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("bounds", "fig"))]
 
 
 def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,

@@ -15,8 +15,8 @@ def _report(m, kappa, kappa_s, n=16):
     """A MeasureReport of a ReLU network of width m with norms of order 1."""
     return MeasureReport(
         m=m, kappa=kappa, kappa_s=kappa_s, R_W=0.5, R_V=1.5, w_fro=2.5,
-        v_dist=1.4, w0_spectral=1.2, w_spectral=1.3, v_spectral=1.5,
-        w_dist_12=0.7, v_dist_12=1.6, w_inf1=3.0, v_inf1=2.0, init_term=2.0,
+        v_dist=1.4, w0_spectral=1.2, w_spectral=1.3,
+        w_dist_12=0.7, w_inf1=3.0, v_inf1=2.0, init_term=2.0,
         X_fro=math.sqrt(n), gram_spec_sqrt=1.1, b_x=1.0, d=8,
         activation=0, n=n, r0=0.9)
 

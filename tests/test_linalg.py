@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snnbounds import (fork_rng, frobenius_norm, make_rng, pq_norm,
-                       row_l2_norms, sample_signs, spectral_norm)
+                       sample_signs, spectral_norm)
 
 
 def test_frobenius_zero_matrix():
@@ -84,12 +84,6 @@ def test_spectral_float_coercion():
     assert type(spectral_norm(np.eye(2))) is float
     assert type(spectral_norm(np.array([[3, 4]]))) is float
     assert spectral_norm(np.array([[3, 4]])) == pytest.approx(5.0, rel=1e-12)
-
-
-def test_row_norms():
-    assert np.allclose(row_l2_norms(np.eye(3)), [1, 1, 1])
-    assert row_l2_norms(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
-    assert np.all(row_l2_norms(np.zeros((2, 2))) == 0.0)
 
 
 def test_sample_signs_deterministic_and_valid():

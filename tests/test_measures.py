@@ -173,7 +173,12 @@ def test_report_carries_n_and_r0():
     rep = measure_report(params, snap, ds)
     assert rep.n == ds.n and isinstance(rep.n, int)
     assert rep.r0 == float(np.min(np.linalg.norm(snap.W0, axis=1)))
-    assert MEASURE_CSV_FIELDS[-2:] == ["n", "r0"]
+    # the class fields, n and r0 among them, then the network's own
+    assert MEASURE_CSV_FIELDS == [
+        "dataset", "seed", "m", "activation", "R_W", "R_V", "init_term",
+        "X_fro", "gram_spec_sqrt", "n", "r0", "kappa", "kappa_s", "w_fro",
+        "v_dist", "w0_spectral", "w_spectral", "w_dist_12", "w_inf1",
+        "v_inf1", "b_x", "d"]
 
 
 def test_report_from_row_roundtrip(tmp_path):
@@ -206,6 +211,20 @@ def test_report_from_row_rejects_old_schema():
             report_from_row(old)
     with pytest.raises(DataError):
         report_from_row({**row, "n": "x"})
+
+
+def test_report_from_row_rejects_v_spectral_and_v_dist_12_columns():
+    # a file of the earlier schema, whose binary-head columns v_spectral and
+    # v_dist_12 repeated R_V and v_dist, is refused naming them
+    params, snap = _params_snap(seed=18)
+    ds = random_unit_dataset(make_rng(19), 3, 6)
+    row = dict(zip(MEASURE_CSV_FIELDS,
+                   measure_row(measure_report(params, snap, ds), "s", 0)))
+    old = {**row, "v_spectral": row["R_V"], "v_dist_12": row["v_dist"]}
+    with pytest.raises(DataError, match="rerun `snnbounds measure`") as exc:
+        report_from_row(old)
+    assert f"v_spectral = {row['R_V']}, v_dist_12 = {row['v_dist']}" in str(
+        exc.value)
 
 
 @pytest.mark.parametrize("value,match", [
@@ -265,6 +284,7 @@ def test_measure_report_class_fields_are_class_bound_inputs(act):
     params.W = params.W + 0.3 * make_rng(31).standard_normal(params.W.shape)
     ds = random_unit_dataset(make_rng(32), 3, 9)
     rep = measure_report(params, snap, ds)
+    assert isinstance(rep, ClassMeasures)
     cls = class_bound_inputs(ds, np.asarray(snap.W0), activation,
                              rep.R_W, rep.R_V)
     for f in dataclasses.fields(ClassMeasures):
