@@ -30,7 +30,7 @@ X /= np.linalg.norm(X, axis=0)
 _, snap = init_kaiming(rng, m, d, 1)
 W0 = np.asarray(snap.W0)
 r0 = float(np.min(np.linalg.norm(W0, axis=1)))
-R_W = r0 + 0.5  # the lower bound needs R_W >= min_j ||w_j0||
+R_W = r0 + 0.5  # R_W >= min_j ||w_j0||: both terms of the lower bound apply
 
 est = mc_rad_estimate(X, W0, R_W, R_V, RELU,
                       cfg=RadConfig(pga_steps=200, pga_restarts=5, seed=0))
@@ -38,9 +38,9 @@ ds = Dataset(X, np.ones(n))
 inputs = class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V)
 
 print(f"instance: n={n} d={d} m={m}  R_W={R_W:.3f} R_V={R_V}")
-print(f"lower bound (theory)     {rad_lower(inputs, r0):.6f}")
+print(f"lower bound (theory)     {rad_lower(inputs):.6f}")
 print(f"MC estimate (exhaustive) {est.mean:.6f}  +- {est.std_error:.6f}")
 print(f"upper bound (path-norm)  {rad_upper_path(inputs):.6f}")
-assert rad_lower(inputs, r0) <= rad_upper_path(inputs)
+assert rad_lower(inputs) <= rad_upper_path(inputs)
 assert est.mean <= rad_upper_path(inputs)
 print("sandwich holds")

@@ -88,26 +88,21 @@ def rad_upper_path(r):
     return term_init + _data_term(r, sup, cm_constant(r.m))
 
 
-def rad_lower(r, r0):
-    """Lower bound for ReLU, with r0 = min_j ||w_j0||_2.
+def rad_lower(r):
+    """Lower bound for ReLU, else None, with r0 = min(min_j ||w_j0||_2, R_W).
 
     (R_W - r0) R_V / (4 sqrt(2) n) * (sum ||x_i||^2)^(1/2)
       + R_V / (2 sqrt(2) n) * (sum_i sum_j gamma^2(x_i^T w_j0))^(1/2)
+
+    If R_W < min_j ||w_j0||_2 the linear-class term does not apply; the
+    top-layer term alone, the bound at r0 := R_W, is still a lower bound.
     """
-    if r.R_W < r0:
-        raise ValueError(f"R_W={r.R_W} < r0={r0}")
+    if ACTIVATION_BY_ID[r.activation] != "relu":
+        return None
+    r0 = min(r.r0, r.R_W)
     first = (r.R_W - r0) * r.R_V / (4.0 * math.sqrt(2.0) * r.n) * r.X_fro
     second = r.R_V / (2.0 * math.sqrt(2.0) * r.n) * r.init_term
     return first + second
-
-
-def reported_rad_lower(r):
-    """rad_lower as reported: for ReLU, else None.  If R_W < r0 the
-    linear-class term does not apply; the top-layer term alone is still a
-    valid lower bound, obtained with r0 := R_W."""
-    if ACTIVATION_BY_ID[r.activation] != "relu":
-        return None
-    return rad_lower(r, min(r.r0, r.R_W))
 
 
 def gen_bound_pn(r, delta):
@@ -171,14 +166,13 @@ def all_bound_values(report, delta=0.01):
 
     ``report`` is the model's MeasureReport (in memory or read back from
     measures.csv).  rad_upper_frob is rad_upper_path (see the module
-    docstring); rad_lower is reported only where reported_rad_lower gives
-    one (ReLU).
+    docstring); rad_lower is reported only where it gives one (ReLU).
     """
     upper = rad_upper_path(report)
     values = [comparator_bound(name, report) for name in COMPARATORS]
     ours = {"pn_ours": gen_bound_pn(report, delta),
             "spn_ours": gen_bound_spn(report, delta),
             "rad_upper_path": upper, "rad_upper_frob": upper,
-            "rad_lower": reported_rad_lower(report)}
+            "rad_lower": rad_lower(report)}
     return values + [BoundValue(name, value, data_dependent=True)
                      for name, value in ours.items() if value is not None]

@@ -58,9 +58,11 @@ _INT_LIST = {"type": _int_list}
 
 
 @dataclass
-class ExperimentConfig:
-    """Every experiment knob; flags and config-file keys derive from the
-    fields, whose metadata may give a parser (``type``) and ``choices``."""
+class ExperimentConfig(TrainConfig):
+    """Every experiment knob: the training knobs of TrainConfig, then the
+    experiment's own.  Flags and config-file keys derive from the fields,
+    whose metadata may give a parser (``type``) and ``choices``."""
+    max_epochs: int = 0  # 0 = source default (20 MNIST / 50 CIFAR)
     dataset: str = field(default="mnist",
                          metadata={"choices": tuple(DEFAULT_TASKS)})
     mnist_dir: str = ""
@@ -70,11 +72,6 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4], metadata=_INT_LIST)
     delta: float = 0.01
     subsample: int = 0  # 0 = full dataset
-    batch_size: int = 256
-    momentum: float = 0.9
-    learning_rate: float = 0.001
-    max_epochs: int = 0  # 0 = source default (20 MNIST / 50 CIFAR)
-    target_train_error: float = 0.1
     activation: str = field(default="relu",
                             metadata={"choices": tuple(ACTIVATIONS)})
 
@@ -97,19 +94,11 @@ class ExperimentConfig:
         if self.subsample < 0:
             raise ConfigError("subsample must be >= 0 (0 = full dataset)")
         try:
-            self.train_config(seed=0)  # TrainConfig checks the training knobs
+            super().__post_init__()  # TrainConfig checks the training knobs
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.max_epochs == 0:
             self.max_epochs = 20 if self.dataset == "mnist" else 50
-
-    def train_config(self, seed):
-        """Trainer settings for one training seed of this experiment."""
-        return TrainConfig(batch_size=self.batch_size, momentum=self.momentum,
-                           learning_rate=self.learning_rate,
-                           max_epochs=self.max_epochs,
-                           target_train_error=self.target_train_error,
-                           seed=seed)
 
 
 def parse_config_file(path):
@@ -127,6 +116,8 @@ def parse_config_file(path):
                 values[key.strip()] = val.strip()
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     return values
 
 
@@ -216,7 +207,7 @@ def cmd_train(cfg, ds):
             params, snapshot = init_kaiming(
                 fork_rng(seed, m), m, ds.d, 1, get_activation(cfg.activation))
             try:
-                report = sgd_train(params, snapshot, ds, cfg.train_config(seed))
+                report = sgd_train(params, snapshot, ds, cfg, seed)
             except TrainingDiverged as exc:
                 failures.append({"seed": seed, "m": m, "error": str(exc)})
                 with suppress(FileNotFoundError):  # lest measure take the old one
@@ -245,26 +236,20 @@ def cmd_train(cfg, ds):
     return 0
 
 
-def _check_manifest(cfg, ds):
-    """ConfigError if --out holds a manifest.json of a run on other data
-    than ds; checkpoints without a manifest are taken as they are."""
-    path = os.path.join(cfg.out, "manifest.json")
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as f:
-        try:
+def _read_manifest(out):
+    """The manifest.json of --out, None if there is none (checkpoints of
+    other code are measured as they are); DataError if not a JSON object."""
+    path = os.path.join(out, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as f:
             manifest = json.load(f)
-        except ValueError:  # not JSON, or not UTF-8
-            manifest = None
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):  # a directory, not JSON, or not UTF-8
+        manifest = None
     if not isinstance(manifest, dict):
         raise data_mod.DataError(f"{path} is not a JSON object")
-    for key, value in (("n", ds.n), ("d", ds.d),
-                       ("data_fingerprint", ds.fingerprint)):
-        if manifest.get(key) != value:
-            raise ConfigError(
-                f"{path} gives {key} {manifest.get(key)!r} but the loaded "
-                f"data has {value!r}; measure with the data and --subsample "
-                "that `snnbounds train` used")
+    return manifest
 
 
 def _grid_checkpoints(cfg):
@@ -283,9 +268,17 @@ def _grid_checkpoints(cfg):
     return found
 
 
-def cmd_measure(cfg, ds, checkpoints):
-    """measures.csv of the (seed, path) checkpoints of _grid_checkpoints."""
-    _check_manifest(cfg, ds)
+def cmd_measure(cfg, ds, checkpoints, manifest):
+    """measures.csv of the (seed, path) checkpoints of _grid_checkpoints;
+    ConfigError if the manifest of _read_manifest records other data than ds."""
+    for key, value in (("n", ds.n), ("d", ds.d),
+                       ("data_fingerprint", ds.fingerprint)):
+        if manifest is not None and manifest.get(key) != value:
+            raise ConfigError(
+                f"{os.path.join(cfg.out, 'manifest.json')} gives {key} "
+                f"{manifest.get(key)!r} but the loaded data has {value!r}; "
+                "measure with the data and --subsample that `snnbounds "
+                "train` used")
     rows = []
     for seed, path in checkpoints:
         ck = checkpoint_load(path)
@@ -339,7 +332,7 @@ def cmd_rad(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     upper = bounds_mod.rad_upper_path(measures)
-    lower = bounds_mod.reported_rad_lower(measures)
+    lower = bounds_mod.rad_lower(measures)
     row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper,
            float("nan") if lower is None else lower, upper - est.mean]
     _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
@@ -387,9 +380,10 @@ def main(argv=None):
         if args.command == "figure":
             return cmd_figure(cfg)
         if args.command == "measure":
-            # every checkpoint's header is read before the data is prepared
-            checkpoints = _grid_checkpoints(cfg)
-            return cmd_measure(cfg, load_task_dataset(cfg), checkpoints)
+            # every checkpoint's header and the manifest are read before the
+            # data is prepared
+            checkpoints, manifest = _grid_checkpoints(cfg), _read_manifest(cfg.out)
+            return cmd_measure(cfg, load_task_dataset(cfg), checkpoints, manifest)
         # train and measure share one load of the data within `all`; train
         # makes --out first, so that the load can keep the prepared data there
         os.makedirs(cfg.out, exist_ok=True)
@@ -397,7 +391,8 @@ def main(argv=None):
         if args.command == "train":
             return cmd_train(cfg, ds)
         return (cmd_train(cfg, ds)  # all
-                or cmd_measure(cfg, ds, _grid_checkpoints(cfg))
+                or cmd_measure(cfg, ds, _grid_checkpoints(cfg),
+                               _read_manifest(cfg.out))
                 or cmd_bounds(cfg) or cmd_figure(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     max_epochs: int = 20
     target_train_error: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -117,9 +116,10 @@ def ramp_risk(params, ds):
     return _ramp_from_margins(_margins(params, ds))
 
 
-def sgd_train(params, snapshot, ds, cfg):
+def sgd_train(params, snapshot, ds, cfg, seed=0):
     """Train params in place with SGD + classical momentum; snapshot untouched.
 
+    Epoch e visits the examples in the order fork_rng(seed, e).permutation(n).
     Batches are row gathers from ds.X.T, which for the F-ordered X of a
     built or prepared task is a C-contiguous (n, d) view: each batch copies
     only its own rows, and its transpose has the same values and strides as
@@ -146,7 +146,7 @@ def sgd_train(params, snapshot, ds, cfg):
     error_curve = []
     margins = None
     for epoch in range(cfg.max_epochs):
-        order = fork_rng(cfg.seed, epoch).permutation(ds.n)
+        order = fork_rng(seed, epoch).permutation(ds.n)
         epoch_loss = 0.0
         n_batches = 0
         for start_idx in range(0, ds.n, cfg.batch_size):

@@ -61,7 +61,7 @@ def test_criterion_1_sandwich_property():
         ds = Dataset(X, np.ones(n))
         inputs = class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V)
         upper = rad_upper_path(inputs)
-        lower = rad_lower(inputs, r0)
+        lower = rad_lower(inputs)
         est = mc_rad_estimate(X, W0, R_W, R_V, RELU,
                               cfg=RadConfig(seed=i, **cfg_tpl))
         if not (lower <= upper + 1e-12 and est.mean <= upper + 1e-12):
@@ -126,7 +126,7 @@ def _train_sweep(ds, widths, seeds):
     for m in widths:
         for seed in seeds:
             params, snap = init_kaiming(fork_rng(seed, m), m, ds.d, 1)
-            sgd_train(params, snap, ds, TrainConfig(seed=seed))
+            sgd_train(params, snap, ds, TrainConfig(), seed)
             cells[(m, seed)] = (params, snap)
     return cells
 

@@ -8,8 +8,7 @@ from snnbounds import (Dataset, RELU, TANH, SnnParams, all_bound_values,
                        cm_constant, cm_prime_constant, comparator_bound,
                        gen_bound_pn, gen_bound_spn, init_kaiming, make_rng,
                        measure_report, rad_lower, rad_upper_path)
-from snnbounds.bounds import (COMPARATORS, class_bound_inputs,
-                              reported_rad_lower)
+from snnbounds.bounds import COMPARATORS, class_bound_inputs
 from snnbounds.cli import _read_measures, _write_csv
 from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
                                 MeasureReport, measure_row)
@@ -98,8 +97,9 @@ def test_rad_lower_zero_init_collapse():
     ds = random_unit_dataset(make_rng(2), 2, 7)
     R_W, R_V = 1.2, 0.9
     inputs = class_bound_inputs(ds, W0, RELU, R_W=R_W, R_V=R_V)
+    assert inputs.r0 == 0.0
     want = R_W * R_V * inputs.X_fro / (4 * math.sqrt(2) * ds.n)
-    assert rad_lower(inputs, 0.0) == pytest.approx(want, rel=1e-12)
+    assert rad_lower(inputs) == pytest.approx(want, rel=1e-12)
 
 
 def test_rad_lower_boundary_first_term_vanishes():
@@ -108,16 +108,7 @@ def test_rad_lower_boundary_first_term_vanishes():
     inputs = class_bound_inputs(ds, np.asarray(snap.W0), RELU, R_W=r0, R_V=1.0)
     only_second = inputs.R_V * inputs.init_term \
         / (2 * math.sqrt(2) * ds.n)
-    assert rad_lower(inputs, r0) == pytest.approx(only_second, rel=1e-12)
-
-
-def test_rad_lower_precondition():
-    _, snap, ds, _ = _trained_like(seed=5)
-    r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
-    inputs = class_bound_inputs(ds, np.asarray(snap.W0), RELU,
-                                R_W=0.5 * r0, R_V=1.0)
-    with pytest.raises(ValueError):
-        rad_lower(inputs, r0)
+    assert rad_lower(inputs) == pytest.approx(only_second, rel=1e-12)
 
 
 def test_class_bound_inputs_hold_only_rademacher_fields():
@@ -128,7 +119,7 @@ def test_class_bound_inputs_hold_only_rademacher_fields():
     assert (r.R_W, r.R_V, r.n) == (1.5, 0.8, ds.n)
     assert r.r0 == float(np.min(np.linalg.norm(W0, axis=1)))
     assert math.isfinite(rad_upper_path(r))
-    assert math.isfinite(rad_lower(r, r.r0))
+    assert math.isfinite(rad_lower(r))
     # the model-level bounds have no model to read: an error, not zeros
     for bound in (lambda i: gen_bound_pn(i, 0.01),
                   lambda i: gen_bound_spn(i, 0.01),
@@ -138,19 +129,22 @@ def test_class_bound_inputs_hold_only_rademacher_fields():
             bound(r)
 
 
-def test_reported_rad_lower_rule():
+def test_rad_lower_rule():
     _, snap, ds, _ = _trained_like(seed=21)
     W0 = np.asarray(snap.W0)
     r0 = float(np.min(np.linalg.norm(W0, axis=1)))
-    above = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.0)
-    assert reported_rad_lower(above) == rad_lower(above, r0)
-    # R_W < r0: the top-layer term, i.e. the lower bound at r0 := R_W
-    below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.0)
-    assert reported_rad_lower(below) == rad_lower(below, 0.5 * r0)
-    assert reported_rad_lower(below) <= rad_upper_path(below)
+    above = class_bound_inputs(ds, W0, RELU, R_W=r0 + 0.5, R_V=1.3)
+    want = 0.5 * 1.3 * above.X_fro / (4 * math.sqrt(2) * ds.n) \
+        + 1.3 * above.init_term / (2 * math.sqrt(2) * ds.n)
+    assert rad_lower(above) == pytest.approx(want, rel=1e-12)
+    # R_W < r0 is no error: the top-layer term, the lower bound at r0 := R_W
+    below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.3)
+    top = 1.3 * below.init_term / (2 * math.sqrt(2) * ds.n)
+    assert rad_lower(below) == pytest.approx(top, rel=1e-12)
+    assert rad_lower(below) <= rad_upper_path(below)
     # proved for ReLU only
     tanh = class_bound_inputs(ds, W0, TANH, R_W=r0 + 0.5, R_V=1.0)
-    assert reported_rad_lower(tanh) is None
+    assert rad_lower(tanh) is None
 
 
 def test_gen_bound_pn_zero_collapse():
@@ -265,8 +259,10 @@ def test_all_bound_values_relu_full_set():
         assert math.isfinite(v.value) and v.value >= 0.0
     by_name = {v.method: v.value for v in values}
     assert by_name["rad_lower"] <= by_name["rad_upper_path"] + 1e-12
-    r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
-    assert by_name["rad_lower"] == rad_lower(report, min(r0, report.R_W))
+    r0 = min(float(np.min(np.linalg.norm(snap.W0, axis=1))), report.R_W)
+    want = (report.R_W - r0) * report.R_V / (4 * math.sqrt(2) * ds.n) \
+        * report.X_fro + report.R_V * report.init_term / (2 * math.sqrt(2) * ds.n)
+    assert by_name["rad_lower"] == pytest.approx(want, rel=1e-12)
 
 
 def test_all_bound_values_tanh_drops_lower():

@@ -11,14 +11,14 @@ import pytest
 
 from snnbounds import (RELU, Checkpoint, all_bound_values, checkpoint_load,
                        checkpoint_save, init_kaiming, make_rng, measure_report,
-                       rad_lower, report_from_row)
+                       report_from_row)
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
 from snnbounds.model import ACTIVATION_IDS
-from snnbounds.trainer import TrainingDiverged
+from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
@@ -89,6 +89,19 @@ def test_flags_override_config_file(tmp_path, mnist_dir):
     assert cfg.activation == "tanh"
 
 
+def test_experiment_config_extends_train_config(tmp_path, mnist_dir):
+    # the training knobs are TrainConfig's fields, declared there alone
+    assert isinstance(ExperimentConfig(), TrainConfig)
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        config = json.load(f)["config"]
+    assert sorted(config) == [
+        "activation", "batch_size", "cifar_dir", "dataset", "delta",
+        "learning_rate", "max_epochs", "mnist_dir", "momentum", "out",
+        "seeds", "subsample", "target_train_error", "widths"]
+
+
 def test_exit_code_config_error(tmp_path):
     # mnist without --mnist-dir is a config error
     assert _run(["train", "--out", str(tmp_path)]) == 2
@@ -139,8 +152,26 @@ def test_exit_code_config_file_not_utf8(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."],
+                         ids=["missing", "directory"])
+def test_exit_code_config_file_unreadable(tmp_path, capsys, name):
+    path = os.path.join(tmp_path, name)
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--config", path, "--out", out, "--mnist-dir",
+                 os.path.join(tmp_path, "nope")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: "), err
+    assert not os.path.exists(out)
+
+
 EXPERIMENT_SURFACE = [
     ("--config", "config", None, None),
+    # TrainConfig's fields, which ExperimentConfig inherits, come first
+    ("--batch-size", "batch_size", None, None),
+    ("--momentum", "momentum", None, None),
+    ("--learning-rate", "learning_rate", None, None),
+    ("--max-epochs", "max_epochs", None, None),
+    ("--target-train-error", "target_train_error", None, None),
     ("--dataset", "dataset", ("mnist", "cifar10"), None),
     ("--mnist-dir", "mnist_dir", None, None),
     ("--cifar-dir", "cifar_dir", None, None),
@@ -149,11 +180,6 @@ EXPERIMENT_SURFACE = [
     ("--seeds", "seeds", None, None),
     ("--delta", "delta", None, None),
     ("--subsample", "subsample", None, None),
-    ("--batch-size", "batch_size", None, None),
-    ("--momentum", "momentum", None, None),
-    ("--learning-rate", "learning_rate", None, None),
-    ("--max-epochs", "max_epochs", None, None),
-    ("--target-train-error", "target_train_error", None, None),
     ("--activation", "activation", ("relu", "tanh", "sigmoid"), None),
 ]
 RAD_SURFACE = [
@@ -469,15 +495,23 @@ def test_measure_exit_2_on_manifest_of_other_data(tmp_path, mnist_dir, capsys):
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 
-@pytest.mark.parametrize("content", [b'{"n": 300, "d"', b"[]", b"\xff"],
-                         ids=["cut-short", "not-an-object", "not-utf8"])
+@pytest.mark.parametrize("content", [b'{"n": 300, "d"', b"[]", b"\xff", None],
+                         ids=["cut-short", "not-an-object", "not-utf8",
+                              "directory"])
 def test_measure_exit_3_on_damaged_manifest(tmp_path, mnist_dir, capsys,
-                                            content):
+                                            monkeypatch, content):
     out = os.path.join(tmp_path, "run")
     assert _run(["train"] + _base_args(mnist_dir, out)) == 0
     path = os.path.join(out, "manifest.json")
-    with open(path, "wb") as f:
-        f.write(content)
+    if content is None:
+        os.remove(path)
+        os.mkdir(path)
+    else:
+        with open(path, "wb") as f:
+            f.write(content)
+    # refused before the data is prepared
+    monkeypatch.setattr(cli_mod, "load_task_dataset",
+                        lambda *a: pytest.fail("prepared the data first"))
     capsys.readouterr()
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     assert capsys.readouterr().err == (
@@ -531,7 +565,8 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
     W0 = np.asarray(init_kaiming(rng, m, d, 1, RELU)[1].W0)
     assert R_W < np.min(np.linalg.norm(W0, axis=1))  # R_W < r0
     inputs = class_bound_inputs(Dataset(X, np.ones(n)), W0, RELU, R_W, R_V)
-    assert row["lower_bound"] == rad_lower(inputs, R_W)
+    top = R_V * inputs.init_term / (2 * math.sqrt(2) * n)
+    assert row["lower_bound"] == pytest.approx(top, rel=1e-12)
     assert row["lower_bound"] <= row["upper_bound_path"]
 
 

@@ -84,8 +84,9 @@ def test_training_deterministic():
         params, snap = init_kaiming(make_rng(9), 6, 4, 1)
         reports.append(sgd_train(params, snap, ds,
                                  TrainConfig(batch_size=8, max_epochs=5,
-                                             learning_rate=0.05, seed=3,
-                                             target_train_error=0.0)))
+                                             learning_rate=0.05,
+                                             target_train_error=0.0),
+                                 seed=3))
         finals.append((params.W.copy(), params.V.copy()))
     assert reports[0].loss_curve == reports[1].loss_curve
     assert reports[0].final_train_error == reports[1].final_train_error
@@ -185,7 +186,7 @@ def test_batch_grads_match_finite_differences():
             assert abs(fd - gW[i, j]) < 1e-5
 
 
-def _reference_sgd(params, ds, cfg):
+def _reference_sgd(params, ds, cfg, seed):
     """Straightforward loop: column-gathered batches, momentum buffers
     reallocated every step, and separate 0-1 / ramp evaluations."""
     def error():
@@ -200,7 +201,7 @@ def _reference_sgd(params, ds, cfg):
     uV = np.zeros_like(params.V)
     loss_curve, error_curve = [], []
     for epoch in range(cfg.max_epochs):
-        order = fork_rng(cfg.seed, epoch).permutation(ds.n)
+        order = fork_rng(seed, epoch).permutation(ds.n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -237,11 +238,11 @@ def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
                                                   target, act):
     ds = _learnable_dataset(48, n)
     cfg = TrainConfig(batch_size=batch_size, learning_rate=0.5,
-                      max_epochs=max_epochs, target_train_error=target, seed=4)
+                      max_epochs=max_epochs, target_train_error=target)
     params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
-    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg)
-    report = sgd_train(params, snap, ds, cfg)
+    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
+    report = sgd_train(params, snap, ds, cfg, seed=4)
     assert np.array_equal(params.W, ref.W)
     assert np.array_equal(params.V, ref.V)
     assert report.loss_curve == loss_curve
@@ -262,11 +263,11 @@ def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
     # n spans three column blocks of the epoch-end forward
     ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
     cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
-                      target_train_error=target, seed=4)
+                      target_train_error=target)
     params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
-    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg)
-    report = sgd_train(params, snap, ds, cfg)
+    loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
+    report = sgd_train(params, snap, ds, cfg, seed=4)
     assert np.array_equal(params.W, ref.W)
     assert np.array_equal(params.V, ref.V)
     assert report.loss_curve == loss_curve
