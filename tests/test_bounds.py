@@ -129,7 +129,19 @@ def test_class_bound_inputs_hold_only_rademacher_fields():
             bound(r)
 
 
-def test_rad_lower_rule():
+def test_rad_lower_precondition():
+    # R_W < r0 is no error: r0 is clamped to R_W, which leaves the
+    # top-layer term, the lower bound at r0 := R_W
+    _, snap, ds, _ = _trained_like(seed=5)
+    r0 = float(np.min(np.linalg.norm(snap.W0, axis=1)))
+    below = class_bound_inputs(ds, np.asarray(snap.W0), RELU,
+                               R_W=0.5 * r0, R_V=1.3)
+    top = 1.3 * below.init_term / (2 * math.sqrt(2) * ds.n)
+    assert rad_lower(below) == pytest.approx(top, rel=1e-12)
+    assert rad_lower(below) <= rad_upper_path(below)
+
+
+def test_reported_rad_lower_rule():
     _, snap, ds, _ = _trained_like(seed=21)
     W0 = np.asarray(snap.W0)
     r0 = float(np.min(np.linalg.norm(W0, axis=1)))
@@ -137,11 +149,10 @@ def test_rad_lower_rule():
     want = 0.5 * 1.3 * above.X_fro / (4 * math.sqrt(2) * ds.n) \
         + 1.3 * above.init_term / (2 * math.sqrt(2) * ds.n)
     assert rad_lower(above) == pytest.approx(want, rel=1e-12)
-    # R_W < r0 is no error: the top-layer term, the lower bound at r0 := R_W
+    # R_W < r0: the top-layer term, the lower bound at r0 := R_W
     below = class_bound_inputs(ds, W0, RELU, R_W=0.5 * r0, R_V=1.3)
     top = 1.3 * below.init_term / (2 * math.sqrt(2) * ds.n)
     assert rad_lower(below) == pytest.approx(top, rel=1e-12)
-    assert rad_lower(below) <= rad_upper_path(below)
     # proved for ReLU only
     tanh = class_bound_inputs(ds, W0, TANH, R_W=r0 + 0.5, R_V=1.0)
     assert rad_lower(tanh) is None
