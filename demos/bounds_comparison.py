@@ -26,7 +26,7 @@ y[y == 0] = 1.0
 ds = Dataset(X, y, name="teacher")
 
 params, snap = init_kaiming(make_rng(1), m, d, 1)
-report = sgd_train(params, snap, ds,
+report = sgd_train(params, ds,
                    TrainConfig(batch_size=128, learning_rate=0.05,
                                max_epochs=30, target_train_error=0.05))
 print(f"trained m={m}: train error {report.final_train_error:.3f}, "

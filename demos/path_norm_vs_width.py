@@ -29,7 +29,7 @@ print(f"{'m':>6} {'kappa':>12} {'kappa_s':>12} {'train_err':>10}")
 for p in range(3, 10):
     m = 2 ** p
     params, snap = init_kaiming(fork_rng(0, m), m, d, 1)
-    report = sgd_train(params, snap, ds,
+    report = sgd_train(params, ds,
                        TrainConfig(batch_size=64, learning_rate=0.05,
                                    max_epochs=40, target_train_error=0.02))
     print(f"{m:>6} {path_norm(params, snap):>12.4f} "

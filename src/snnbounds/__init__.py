@@ -17,7 +17,7 @@ from .rademacher import (RadConfig, RadEstimate, closed_form_linear_sup,
                          closed_form_toplayer_sup, enumerate_signs,
                          khintchine_sandwich_check, mc_rad_estimate,
                          pga_sup_estimate)
-from .trainer import (TrainConfig, TrainReport, bce_logits, ramp_risk,
-                      sgd_train, zero_one_error)
+from .trainer import (TrainConfig, TrainReport, bce_logits, margins,
+                      ramp_risk, sgd_train, zero_one_error)
 
 __version__ = "0.1.0"

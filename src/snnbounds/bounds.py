@@ -81,11 +81,7 @@ def rad_upper_path(r):
     """Rademacher complexity upper bound of the class with r's radii, scaling
     with the supremum R_W * R_V of its path-norm."""
     term_init = r.R_V * r.init_term / r.n
-    sup = r.R_W * r.R_V
-    if sup == 0.0:
-        # degenerate class (R_W = 0 or R_V = 0): only the init term remains
-        return term_init
-    return term_init + _data_term(r, sup, cm_constant(r.m))
+    return term_init + _data_term(r, r.R_W * r.R_V, cm_constant(r.m))
 
 
 def rad_lower(r):

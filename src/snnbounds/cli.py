@@ -23,7 +23,7 @@ from .files import atomic_open
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
-from .model import (ACTIVATIONS, Checkpoint, CheckpointError, checkpoint_header,
+from .model import (ACTIVATIONS, Checkpoint, checkpoint_header,
                     checkpoint_load, checkpoint_save, get_activation,
                     init_kaiming)
 from .rademacher import RadConfig, mc_rad_estimate
@@ -207,7 +207,7 @@ def cmd_train(cfg, ds):
             params, snapshot = init_kaiming(
                 fork_rng(seed, m), m, ds.d, 1, get_activation(cfg.activation))
             try:
-                report = sgd_train(params, snapshot, ds, cfg, seed)
+                report = sgd_train(params, ds, cfg, seed)
             except TrainingDiverged as exc:
                 failures.append({"seed": seed, "m": m, "error": str(exc)})
                 with suppress(FileNotFoundError):  # lest measure take the old one
@@ -397,8 +397,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data_mod.DataError, data_mod.ParseError, fig_mod.FigureError,
-            CheckpointError, FileNotFoundError) as exc:
+    except (data_mod.DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

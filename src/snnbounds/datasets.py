@@ -37,10 +37,6 @@ LOAD_BLOCK = 256  # images converted, resized and normalized at a time
 TARGET_SIDE = 32  # images become TARGET_SIDE x TARGET_SIDE, so d = 1024
 
 
-class ParseError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -119,32 +115,34 @@ class Dataset:
 def parse_idx_images(data):
     """Parse an IDX 3-D image file (big-endian) into an (n, h, w) uint8 array."""
     if len(data) < 16:
-        raise ParseError(f"header truncated at byte {len(data)}")
-    magic, n, h, w = struct.unpack_from(">4i", data, 0)
+        raise DataError(f"header truncated at byte {len(data)}")
+    magic, n, h, w = struct.unpack_from(">4I", data, 0)
     if magic != IDX_IMAGE_MAGIC:
-        raise ParseError(f"bad image magic 0x{magic:08x} at byte 0")
+        raise DataError(f"bad image magic 0x{magic:08x} at byte 0")
+    if min(h, w) < 1:
+        raise DataError(f"image sides h={h}, w={w} at byte 8 must be >= 1")
     expected = 16 + n * h * w
     if len(data) != expected:
-        raise ParseError(f"payload length {len(data)} != {expected} (offset 16)")
+        raise DataError(f"payload length {len(data)} != {expected} (offset 16)")
     return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(n, h, w)
 
 
 def parse_idx_labels(data):
     """Parse an IDX 1-D label file into an (n,) uint8 array."""
     if len(data) < 8:
-        raise ParseError(f"header truncated at byte {len(data)}")
-    magic, n = struct.unpack_from(">2i", data, 0)
+        raise DataError(f"header truncated at byte {len(data)}")
+    magic, n = struct.unpack_from(">2I", data, 0)
     if magic != IDX_LABEL_MAGIC:
-        raise ParseError(f"bad label magic 0x{magic:08x} at byte 0")
+        raise DataError(f"bad label magic 0x{magic:08x} at byte 0")
     if len(data) != 8 + n:
-        raise ParseError(f"payload length {len(data)} != {8 + n} (offset 8)")
+        raise DataError(f"payload length {len(data)} != {8 + n} (offset 8)")
     return np.frombuffer(data, dtype=np.uint8, offset=8).copy()
 
 
 def parse_cifar10_bin(data):
     """Parse a CIFAR-10 binary batch into a RawImageSet of (n, 32, 32, 3) images."""
     if len(data) % CIFAR_RECORD_BYTES != 0:
-        raise ParseError(
+        raise DataError(
             f"length {len(data)} is not a multiple of {CIFAR_RECORD_BYTES}")
     n = len(data) // CIFAR_RECORD_BYTES
     raw = np.frombuffer(data, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)

@@ -12,15 +12,12 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
+from .datasets import DataError
 from .files import atomic_open
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
 
 FIG3_METHODS = [*bounds.COMPARATORS, "pn_ours", "spn_ours"]
-
-
-class FigureError(Exception):
-    pass
 
 
 @dataclass
@@ -52,9 +49,9 @@ def figure_series(kind, reports, delta):
     """Series of one figure kind over MeasureReports, the bounds at delta:
     per width, the mean, min and max over the reports of that width."""
     if kind not in FIGURE_KINDS:
-        raise FigureError(f"unknown figure kind {kind!r}")
+        raise DataError(f"unknown figure kind {kind!r}")
     if not reports:
-        raise FigureError(f"no measures to plot in {kind}")
+        raise DataError(f"no measures to plot in {kind}")
     grouped = {}  # {label: {m: [value per report]}}
     for r in reports:
         for label, value in _values(kind, r, delta).items():
@@ -93,7 +90,7 @@ def render_svg(series_list, title=""):
     xs_all = sorted({x for s in series_list for x in s.x})
     ys_all = [v for s in series_list for v in s.lo + s.hi + s.mean if v > 0]
     if not xs_all or not ys_all:
-        raise FigureError("nothing to plot")
+        raise DataError("nothing to plot")
     lx0, lx1 = math.log2(xs_all[0]), math.log2(xs_all[-1])
     if lx1 == lx0:
         lx0, lx1 = lx0 - 0.5, lx1 + 0.5

@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from .datasets import DataError
 from .files import atomic_open
 
 
@@ -131,10 +132,6 @@ _HEADER = struct.Struct("<8s5IQ")
 _TRAILER = struct.Struct("<Id")
 
 
-class CheckpointError(Exception):
-    pass
-
-
 CheckpointHeader = namedtuple("CheckpointHeader", "m d c activation seed")
 
 
@@ -153,26 +150,26 @@ def checkpoint_header(f):
     """CheckpointHeader of the checkpoint file open in f (binary mode), which
     is left at the first array.
 
-    CheckpointError, naming the file, unless the magic, version, activation
+    DataError, naming the file, unless the magic, version, activation
     id and dimensions are ones checkpoint_save writes and the file has
     exactly the size they give: a truncated file and trailing bytes alike.
     """
     raw = f.read(_HEADER.size)
     if raw[:8] != _MAGIC:
-        raise CheckpointError(f"{f.name}: bad checkpoint magic")
+        raise DataError(f"{f.name}: bad checkpoint magic")
     if len(raw) < _HEADER.size:
-        raise CheckpointError(f"{f.name}: truncated header")
+        raise DataError(f"{f.name}: truncated header")
     _, version, m, d, c, act_id, seed = _HEADER.unpack(raw)
     if version != _VERSION:
-        raise CheckpointError(f"{f.name}: unsupported version {version}")
+        raise DataError(f"{f.name}: unsupported version {version}")
     if act_id not in ACTIVATION_BY_ID:
-        raise CheckpointError(f"{f.name}: unknown activation id {act_id}")
+        raise DataError(f"{f.name}: unknown activation id {act_id}")
     if max(m, d, c) > 2 ** 24 or min(m, d, c) < 1:
-        raise CheckpointError(f"{f.name}: implausible dimensions m={m} d={d} c={c}")
+        raise DataError(f"{f.name}: implausible dimensions m={m} d={d} c={c}")
     size = _HEADER.size + 8 * 2 * (m * d + c * m) + _TRAILER.size
     actual = os.fstat(f.fileno()).st_size
     if actual != size:
-        raise CheckpointError(f"{f.name}: {actual} bytes, header gives {size}")
+        raise DataError(f"{f.name}: {actual} bytes, header gives {size}")
     return CheckpointHeader(m, d, c, get_activation(ACTIVATION_BY_ID[act_id]),
                             seed)
 

@@ -83,7 +83,7 @@ def _batch_grads(params, Xb, yb01):
     return float(np.mean(loss)), grad_W, grad_V
 
 
-def _margins(params, ds):
+def margins(params, ds):
     """y_i * psi(x_i) for every example: one full-data forward.
 
     The forward runs over blocks of at most COLUMN_BLOCK columns of X into
@@ -98,26 +98,19 @@ def _margins(params, ds):
     return t
 
 
-def _error_from_margins(t):
+def zero_one_error(t):
+    """Fraction of misclassified points of margins t; a zero margin is an error."""
     return float(np.mean(t <= 0.0))
 
 
-def _ramp_from_margins(t):
+def ramp_risk(t):
+    """Empirical risk of margins t under the 1-Lipschitz ramp loss, clipped
+    to [0, 1]."""
     return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
 
 
-def zero_one_error(params, ds):
-    """Fraction of misclassified points; a zero score counts as an error."""
-    return _error_from_margins(_margins(params, ds))
-
-
-def ramp_risk(params, ds):
-    """Empirical risk under the 1-Lipschitz ramp loss clipped to [0, 1]."""
-    return _ramp_from_margins(_margins(params, ds))
-
-
-def sgd_train(params, snapshot, ds, cfg, seed=0):
-    """Train params in place with SGD + classical momentum; snapshot untouched.
+def sgd_train(params, ds, cfg, seed=0):
+    """Train params in place with SGD + classical momentum.
 
     Epoch e visits the examples in the order fork_rng(seed, e).permutation(n).
     Batches are row gathers from ds.X.T, which for the F-ordered X of a
@@ -125,9 +118,9 @@ def sgd_train(params, snapshot, ds, cfg, seed=0):
     only its own rows, and its transpose has the same values and strides as
     the column gather X[:, idx], so BLAS sees the same operands.
     Momentum is updated in place.
-    Each epoch ends with one full-data forward, over column blocks of X,
-    whose margins give both the early-stop 0-1 error and, after the last
-    epoch, the final ramp risk.  The weights depend on the margins only
+    Each epoch ends with one full-data pass, margins(params, ds), whose
+    margins give both the early-stop 0-1 error and, after the last epoch,
+    the final ramp risk.  The weights depend on the margins only
     through the early-stop comparison.
     """
     if ds.d != params.d:
@@ -144,7 +137,7 @@ def sgd_train(params, snapshot, ds, cfg, seed=0):
     stepW = np.empty_like(params.W)
     loss_curve = []
     error_curve = []
-    margins = None
+    t = None
     for epoch in range(cfg.max_epochs):
         order = fork_rng(seed, epoch).permutation(ds.n)
         epoch_loss = 0.0
@@ -163,17 +156,17 @@ def sgd_train(params, snapshot, ds, cfg, seed=0):
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / n_batches)
-        margins = _margins(params, ds)
-        error_curve.append(_error_from_margins(margins))
+        t = margins(params, ds)
+        error_curve.append(zero_one_error(t))
         if error_curve[-1] < cfg.target_train_error:
             break
-    if margins is None:
-        margins = _margins(params, ds)
+    if t is None:
+        t = margins(params, ds)
     return TrainReport(
         epochs_run=len(loss_curve),
         loss_curve=loss_curve,
         error_curve=error_curve,
-        final_train_error=_error_from_margins(margins),
-        final_ramp_risk=_ramp_from_margins(margins),
+        final_train_error=zero_one_error(t),
+        final_ramp_risk=ramp_risk(t),
         wall_time=time.perf_counter() - start,
     )

@@ -31,12 +31,12 @@ requires_mnist = pytest.mark.skipif(
 def encode_idx_images(images):
     images = np.asarray(images, dtype=np.uint8)
     n, h, w = images.shape
-    return struct.pack(">4i", 0x00000803, n, h, w) + images.tobytes()
+    return struct.pack(">4I", 0x00000803, n, h, w) + images.tobytes()
 
 
 def encode_idx_labels(labels):
     labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">2i", 0x00000801, len(labels)) + labels.tobytes()
+    return struct.pack(">2I", 0x00000801, len(labels)) + labels.tobytes()
 
 
 def encode_cifar10_bin(images, labels):

@@ -126,7 +126,7 @@ def _train_sweep(ds, widths, seeds):
     for m in widths:
         for seed in seeds:
             params, snap = init_kaiming(fork_rng(seed, m), m, ds.d, 1)
-            sgd_train(params, snap, ds, TrainConfig(), seed)
+            sgd_train(params, ds, TrainConfig(), seed)
             cells[(m, seed)] = (params, snap)
     return cells
 

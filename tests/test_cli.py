@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
-from conftest import write_fake_mnist_dir
+from conftest import encode_cifar10_bin, encode_idx_labels, write_fake_mnist_dir
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +225,25 @@ def test_exit_code_data_error(tmp_path):
     missing = os.path.join(tmp_path, "nope")
     rc = _run(["train", "--mnist-dir", missing, "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("n, h, w, payload", [
+    (1, 0xFFFFFFE4, 0xFFFFFFE4, 784),  # sides of 2^32 - 28, not -28
+    (2, 0, 28, 0),
+], ids=["sides-above-2^31", "zero-height"])
+def test_train_exit_3_on_idx_image_sides_out_of_range(tmp_path, capsys,
+                                                      n, h, w, payload):
+    # the IDX header's counts are unsigned; a side below 1 has no image
+    raw = os.path.join(tmp_path, "mnist")
+    os.mkdir(raw)
+    with open(os.path.join(raw, "train-images-idx3-ubyte"), "wb") as f:
+        f.write(struct.pack(">4I", 0x803, n, h, w) + bytes(payload))
+    with open(os.path.join(raw, "train-labels-idx1-ubyte"), "wb") as f:
+        f.write(encode_idx_labels(np.resize([1, 7], n)))
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--mnist-dir", raw, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("data error")
+    assert os.listdir(out) == []  # no checkpoint, no prepared_mnist.npy
 
 
 def test_train_cardinality_contract(tmp_path, mnist_dir):
@@ -467,6 +487,42 @@ def test_subsample_flag(tmp_path, mnist_dir):
     assert manifest["n"] == 10
 
 
+def _write_cifar_batches(directory):
+    """Five CIFAR-10 binary train batches of four images, classes 0 and 1 in
+    turn."""
+    rng = make_rng(0)
+    os.makedirs(directory)
+    for i in range(1, 6):
+        images = rng.integers(1, 256, size=(4, 32, 32, 3))
+        labels = np.resize([0, 1], 4)
+        with open(os.path.join(directory, f"data_batch_{i}.bin"), "wb") as f:
+            f.write(encode_cifar10_bin(images, labels))
+
+
+@pytest.mark.parametrize("subdir", ["", "cifar-10-batches-bin"],
+                         ids=["flat", "batches-bin"])
+def test_all_on_cifar10_batches(tmp_path, subdir):
+    cifar = os.path.join(tmp_path, "cifar")
+    _write_cifar_batches(os.path.join(cifar, subdir))
+    out = os.path.join(tmp_path, "run")
+    assert _run(["all", "--dataset", "cifar10", "--cifar-dir", cifar,
+                 "--out", out, "--widths", "4,8", "--seeds", "0,1",
+                 "--max-epochs", "1"]) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert json.load(f)["n"] == 20
+    with open(os.path.join(out, "measures.csv"), newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert sorted((int(r["m"]), int(r["seed"])) for r in rows) == [
+        (4, 0), (4, 1), (8, 0), (8, 1)]
+    assert {r["dataset"] for r in rows} == {"cifar10_0v1"}
+
+
+def test_cifar10_without_cifar_dir_exits_2(tmp_path, capsys):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--dataset", "cifar10", "--out", out]) == 2
+    assert "--cifar-dir is required" in capsys.readouterr().err
+
+
 def test_measure_exit_2_on_data_other_than_trained(tmp_path, mnist_dir,
                                                     capsys):
     out = os.path.join(tmp_path, "run")
@@ -517,6 +573,17 @@ def test_measure_exit_3_on_damaged_manifest(tmp_path, mnist_dir, capsys,
     assert capsys.readouterr().err == (
         f"data error: {path} is not a JSON object\n")
     assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
+def test_measure_without_manifest_measures_the_checkpoints(tmp_path,
+                                                            mnist_dir):
+    # checkpoints of other code come without a manifest.json
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out, seeds="0,1")) == 0
+    os.remove(os.path.join(out, "manifest.json"))
+    assert _run(["measure"] + _base_args(mnist_dir, out, seeds="0,1")) == 0
+    with open(os.path.join(out, "measures.csv"), newline="") as f:
+        assert [r["seed"] for r in csv.DictReader(f)] == ["0", "1"]
 
 
 def test_rad_subcommand(tmp_path):

@@ -7,8 +7,7 @@ from snnbounds import (Dataset, TaskSpec, build_binary_task, make_rng,
                        parse_cifar10_bin, parse_idx_images, parse_idx_labels,
                        subsample)
 from snnbounds import datasets as datasets_mod
-from snnbounds.datasets import (DataError, ParseError, RawImageSet,
-                                bilinear_resize)
+from snnbounds.datasets import DataError, RawImageSet, bilinear_resize
 from snnbounds.linalg import COLUMN_BLOCK
 from conftest import encode_cifar10_bin, encode_idx_images, encode_idx_labels
 
@@ -26,18 +25,18 @@ def test_idx_label_roundtrip_hand():
 
 def test_idx_bad_magic():
     blob = b"\x00\x00\x00\x00" + b"\x00" * 12
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError):
         parse_idx_images(blob)
-    with pytest.raises(ParseError, match="bad label magic"):
+    with pytest.raises(DataError, match="bad label magic"):
         parse_idx_labels(blob)
 
 
 def test_idx_truncated():
     img = np.zeros((2, 2, 2), dtype=np.uint8)
     blob = encode_idx_images(img)
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError):
         parse_idx_images(blob[:-1])
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError):
         parse_idx_labels(encode_idx_labels([1, 2])[:-1])
 
 
@@ -56,7 +55,7 @@ def test_cifar_empty_stream():
 
 
 def test_cifar_bad_length():
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError):
         parse_cifar10_bin(b"\x00" * 3074)
 
 

@@ -6,8 +6,9 @@ import os
 import pytest
 
 from snnbounds.bounds import all_bound_values, rad_upper_path
-from snnbounds.figures import (FIG3_METHODS, FIGURE_KINDS, FigureError,
-                               figure_series, render_svg, write_figure_csv)
+from snnbounds.datasets import DataError
+from snnbounds.figures import (FIG3_METHODS, FIGURE_KINDS, figure_series,
+                               render_svg, write_figure_csv)
 from snnbounds.measures import ClassMeasures, MeasureReport
 
 
@@ -88,9 +89,9 @@ def test_fig2_and_fig3_series():
 
 
 def test_missing_series_named_error():
-    with pytest.raises(FigureError):
+    with pytest.raises(DataError):
         figure_series("fig3", [], 0.01)
-    with pytest.raises(FigureError):
+    with pytest.raises(DataError):
         figure_series("fig9", [_report(16, 1.0, 4.0)], 0.01)
 
 
@@ -125,7 +126,7 @@ def test_svg_width_ticks():
 
 
 def test_svg_rejects_empty():
-    with pytest.raises(FigureError):
+    with pytest.raises(DataError):
         render_svg([])
 
 

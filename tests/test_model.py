@@ -10,7 +10,8 @@ from snnbounds import (ACTIVATIONS, RELU, SIGMOID, TANH, Checkpoint,
                        InitSnapshot, SnnParams, checkpoint_load,
                        checkpoint_save, forward, get_activation, init_kaiming,
                        make_rng)
-from snnbounds.model import CheckpointError, checkpoint_header
+from snnbounds.datasets import DataError
+from snnbounds.model import checkpoint_header
 
 
 def test_relu_values():
@@ -137,7 +138,7 @@ def test_checkpoint_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "bad.snn")
     with open(path, "wb") as f:
         f.write(b"NOTACKPT" + b"\x00" * 64)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError):
         checkpoint_load(path)
 
 
@@ -151,7 +152,7 @@ def test_checkpoint_truncation_fuzz(tmp_path):
     for k in range(0, len(blob), 7):
         with open(cut, "wb") as f:
             f.write(blob[:k])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError):
             checkpoint_load(cut)
 
 
@@ -162,7 +163,7 @@ def test_checkpoint_trailing_bytes(tmp_path):
         blob = f.read() + b"\x00"
     with open(full, "wb") as f:
         f.write(blob)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError):
         checkpoint_load(full)
 
 
@@ -174,7 +175,7 @@ def test_checkpoint_bad_version(tmp_path):
     blob[8] = 99  # version field, little-endian low byte
     with open(full, "wb") as f:
         f.write(bytes(blob))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(DataError):
         checkpoint_load(full)
 
 

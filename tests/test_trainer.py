@@ -6,7 +6,7 @@ import pytest
 
 from snnbounds import (Dataset, RELU, TANH, RawImageSet, SnnParams,
                        TaskSpec, TrainConfig, bce_logits, build_binary_task,
-                       init_kaiming, make_rng, ramp_risk, sgd_train,
+                       init_kaiming, make_rng, margins, ramp_risk, sgd_train,
                        zero_one_error)
 from snnbounds.linalg import COLUMN_BLOCK, fork_rng
 from snnbounds.model import forward
@@ -45,9 +45,9 @@ def test_bce_gradient_finite_difference():
 def test_zero_lr_leaves_params():
     rng = make_rng(0)
     ds = random_unit_dataset(rng, 3, 16)
-    params, snap = init_kaiming(rng, 4, 3, 1)
+    params, _ = init_kaiming(rng, 4, 3, 1)
     W, V = params.W.copy(), params.V.copy()
-    sgd_train(params, snap, ds, TrainConfig(learning_rate=0.0, max_epochs=3))
+    sgd_train(params, ds, TrainConfig(learning_rate=0.0, max_epochs=3))
     assert np.array_equal(params.W, W) and np.array_equal(params.V, V)
 
 
@@ -55,7 +55,7 @@ def test_single_full_batch_step_matches_gd_oracle():
     """momentum 0, batch = n, 1 epoch must equal one plain gradient step."""
     rng = make_rng(1)
     ds = random_unit_dataset(rng, 3, 8)
-    params, snap = init_kaiming(rng, 4, 3, 1)
+    params, _ = init_kaiming(rng, 4, 3, 1)
     W, V = params.W.copy(), params.V.copy()
 
     # independent oracle: mean BCE gradient computed from first principles
@@ -70,7 +70,7 @@ def test_single_full_batch_step_matches_gd_oracle():
     lr = 0.05
     cfg = TrainConfig(batch_size=ds.n, momentum=0.0, learning_rate=lr,
                       max_epochs=1, target_train_error=0.0)
-    sgd_train(params, snap, ds, cfg)
+    sgd_train(params, ds, cfg)
     assert np.max(np.abs(params.W - (W - lr * gW))) < 1e-12
     assert np.max(np.abs(params.V - (V - lr * gV))) < 1e-12
 
@@ -81,8 +81,8 @@ def test_training_deterministic():
     reports = []
     finals = []
     for _ in range(2):
-        params, snap = init_kaiming(make_rng(9), 6, 4, 1)
-        reports.append(sgd_train(params, snap, ds,
+        params, _ = init_kaiming(make_rng(9), 6, 4, 1)
+        reports.append(sgd_train(params, ds,
                                  TrainConfig(batch_size=8, max_epochs=5,
                                              learning_rate=0.05,
                                              target_train_error=0.0),
@@ -97,8 +97,8 @@ def test_training_deterministic():
 def test_training_reduces_loss():
     rng = make_rng(4)
     ds = random_unit_dataset(rng, 4, 64)
-    params, snap = init_kaiming(rng, 16, 4, 1)
-    report = sgd_train(params, snap, ds,
+    params, _ = init_kaiming(rng, 16, 4, 1)
+    report = sgd_train(params, ds,
                        TrainConfig(batch_size=16, learning_rate=0.5,
                                    max_epochs=30, target_train_error=0.0))
     assert report.loss_curve[-1] < report.loss_curve[0]
@@ -108,8 +108,8 @@ def test_training_reduces_loss():
 def test_early_stop_on_target_error():
     # trivially separable: one point, generous target
     ds = Dataset(np.ones((2, 1)) / math.sqrt(2), np.array([1.0]))
-    params, snap = init_kaiming(make_rng(0), 4, 2, 1)
-    report = sgd_train(params, snap, ds,
+    params, _ = init_kaiming(make_rng(0), 4, 2, 1)
+    report = sgd_train(params, ds,
                        TrainConfig(max_epochs=50, learning_rate=0.5,
                                    target_train_error=1.5))
     assert report.epochs_run == 1
@@ -120,16 +120,16 @@ def test_divergence_reported_with_location():
     X = ds.X.copy()
     X[0, 0] = np.nan
     bad = Dataset(X, ds.y)
-    params, snap = init_kaiming(make_rng(0), 4, 3, 1)
+    params, _ = init_kaiming(make_rng(0), 4, 3, 1)
     with pytest.raises(TrainingDiverged) as exc:
-        sgd_train(params, snap, bad, TrainConfig(max_epochs=2))
+        sgd_train(params, bad, TrainConfig(max_epochs=2))
     assert exc.value.epoch == 0
 
 
 def test_zero_one_error_tie_rule():
     params = SnnParams(np.ones((2, 3)), np.zeros((1, 2)), RELU)
     ds = random_unit_dataset(make_rng(6), 3, 10)
-    assert zero_one_error(params, ds) == 1.0  # all-zero scores count as errors
+    assert zero_one_error(margins(params, ds)) == 1.0  # all-zero scores count as errors
 
 
 def test_zero_one_error_perfect_separation():
@@ -138,7 +138,7 @@ def test_zero_one_error_perfect_separation():
                        np.array([[1.0, -1.0]]), RELU)
     X = np.array([[0.6, -0.8], [0.8, 0.6]])
     y = np.array([1.0, -1.0])
-    assert zero_one_error(params, Dataset(X, y)) == 0.0
+    assert zero_one_error(margins(params, Dataset(X, y))) == 0.0
 
 
 def test_ramp_risk_branches():
@@ -148,10 +148,10 @@ def test_ramp_risk_branches():
         # x scalar positive, label +1, so y * psi = t
         return Dataset(np.array([[t]]), np.array([1.0]))
 
-    assert ramp_risk(params, ds_with_margin(2.0)) == 0.0
-    assert ramp_risk(params, ds_with_margin(0.25)) == pytest.approx(0.75)
+    assert ramp_risk(margins(params, ds_with_margin(2.0))) == 0.0
+    assert ramp_risk(margins(params, ds_with_margin(0.25))) == pytest.approx(0.75)
     neg = Dataset(np.array([[3.0]]), np.array([-1.0]))  # y * psi = -3
-    assert ramp_risk(params, neg) == 1.0
+    assert ramp_risk(margins(params, neg)) == 1.0
 
 
 def test_config_validation():
@@ -239,10 +239,10 @@ def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
     ds = _learnable_dataset(48, n)
     cfg = TrainConfig(batch_size=batch_size, learning_rate=0.5,
                       max_epochs=max_epochs, target_train_error=target)
-    params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    params, _ = init_kaiming(make_rng(3), 32, ds.d, 1, act)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
     loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
-    report = sgd_train(params, snap, ds, cfg, seed=4)
+    report = sgd_train(params, ds, cfg, seed=4)
     assert np.array_equal(params.W, ref.W)
     assert np.array_equal(params.V, ref.V)
     assert report.loss_curve == loss_curve
@@ -264,10 +264,10 @@ def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
     ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
     cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
                       target_train_error=target)
-    params, snap = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    params, _ = init_kaiming(make_rng(3), 32, ds.d, 1, act)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
     loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
-    report = sgd_train(params, snap, ds, cfg, seed=4)
+    report = sgd_train(params, ds, cfg, seed=4)
     assert np.array_equal(params.W, ref.W)
     assert np.array_equal(params.V, ref.V)
     assert report.loss_curve == loss_curve
@@ -282,10 +282,10 @@ def test_epoch_peak_memory_well_below_one_m_by_n_array():
     m, n = 256, 20000
     rng = make_rng(7)
     ds = random_unit_dataset(rng, 8, n)
-    params, snap = init_kaiming(rng, m, ds.d, 1)
+    params, _ = init_kaiming(rng, m, ds.d, 1)
     tracemalloc.start()
     try:
-        sgd_train(params, snap, ds, TrainConfig(max_epochs=1))
+        sgd_train(params, ds, TrainConfig(max_epochs=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,10 +300,10 @@ def test_epoch_peak_memory_well_below_a_copy_of_x():
     raw = RawImageSet(rng.integers(1, 256, size=(n, 28, 28), dtype=np.uint8),
                       np.resize(np.array([1, 7], dtype=np.uint8), n))
     ds = build_binary_task(raw, TaskSpec("mnist", 1, 7))
-    params, snap = init_kaiming(rng, m, ds.d, 1)
+    params, _ = init_kaiming(rng, m, ds.d, 1)
     tracemalloc.start()
     try:
-        sgd_train(params, snap, ds, TrainConfig(max_epochs=1))
+        sgd_train(params, ds, TrainConfig(max_epochs=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
