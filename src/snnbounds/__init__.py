@@ -12,11 +12,10 @@ from .measures import (MeasureReport, init_activation_term, measure_report,
                        path_norm, report_from_row, standard_path_norm)
 from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
                     InitSnapshot, SnnParams, checkpoint_load, checkpoint_save,
-                    forward, get_activation, init_kaiming)
+                    forward, init_kaiming)
 from .rademacher import (RadConfig, RadEstimate, closed_form_linear_sup,
                          closed_form_toplayer_sup, enumerate_signs,
-                         khintchine_sandwich_check, mc_rad_estimate,
-                         pga_sup_estimate)
+                         khintchine_sandwich_check, mc_rad_estimate)
 from .trainer import (TrainConfig, TrainReport, bce_logits, margins,
                       ramp_risk, sgd_train, zero_one_error)
 

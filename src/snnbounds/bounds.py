@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 # re-exported: cli.cmd_rad calls it here, where the benchmark's trace wraps it
 from .measures import class_bound_inputs
-from .model import ACTIVATION_BY_ID, get_activation
+from .model import ACTIVATION_BY_ID, RELU
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 
@@ -72,7 +72,7 @@ def _data_term(r, scale, cm):
     """L * scale * ((2 + sqrt(5)) ||X||_F + cm sigma_max(X)) / n, with L the
     activation's Lipschitz constant: the data term of a complexity bound at
     path-norm scale `scale`."""
-    lipschitz = get_activation(ACTIVATION_BY_ID[r.activation]).lipschitz
+    lipschitz = ACTIVATION_BY_ID[r.activation].lipschitz
     return lipschitz * scale * (
         TWO_PLUS_SQRT5 / r.n * r.X_fro + cm * r.gram_spec_sqrt / r.n)
 
@@ -93,7 +93,7 @@ def rad_lower(r):
     If R_W < min_j ||w_j0||_2 the linear-class term does not apply; the
     top-layer term alone, the bound at r0 := R_W, is still a lower bound.
     """
-    if ACTIVATION_BY_ID[r.activation] != "relu":
+    if ACTIVATION_BY_ID[r.activation] is not RELU:
         return None
     r0 = min(r.r0, r.R_W)
     first = (r.R_W - r0) * r.R_V / (4.0 * math.sqrt(2.0) * r.n) * r.X_fro

@@ -3,7 +3,8 @@ tiny-instance Rademacher probe.
 
 Subcommands: train, measure, bounds, rad, figure, all.  Every ExperimentConfig
 field is both a flag and a ``key=value`` line in a config file passed via
---config; flags win.  Exit codes: 0 success, 2 config error, 3 data error.
+--config; flags win.  Exit codes: 0 success, 2 config error, 3 data error
+(also any file that cannot be opened or made).
 """
 
 import argparse
@@ -24,9 +25,8 @@ from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, checkpoint_header,
-                    checkpoint_load, checkpoint_save, get_activation,
-                    init_kaiming)
-from .rademacher import RadConfig, mc_rad_estimate
+                    checkpoint_load, checkpoint_save, init_kaiming)
+from .rademacher import RadConfig, check_scale, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
 BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
@@ -205,7 +205,7 @@ def cmd_train(cfg, ds):
     for m in cfg.widths:
         for seed in cfg.seeds:
             params, snapshot = init_kaiming(
-                fork_rng(seed, m), m, ds.d, 1, get_activation(cfg.activation))
+                fork_rng(seed, m), m, ds.d, 1, ACTIVATIONS[cfg.activation])
             try:
                 report = sgd_train(params, ds, cfg, seed)
             except TrainingDiverged as exc:
@@ -319,18 +319,19 @@ def cmd_rad(args):
         raise ConfigError("n, d and m must be >= 1")
     if not all(0.0 <= r < np.inf for r in (R_W, R_V)):
         raise ConfigError("radii must be finite and >= 0")
-    act = get_activation(args.activation)
-    rng = make_rng(args.seed)
+    try:  # RadConfig's counts and seed, and SCALE_GUARD, before any draw
+        cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
+        check_scale(n, d, m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    act = ACTIVATIONS[args.activation]
+    rng = make_rng(cfg.seed)
     X = rng.standard_normal((d, n))
     X /= np.linalg.norm(X, axis=0)
     W0 = init_kaiming(rng, m, d, 1, act)[1].W0
     ds = data_mod.Dataset(X, np.ones(n), name="rad_probe")
-    try:  # RadConfig's counts and mc_rad_estimate's SCALE_GUARD
-        cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
-        measures = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
-        est = mc_rad_estimate(X, W0, R_W, R_V, act, cfg=cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    measures = bounds_mod.class_bound_inputs(ds, W0, act, R_W, R_V)
+    est = mc_rad_estimate(X, W0, R_W, R_V, act, cfg=cfg)
     upper = bounds_mod.rad_upper_path(measures)
     lower = bounds_mod.rad_lower(measures)
     row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper,
@@ -397,7 +398,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (data_mod.DataError, FileNotFoundError) as exc:
+    except (data_mod.DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -78,7 +78,7 @@ class Dataset:
     X: np.ndarray  # (d, n), columns are examples with unit l2 norm
     y: np.ndarray  # (n,) entries in {-1, +1}
     name: str = ""
-    fingerprint: str = ""  # key of the prepared data X and y come from
+    fingerprint: str = ""  # data_fingerprint of the task X and y come from
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -227,19 +227,24 @@ def build_binary_task(raw, spec):
     return Dataset(X, y, name=spec.name)
 
 
-def prepared_key(raw, spec):
-    """Hex sha256 of everything X, y and their statistics are computed from.
-
-    That is the parsed raw images and labels, the task, TARGET_SIDE, the
-    numpy version (its wheels bundle their BLAS) and the source of the
-    modules that compute them, so a change to any of these gives a new key.
-    """
+def data_fingerprint(raw, spec):
+    """Hex sha256 of the data a task is: the parsed raw images and labels,
+    the task and TARGET_SIDE."""
     digest = hashlib.sha256()
     for arr in (raw.images, raw.labels):
         arr = np.ascontiguousarray(arr)
         digest.update(f"{arr.dtype.str}{arr.shape}".encode())
         digest.update(arr.data)
-    digest.update(repr((spec, TARGET_SIDE, np.__version__)).encode())
+    digest.update(repr((spec, TARGET_SIDE)).encode())
+    return digest.hexdigest()
+
+
+def prepared_key(fingerprint):
+    """Hex sha256 of everything X, y and their statistics are computed from:
+    the data fingerprint, the numpy version (its wheels bundle their BLAS)
+    and the source of the modules that compute them, so a change to any of
+    these gives a new key."""
+    digest = hashlib.sha256(f"{fingerprint} {np.__version__}".encode())
     for path in (__file__, linalg.__file__):
         with open(path, "rb") as f:
             digest.update(f.read())
@@ -253,21 +258,22 @@ def load_prepared_task(raw, spec, directory):
     The file is read when it holds this key's task and otherwise rebuilt and
     replaced, so a damaged or stale file costs a rebuild and nothing else.
     No file is written when directory does not exist.  The returned Dataset
-    carries the key as its fingerprint.
+    carries the data fingerprint, which a change of code leaves as it is.
     """
-    key = prepared_key(raw, spec)
+    fingerprint = data_fingerprint(raw, spec)
+    key = prepared_key(fingerprint)
     path = os.path.join(directory, f"prepared_{spec.source}.npy")
     n = int(np.count_nonzero(np.isin(raw.labels, (spec.positive_class,
                                                    spec.negative_class))))
     ds = _read_prepared(path, key, spec, n)
     if ds is None:
         ds = build_binary_task(raw, spec)
-        ds.fingerprint = key
         if os.path.isdir(directory):
             with atomic_open(path, "wb") as f:
                 for arr in (np.frombuffer(key.encode(), dtype=np.uint8), ds.X,
                             ds.y, np.array(astuple(ds.stats))):
                     np.save(f, arr)
+    ds.fingerprint = fingerprint
     return ds
 
 
@@ -310,7 +316,7 @@ def _read_prepared(path, key, spec, n):
             stats = _read_record(f, (3,), np.float64)
             if f.read(1):
                 return None
-        ds = Dataset(X, y, name=spec.name, fingerprint=key)
+        ds = Dataset(X, y, name=spec.name)
     except (OSError, ValueError, DataError):
         return None
     if not np.all(np.isfinite(stats)):

@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import DataError
 from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
                      spectral_norm)
-from .model import ACTIVATION_BY_ID, ACTIVATION_IDS
+from .model import ACTIVATION_BY_ID
 
 
 def path_norm(params, snapshot):
@@ -52,7 +52,7 @@ class ClassMeasures:
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
     ||V||_F <= R_V}: the class fields of a MeasureReport."""
     m: int                 # hidden width
-    activation: int        # model.ACTIVATION_IDS id
+    activation: int        # model.Activation.id
     R_W: float             # ||W - W0||_F
     R_V: float             # ||V||_F
     init_term: float       # (sum gamma^2(x^T w0))^(1/2)
@@ -94,7 +94,7 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V):
     """
     stats = ds.stats
     return ClassMeasures(
-        m=W0.shape[0], activation=ACTIVATION_IDS[activation.name],
+        m=W0.shape[0], activation=activation.id,
         R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation),
         X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
         r0=float(np.min(np.linalg.norm(W0, axis=1))))

@@ -19,6 +19,7 @@ from .files import atomic_open
 @dataclass(frozen=True)
 class Activation:
     name: str
+    id: int  # in a checkpoint header and in measures.csv
     fn: Callable
     deriv: Callable
     lipschitz: float
@@ -34,23 +35,14 @@ def _sigmoid(a):
 
 
 # ReLU subgradient at 0 is taken to be 0.
-RELU = Activation("relu", lambda a: np.maximum(a, 0.0),
+RELU = Activation("relu", 0, lambda a: np.maximum(a, 0.0),
                   lambda a: (a > 0).astype(float), 1.0)
-TANH = Activation("tanh", np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0)
-SIGMOID = Activation("sigmoid", _sigmoid,
+TANH = Activation("tanh", 1, np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0)
+SIGMOID = Activation("sigmoid", 2, _sigmoid,
                      lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), 0.25)
 
-ACTIVATIONS = {"relu": RELU, "tanh": TANH, "sigmoid": SIGMOID}
-# the activation's id in a checkpoint header and in measures.csv
-ACTIVATION_IDS = {"relu": 0, "tanh": 1, "sigmoid": 2}
-ACTIVATION_BY_ID = {v: k for k, v in ACTIVATION_IDS.items()}
-
-
-def get_activation(name):
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}") from None
+ACTIVATIONS = {a.name: a for a in (RELU, TANH, SIGMOID)}
+ACTIVATION_BY_ID = {a.id: a for a in ACTIVATIONS.values()}
 
 
 @dataclass
@@ -140,7 +132,7 @@ def checkpoint_save(ck, path):
     p = ck.params
     with atomic_open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, p.m, p.d, p.c,
-                             ACTIVATION_IDS[p.activation.name], ck.seed))
+                             p.activation.id, ck.seed))
         for arr in (p.W, p.V, ck.snapshot.W0, ck.snapshot.V0):
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
         f.write(_TRAILER.pack(ck.epochs, ck.final_train_error))
@@ -170,8 +162,7 @@ def checkpoint_header(f):
     actual = os.fstat(f.fileno()).st_size
     if actual != size:
         raise DataError(f"{f.name}: {actual} bytes, header gives {size}")
-    return CheckpointHeader(m, d, c, get_activation(ACTIVATION_BY_ID[act_id]),
-                            seed)
+    return CheckpointHeader(m, d, c, ACTIVATION_BY_ID[act_id], seed)
 
 
 def checkpoint_load(path):

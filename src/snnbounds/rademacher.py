@@ -35,6 +35,8 @@ class RadConfig:
             raise ValueError("counts must be >= 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -142,18 +144,17 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     return per_iterate_dot(V_star, G).reshape(S, R).max(axis=1)
 
 
-def pga_sup_estimate(sigma, X, W0, R_W, R_V, activation, cfg):
-    """Feasible lower estimate of the per-sigma supremum for one sign vector
-    of n entries, in any shape (e.g. n or n x 1)."""
-    sigma = np.asarray(sigma, dtype=float).reshape(1, -1)
-    values = _pga_best_values(sigma, X, W0, R_W, R_V, activation, cfg)
-    return float(values[0])
-
-
 def enumerate_signs(n):
     """All 2^n sign vectors as a (2^n, n) array of +-1."""
     grid = np.indices((2,) * n).reshape(n, -1).T
     return (2.0 * grid - 1.0).astype(float)
+
+
+def check_scale(n, d, m):
+    """ValueError if the instance size n * m * d exceeds SCALE_GUARD."""
+    if n * m * d > SCALE_GUARD:
+        raise ValueError(
+            f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
 
 
 def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
@@ -169,10 +170,7 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
     d, n = X.shape
-    m = W0.shape[0]
-    if n * m * d > SCALE_GUARD:
-        raise ValueError(
-            f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
+    check_scale(n, d, W0.shape[0])
     exhaustive = n <= 10
     if exhaustive:
         # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the

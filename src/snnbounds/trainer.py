@@ -62,10 +62,7 @@ def bce_logits(score, y01):
     s = np.asarray(score, dtype=float)
     y = np.asarray(y01, dtype=float)
     loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    grad = SIGMOID.fn(s) - y
-    if np.isscalar(score):
-        return float(loss), float(grad)
-    return loss, grad
+    return loss, SIGMOID.fn(s) - y
 
 
 def _batch_grads(params, Xb, yb01):

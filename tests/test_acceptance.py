@@ -18,13 +18,14 @@ import pytest
 from snnbounds import (RELU, TANH, RadConfig, TaskSpec, TrainConfig,
                        build_binary_task, init_kaiming, fork_rng,
                        khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       measure_report, pga_sup_estimate, rad_lower,
+                       measure_report, rad_lower,
                        rad_upper_path, sgd_train, spectral_norm, subsample,
                        closed_form_toplayer_sup, standard_path_norm,
                        path_norm, gen_bound_pn, all_bound_values,
                        SnnParams, InitSnapshot, Dataset)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
+from snnbounds.rademacher import _pga_best_values
 from snnbounds.trainer import _batch_grads, bce_logits
 from conftest import (MNIST_DIR, encode_cifar10_bin, encode_idx_images,
                       encode_idx_labels, mnist_available, random_unit_dataset,
@@ -320,12 +321,12 @@ def test_criterion_8_oracle_agreements():
         X /= np.linalg.norm(X, axis=0)
         _, snap = init_kaiming(rng, m, d, 1)
         W0 = np.asarray(snap.W0)
-        sigma = np.sign(rng.standard_normal(n))[:, None]
+        sigma = np.sign(rng.standard_normal(n))
         R_V = float(rng.uniform(0.1, 2.0))
-        exact = closed_form_toplayer_sup(sigma[:, 0], X, W0, R_V, RELU)
-        got = pga_sup_estimate(sigma, X, W0, 0.0, R_V, RELU,
-                               RadConfig(pga_steps=40, pga_restarts=2,
-                                         step_size=0.1, seed=i))
+        exact = closed_form_toplayer_sup(sigma, X, W0, R_V, RELU)
+        (got,) = _pga_best_values(sigma[None, :], X, W0, 0.0, R_V, RELU,
+                                  RadConfig(pga_steps=40, pga_restarts=2,
+                                            step_size=0.1, seed=i))
         assert got <= exact + 1e-9
 
     # byte-identical parser round-trips on both formats

@@ -10,15 +10,14 @@ import struct
 import numpy as np
 import pytest
 
-from snnbounds import (RELU, Checkpoint, all_bound_values, checkpoint_load,
-                       checkpoint_save, init_kaiming, make_rng, measure_report,
-                       report_from_row)
+from snnbounds import (ACTIVATIONS, RELU, Checkpoint, all_bound_values,
+                       checkpoint_load, checkpoint_save, init_kaiming,
+                       make_rng, measure_report, report_from_row)
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
-from snnbounds.model import ACTIVATION_IDS
 from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
@@ -354,10 +353,52 @@ def test_train_then_measure_builds_once_and_records_fingerprint(
         key = np.load(f).tobytes().decode()
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)
-    assert manifest["data_fingerprint"] == key
-    assert key == datasets_mod.prepared_key(
+    fingerprint = datasets_mod.data_fingerprint(
         datasets_mod.load_mnist_dir(mnist_dir), cli_mod.DEFAULT_TASKS["mnist"])
+    assert manifest["data_fingerprint"] == fingerprint
+    assert key == datasets_mod.prepared_key(fingerprint)
     assert manifest["numpy"] == np.__version__
+
+
+def test_measure_after_a_source_edit_rebuilds_the_prepared_data(
+        tmp_path, mnist_dir, monkeypatch):
+    """An edit to the code that prepares X changes the prepared file's key,
+    not the data fingerprint: measure rebuilds the file and accepts the run
+    trained before the edit."""
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "prepared_mnist.npy")
+    with open(path, "rb") as f:
+        old_key = np.load(f).tobytes().decode()
+    edited = os.path.join(tmp_path, "datasets.py")
+    shutil.copy(datasets_mod.__file__, edited)
+    with open(edited, "a") as f:
+        f.write("# an edit\n")
+    monkeypatch.setattr(datasets_mod, "__file__", edited)
+    builds = []
+
+    def counting_build(raw, spec):
+        builds.append(spec)
+        return build_binary_task(raw, spec)
+
+    monkeypatch.setattr(datasets_mod, "build_binary_task", counting_build)
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 0
+    assert len(builds) == 1
+    with open(path, "rb") as f:
+        new_key = np.load(f).tobytes().decode()
+    assert new_key != old_key
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert new_key == datasets_mod.prepared_key(
+            json.load(f)["data_fingerprint"])
+    assert os.path.exists(os.path.join(out, "measures.csv"))
+
+
+def test_train_exit_3_on_out_that_is_a_file(tmp_path, mnist_dir, capsys):
+    out = os.path.join(tmp_path, "run")
+    with open(out, "w") as f:
+        f.write("not a directory")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 3
+    assert capsys.readouterr().err.startswith("data error")
 
 
 def test_measure_into_missing_out_writes_nothing(tmp_path, mnist_dir):
@@ -385,7 +426,7 @@ def test_measures_csv_columns_parse_as_finite_floats(tmp_path, mnist_dir,
     params = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn")).params
     got = (report.d, report.activation)
     assert all(type(v) is int for v in got)
-    assert got == (params.d, ACTIVATION_IDS[activation])
+    assert got == (params.d, ACTIVATIONS[activation].id)
 
 
 def test_diverged_retrain_removes_the_old_checkpoint(tmp_path, mnist_dir,
@@ -644,14 +685,30 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
     ["--rw", "-1"],
     ["--rw", "nan"],
     ["--rv", "inf"],
+    ["--seed", "-1"],
 ], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius",
-        "nan-radius", "infinite-radius"])
+        "nan-radius", "infinite-radius", "negative-seed"])
 def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "allow_large" not in err  # no flag lifts the scale guard
+    assert not os.path.exists(out_csv)
+
+
+def test_rad_scale_guard_refuses_before_drawing(tmp_path, monkeypatch):
+    calls = []
+
+    def forbidden(*args):
+        calls.append(args)
+        raise AssertionError("drew an instance over the scale guard")
+
+    monkeypatch.setattr(cli_mod, "init_kaiming", forbidden)
+    out_csv = os.path.join(tmp_path, "rad.csv")
+    flags = ["--n", "2", "--d", "300", "--m", "300", "--out-csv", out_csv]
+    assert _run(["rad", *flags]) == 2  # n * m * d = 180000
+    assert calls == []
     assert not os.path.exists(out_csv)
 
 
@@ -714,6 +771,14 @@ def test_bounds_exit_3_without_measures_csv(tmp_path, measured_run, capsys):
     os.remove(os.path.join(out, "measures.csv"))
     assert _bounds_only(out) == 3
     assert "snnbounds measure" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "bounds.csv"))
+
+
+def test_bounds_exit_3_on_measures_csv_directory(tmp_path, capsys):
+    out = os.path.join(tmp_path, "run")
+    os.makedirs(os.path.join(out, "measures.csv"))
+    assert _bounds_only(out) == 3
+    assert capsys.readouterr().err.startswith("data error")
     assert not os.path.exists(os.path.join(out, "bounds.csv"))
 
 

@@ -277,7 +277,10 @@ def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind):
     assert ds.y.dtype == fresh.y.dtype and ds.y.tobytes() == fresh.y.tobytes()
     assert ds.name == fresh.name == "mnist_1v7"
     assert ds.stats == fresh.stats
-    assert ds.fingerprint == datasets_mod.prepared_key(raw, spec)
+    assert ds.fingerprint == datasets_mod.data_fingerprint(raw, spec)
+    with open(tmp_path / "prepared_mnist.npy", "rb") as f:
+        key = np.load(f).tobytes().decode()
+    assert key == datasets_mod.prepared_key(ds.fingerprint)
 
 
 def test_prepared_task_second_load_neither_builds_nor_eigensolves(
@@ -355,7 +358,7 @@ def test_prepared_task_bad_file_is_rebuilt(tmp_path, monkeypatch, kind):
     cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
     path = tmp_path / "prepared_mnist.npy"
     good = path.read_bytes()
-    _damage(kind, path, cold.fingerprint, cold)
+    _damage(kind, path, datasets_mod.prepared_key(cold.fingerprint), cold)
     builds = _counting_builds(monkeypatch)
     ds = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
     assert builds == [spec]

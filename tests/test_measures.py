@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snnbounds import (Dataset, InitSnapshot, RELU, SnnParams,
-                       frobenius_norm, get_activation, init_activation_term,
+from snnbounds import (ACTIVATIONS, Dataset, InitSnapshot, RELU, SnnParams,
+                       frobenius_norm, init_activation_term,
                        init_kaiming, make_rng, measure_report, path_norm,
                        spectral_norm, standard_path_norm)
 from snnbounds import datasets as datasets_mod
@@ -79,7 +79,7 @@ def test_init_term_hand_single():
 
 @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
 def test_init_term_blocked_matches_dense(act):
-    activation = get_activation(act)
+    activation = ACTIVATIONS[act]
     n = 2 * COLUMN_BLOCK + 37
     rng = make_rng(4)
     X = rng.standard_normal((5, n))
@@ -279,7 +279,7 @@ def test_data_stats_computed_once_per_dataset(monkeypatch):
 def test_measure_report_class_fields_are_class_bound_inputs(act):
     """A report's class fields are class_bound_inputs' at its radii, bit for
     bit, so the Rademacher rows of a network and of its class agree."""
-    activation = get_activation(act)
+    activation = ACTIVATIONS[act]
     params, snap = init_kaiming(make_rng(30), 5, 3, 1, activation)
     params.W = params.W + 0.3 * make_rng(31).standard_normal(params.W.shape)
     ds = random_unit_dataset(make_rng(32), 3, 9)

@@ -8,10 +8,9 @@ import pytest
 
 from snnbounds import (ACTIVATIONS, RELU, SIGMOID, TANH, Checkpoint,
                        InitSnapshot, SnnParams, checkpoint_load,
-                       checkpoint_save, forward, get_activation, init_kaiming,
-                       make_rng)
+                       checkpoint_save, forward, init_kaiming, make_rng)
 from snnbounds.datasets import DataError
-from snnbounds.model import checkpoint_header
+from snnbounds.model import ACTIVATION_BY_ID, checkpoint_header
 
 
 def test_relu_values():
@@ -38,10 +37,15 @@ def test_lipschitz_constants():
     assert SIGMOID.lipschitz == 0.25
 
 
-def test_get_activation():
-    assert get_activation("relu") is RELU
-    with pytest.raises(ValueError):
-        get_activation("swish")
+def test_activation_ids():
+    """The ids of the checkpoint header and measures.csv: 0 relu, 1 tanh,
+    2 sigmoid, each naming back the one Activation."""
+    assert [(a.name, a.id) for a in ACTIVATIONS.values()] == [
+        ("relu", 0), ("tanh", 1), ("sigmoid", 2)]
+    for name, activation in ACTIVATIONS.items():
+        assert ACTIVATION_BY_ID[activation.id] is activation
+        assert activation.name == name
+    assert ACTIVATIONS["relu"] is RELU
 
 
 def test_init_deterministic():

@@ -7,7 +7,7 @@ from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
                        closed_form_linear_sup, closed_form_toplayer_sup,
                        enumerate_signs, init_kaiming,
                        khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       pga_sup_estimate, rad_upper_path, sample_signs)
+                       rad_upper_path, sample_signs)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.linalg import fork_rng
 from snnbounds.rademacher import _pga_best_values
@@ -58,9 +58,9 @@ def test_pga_frozen_class_is_zero():
     ds = random_unit_dataset(make_rng(5), 3, 6)
     _, snap = init_kaiming(make_rng(5), 2, 3, 1)
     W0 = np.asarray(snap.W0)
-    sigma = np.ones((6, 1))
-    val = pga_sup_estimate(sigma, ds.X, W0, 0.0, 0.0, RELU, FAST)
-    assert val == 0.0
+    sigma = np.ones((1, 6))
+    val = _pga_best_values(sigma, ds.X, W0, 0.0, 0.0, RELU, FAST)
+    assert val.tolist() == [0.0]
 
 
 def test_pga_bounded_by_toplayer_closed_form():
@@ -74,12 +74,12 @@ def test_pga_bounded_by_toplayer_closed_form():
         X /= np.linalg.norm(X, axis=0)
         _, snap = init_kaiming(rng, m, d, 1)
         W0 = np.asarray(snap.W0)
-        sigma = np.sign(rng.standard_normal(n))[:, None]
+        sigma = np.sign(rng.standard_normal(n))
         R_V = 1.5
-        exact = closed_form_toplayer_sup(sigma[:, 0], X, W0, R_V, RELU)
-        got = pga_sup_estimate(sigma, X, W0, 0.0, R_V, RELU,
-                               RadConfig(pga_steps=150, pga_restarts=3,
-                                         step_size=0.1, seed=seed))
+        exact = closed_form_toplayer_sup(sigma, X, W0, R_V, RELU)
+        (got,) = _pga_best_values(sigma[None, :], X, W0, 0.0, R_V, RELU,
+                                  RadConfig(pga_steps=150, pga_restarts=3,
+                                            step_size=0.1, seed=seed))
         assert got <= exact + 1e-9
         if exact > 1e-12:
             ratios.append(got / exact)
@@ -139,8 +139,8 @@ def test_pga_frozen_w_matches_toplayer_closed_form(activation):
     for _ in range(5):
         sigma = np.sign(rng.standard_normal(6))
         exact = closed_form_toplayer_sup(sigma, ds.X, W0, 1.7, activation)
-        got = pga_sup_estimate(sigma[:, None], ds.X, W0, 0.0, 1.7,
-                               activation, FAST)
+        (got,) = _pga_best_values(sigma[None, :], ds.X, W0, 0.0, 1.7,
+                                  activation, FAST)
         assert got == pytest.approx(exact, rel=1e-12)
 
 
