@@ -319,9 +319,9 @@ def cmd_rad(args):
         raise ConfigError("n, d and m must be >= 1")
     if not all(0.0 <= r < np.inf for r in (R_W, R_V)):
         raise ConfigError("radii must be finite and >= 0")
-    try:  # RadConfig's counts and seed, and SCALE_GUARD, before any draw
+    try:  # RadConfig's counts and seed, and both scale guards, before any draw
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
-        check_scale(n, d, m)
+        check_scale(n, d, m, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     act = ACTIVATIONS[args.activation]

@@ -350,10 +350,10 @@ def load_mnist_dir(path):
 def load_cifar_dir(path):
     """RawImageSet from the CIFAR-10 binary train batches in a directory."""
     parts = []
-    for name in [f"data_batch_{i}.bin" for i in range(1, 6)]:
-        full = os.path.join(path, name)
-        if not os.path.exists(full):
-            full = os.path.join(path, "cifar-10-batches-bin", name)
+    for i in range(1, 6):
+        name = f"data_batch_{i}.bin"
+        full = _first_existing(
+            path, [name, os.path.join("cifar-10-batches-bin", name)])
         with open(full, "rb") as f:
             parts.append(parse_cifar10_bin(f.read()))
     images = np.concatenate([p.images for p in parts])

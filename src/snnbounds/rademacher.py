@@ -19,6 +19,10 @@ import numpy as np
 from .linalg import fork_rng, frobenius_norm, sample_signs
 
 SCALE_GUARD = 100_000  # max n * m * d
+# max floats in one of the PGA's iterate arrays, (sign vectors) x restarts x
+# m x (d + n): 256 MB; the PGA's peak is about five such arrays
+PGA_GUARD = 2 ** 25
+EXHAUSTIVE_MAX_N = 10  # sign vectors are enumerated, not sampled, up to here
 STEP_DECAY = 0.99  # PGA step size factor per step
 
 
@@ -150,28 +154,36 @@ def enumerate_signs(n):
     return (2.0 * grid - 1.0).astype(float)
 
 
-def check_scale(n, d, m):
-    """ValueError if the instance size n * m * d exceeds SCALE_GUARD."""
+def check_scale(n, d, m, cfg):
+    """ValueError if the instance size n * m * d exceeds SCALE_GUARD, or the
+    PGA's iterate size (sign vectors) * restarts * m * (d + n) under cfg
+    exceeds PGA_GUARD."""
     if n * m * d > SCALE_GUARD:
         raise ValueError(
             f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
+    signs = 2 ** (n - 1) if n <= EXHAUSTIVE_MAX_N else cfg.sigma_samples
+    size = signs * cfg.pga_restarts * m * (d + n)
+    if size > PGA_GUARD:
+        raise ValueError(
+            f"PGA iterate size (sign vectors)*restarts*m*(d+n) = {size} "
+            f"exceeds {PGA_GUARD}")
 
 
 def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     """Empirical Rademacher complexity estimate (1/n) E_sigma sup(...).
 
-    Sign vectors are enumerated exhaustively when n <= 10 (exact
-    sigma-expectation over the 2^(n-1) pairs {sigma, -sigma}; ``samples``
-    counts all 2^n), otherwise sampled.  Every per-sigma value is a
-    certified feasible lower estimate, so the result lower-bounds the true
-    complexity up to sigma-sampling error.
+    Sign vectors are enumerated exhaustively when n <= EXHAUSTIVE_MAX_N
+    (exact sigma-expectation over the 2^(n-1) pairs {sigma, -sigma};
+    ``samples`` counts all 2^n), otherwise sampled.  Every per-sigma value
+    is a certified feasible lower estimate, so the result lower-bounds the
+    true complexity up to sigma-sampling error.
     """
     cfg = cfg or RadConfig()
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
     d, n = X.shape
-    check_scale(n, d, W0.shape[0])
-    exhaustive = n <= 10
+    check_scale(n, d, W0.shape[0], cfg)
+    exhaustive = n <= EXHAUSTIVE_MAX_N
     if exhaustive:
         # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the
         # W-only PGA gives -sigma the value of sigma: search sigma_1 = +1 only

@@ -558,6 +558,18 @@ def test_all_on_cifar10_batches(tmp_path, subdir):
     assert {r["dataset"] for r in rows} == {"cifar10_0v1"}
 
 
+def test_cifar10_exit_3_on_missing_batch(tmp_path, capsys):
+    cifar = os.path.join(tmp_path, "cifar")
+    _write_cifar_batches(cifar)
+    os.remove(os.path.join(cifar, "data_batch_5.bin"))
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", "--dataset", "cifar10", "--cifar-dir", cifar,
+                 "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "data_batch_5.bin" in err
+    assert os.listdir(out) == []  # no checkpoint, no prepared_cifar10.npy
+
+
 def test_cifar10_without_cifar_dir_exits_2(tmp_path, capsys):
     out = os.path.join(tmp_path, "run")
     assert _run(["train", "--dataset", "cifar10", "--out", out]) == 2
@@ -697,7 +709,17 @@ def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     assert not os.path.exists(out_csv)
 
 
-def test_rad_scale_guard_refuses_before_drawing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags, guard", [
+    # n * m * d = 180000
+    (["--n", "2", "--d", "300", "--m", "300"], "instance size"),
+    # PGA iterates of 2^9 sign vectors * 5 restarts * m * (d + n) floats:
+    # 281.6M, and 7.4G with 100000 restarts
+    (["--n", "10", "--d", "1", "--m", "10000"], "PGA iterate size"),
+    (["--n", "10", "--d", "8", "--m", "8", "--pga-restarts", "100000"],
+     "PGA iterate size"),
+], ids=["instance", "pga-width", "pga-restarts"])
+def test_rad_scale_guard_refuses_before_drawing(tmp_path, monkeypatch, capsys,
+                                                flags, guard):
     calls = []
 
     def forbidden(*args):
@@ -706,8 +728,8 @@ def test_rad_scale_guard_refuses_before_drawing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "init_kaiming", forbidden)
     out_csv = os.path.join(tmp_path, "rad.csv")
-    flags = ["--n", "2", "--d", "300", "--m", "300", "--out-csv", out_csv]
-    assert _run(["rad", *flags]) == 2  # n * m * d = 180000
+    assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {guard}")
     assert calls == []
     assert not os.path.exists(out_csv)
 
@@ -880,24 +902,31 @@ def test_bounds_and_figure_exit_3_on_out_of_range_measures(
                 if name.startswith(("bounds", "fig"))]
 
 
-def test_bounds_and_figure_exit_3_on_measures_with_c_column(
-        tmp_path, measured_run, capsys):
-    # a measures.csv of the earlier schema, which gave the head size c a
-    # column, is refused rather than read without it
+@pytest.mark.parametrize("column, before, copied", [
+    ("c", "d", None),                    # c = 1, the binary head
+    ("v_spectral", "init_term", "R_V"),  # after R_V, a copy of it
+], ids=["c", "v_spectral"])
+def test_bounds_and_figure_exit_3_on_measures_with_old_column(
+        tmp_path, measured_run, capsys, column, before, copied):
+    # a measures.csv of an earlier schema, which gave the head size c a
+    # column, or repeated R_V as v_spectral, is refused naming the column
+    # rather than read without it
     out = _copy_run(measured_run, tmp_path)
     path = os.path.join(out, "measures.csv")
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     header = list(rows[0])
-    header.insert(header.index("d"), "c")
+    header.insert(header.index(before), column)
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=header)
         writer.writeheader()
-        writer.writerows({**row, "c": "1"} for row in rows)
+        writer.writerows({**row, column: row[copied] if copied else "1"}
+                         for row in rows)
     for command in ("bounds", "figure"):
         assert _run([command, "--out", out]) == 3, command
         err = capsys.readouterr().err
         assert err.startswith("data error") and "rerun `snnbounds measure`" in err
+        assert f"({column} = " in err
     assert not [name for name in os.listdir(out)
                 if name.startswith(("bounds", "fig"))]
 
