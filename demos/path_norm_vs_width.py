@@ -2,9 +2,10 @@
 
 Trains one-hidden-layer networks of increasing width on the same synthetic
 binary task and prints the path-norm with reference matrix (kappa) next to
-the standard path-norm (kappa_s).  kappa stays nearly flat as the width
-grows while kappa_s keeps climbing, which is the whole point of measuring
-distance from initialization instead of raw weight size.
+the standard path-norm (kappa_s), the same sum against a zero reference:
+path_norm(V, W - W0) and path_norm(V, W).  kappa stays nearly flat as the
+width grows while kappa_s keeps climbing, which is the whole point of
+measuring distance from initialization instead of raw weight size.
 
 Run:  python3 demos/path_norm_vs_width.py
 """
@@ -12,7 +13,7 @@ Run:  python3 demos/path_norm_vs_width.py
 import numpy as np
 
 from snnbounds import (TrainConfig, fork_rng, init_kaiming, make_rng,
-                       path_norm, sgd_train, standard_path_norm)
+                       path_norm, sgd_train)
 from snnbounds.datasets import Dataset
 
 d, n = 32, 512
@@ -32,6 +33,6 @@ for p in range(3, 10):
     report = sgd_train(params, ds,
                        TrainConfig(batch_size=64, learning_rate=0.05,
                                    max_epochs=40, target_train_error=0.02))
-    print(f"{m:>6} {path_norm(params, snap):>12.4f} "
-          f"{standard_path_norm(params):>12.4f} "
+    print(f"{m:>6} {path_norm(params.V, params.W - snap.W0):>12.4f} "
+          f"{path_norm(params.V, params.W):>12.4f} "
           f"{report.final_train_error:>10.3f}")

@@ -9,7 +9,7 @@ from .datasets import (DataStats, Dataset, RawImageSet, TaskSpec,
 from .linalg import (fork_rng, frobenius_norm, make_rng, pq_norm, sample_signs,
                      spectral_norm)
 from .measures import (MeasureReport, init_activation_term, measure_report,
-                       path_norm, report_from_row, standard_path_norm)
+                       path_norm, report_from_row)
 from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
                     InitSnapshot, SnnParams, checkpoint_load, checkpoint_save,
                     forward, init_kaiming)

@@ -157,7 +157,7 @@ def comparator_bound(name, r):
     return BoundValue(name, norm(r) * factor, data_dep, qualitative)
 
 
-def all_bound_values(report, delta=0.01):
+def all_bound_values(report, delta):
     """Every implemented bound for one trained model, as BoundValues.
 
     ``report`` is the model's MeasureReport (in memory or read back from

@@ -253,24 +253,24 @@ def _read_manifest(out):
 
 
 def _grid_checkpoints(cfg):
-    """(seed, path) of each checkpoint on the grid; DataError if there is
-    none, or, from its header alone, for one with other than c = 1 outputs."""
+    """(seed, path, d) of each checkpoint on the grid, d from its header;
+    DataError if there is none, or for a header checkpoint_header refuses,
+    such as one with other than c = 1 outputs."""
     found = [(seed, path) for m in cfg.widths for seed in cfg.seeds
              if os.path.exists(path := _ckpt_path(cfg, seed, m))]
     if not found:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
-    for _, path in found:
+    checkpoints = []
+    for seed, path in found:
         with open(path, "rb") as f:
-            c = checkpoint_header(f).c
-        if c != 1:
-            raise data_mod.DataError(f"{path} has c = {c} outputs; measure "
-                                     "takes c = 1 only")
-    return found
+            checkpoints.append((seed, path, checkpoint_header(f).d))
+    return checkpoints
 
 
 def cmd_measure(cfg, ds, checkpoints, manifest):
-    """measures.csv of the (seed, path) checkpoints of _grid_checkpoints;
-    ConfigError if the manifest of _read_manifest records other data than ds."""
+    """measures.csv of the (seed, path, d) checkpoints of _grid_checkpoints;
+    ConfigError if the manifest of _read_manifest records other data than
+    ds, DataError if a checkpoint's d is not the data's."""
     for key, value in (("n", ds.n), ("d", ds.d),
                        ("data_fingerprint", ds.fingerprint)):
         if manifest is not None and manifest.get(key) != value:
@@ -279,8 +279,12 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
                 f"{manifest.get(key)!r} but the loaded data has {value!r}; "
                 "measure with the data and --subsample that `snnbounds "
                 "train` used")
+    for _, path, d in checkpoints:
+        if d != ds.d:
+            raise data_mod.DataError(f"{path} has d = {d} inputs but the "
+                                     f"data has d = {ds.d}")
     rows = []
-    for seed, path in checkpoints:
+    for seed, path, _ in checkpoints:
         ck = checkpoint_load(path)
         report = measure_report(ck.params, ck.snapshot, ds)
         rows.append(measure_row(report, ds.name, seed))

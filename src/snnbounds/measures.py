@@ -1,12 +1,14 @@
 """Scalar complexity measures of a (params, snapshot, dataset) triple.
 
 The central quantity is the path-norm with a reference matrix,
-kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2, alongside the standard
-path-norm, Frobenius/spectral norms of weights and their distances from
-initialization, and the activation-at-initialization term.  A report also
-carries every data statistic the bounds need and the network's width, input
-dimension and activation, so the bounds are a function of one measures.csv
-row.  A MeasureReport extends the ClassMeasures of the network's class.
+kappa = sum_{j,k} |v_kj| * ||w_j - w_j0||_2.  The standard path-norm
+kappa_s is the same sum against a zero reference, so one path_norm(V, M)
+gives both.  A report adds Frobenius/spectral norms of the weights and
+their distances from initialization (measure_report forms W - W0 once) and
+the activation-at-initialization term.  It also carries every data
+statistic the bounds need and the network's width, input dimension and
+activation, so the bounds are a function of one measures.csv row.  A
+MeasureReport extends the ClassMeasures of the network's class.
 """
 
 from dataclasses import dataclass, fields
@@ -19,19 +21,10 @@ from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
 from .model import ACTIVATION_BY_ID
 
 
-def path_norm(params, snapshot):
-    """kappa = sum_j sum_k |v_kj| * ||w_j - w_j0||_2."""
-    if params.W.shape != snapshot.W0.shape:
-        raise ValueError("W and W0 shape mismatch")
-    dists = np.linalg.norm(params.W - snapshot.W0, axis=1)
-    return float(np.abs(params.V).sum(axis=0) @ dists)
-
-
-def standard_path_norm(params):
-    """kappa_s = sum_j |v_j| * ||w_j||_2 (binary head only)."""
-    if params.c != 1:
-        raise ValueError("standard path-norm is defined here for c = 1")
-    return float(np.abs(params.V[0]) @ np.linalg.norm(params.W, axis=1))
+def path_norm(V, M):
+    """sum_j sum_k |v_kj| * ||m_j||_2 over the rows m_j of M: kappa for
+    M = W - W0, the standard path-norm kappa_s for M = W."""
+    return float(np.abs(V).sum(axis=0) @ np.linalg.norm(M, axis=1))
 
 
 def init_activation_term(W0, X, activation):
@@ -108,8 +101,8 @@ def measure_report(params, snapshot, ds):
     return MeasureReport(
         **vars(class_bound_inputs(ds, snapshot.W0, params.activation,
                                   frobenius_norm(dW), frobenius_norm(params.V))),
-        kappa=path_norm(params, snapshot),
-        kappa_s=standard_path_norm(params),
+        kappa=path_norm(params.V, dW),
+        kappa_s=path_norm(params.V, params.W),
         w_fro=frobenius_norm(params.W),
         v_dist=frobenius_norm(params.V - snapshot.V0),
         w0_spectral=spectral_norm(snapshot.W0),

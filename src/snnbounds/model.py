@@ -1,7 +1,9 @@
 """Shallow network model: forward pass, activations, Kaiming init, checkpoints.
 
 The network is x -> V @ gamma(W @ x) with W of shape (m, d) and V of shape
-(c, m).  No bias terms.
+(1, m): one output (c = 1), the binary head.  This module is the one place
+that holds that rule: SnnParams refuses any other V, and checkpoint_header
+any other c.  No bias terms.
 """
 
 import os
@@ -48,17 +50,17 @@ ACTIVATION_BY_ID = {a.id: a for a in ACTIVATIONS.values()}
 @dataclass
 class SnnParams:
     W: np.ndarray  # (m, d)
-    V: np.ndarray  # (c, m)
+    V: np.ndarray  # (1, m)
     activation: Activation
 
     def __post_init__(self):
         self.W = np.ascontiguousarray(self.W, dtype=float)
         self.V = np.ascontiguousarray(self.V, dtype=float)
-        if self.W.ndim != 2 or self.V.ndim != 2:
-            raise ValueError("W and V must be 2-D")
-        if self.V.shape[1] != self.W.shape[0]:
-            raise ValueError(
-                f"V has {self.V.shape[1]} columns but W has {self.W.shape[0]} rows")
+        if self.W.ndim != 2:
+            raise ValueError("W must be 2-D")
+        if self.V.shape != (1, self.m):
+            raise ValueError(f"V has shape {self.V.shape}, not (1, m) = "
+                             f"(1, {self.m}): the head has c = 1 output")
 
     @property
     def m(self):
@@ -67,10 +69,6 @@ class SnnParams:
     @property
     def d(self):
         return self.W.shape[1]
-
-    @property
-    def c(self):
-        return self.V.shape[0]
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,7 @@ def init_kaiming(rng, m, d, c, activation=RELU):
     """Kaiming-Gaussian init: W ~ N(0, 2/d), V ~ N(0, 2/m) on both layers.
 
     Returns the live parameters plus a frozen copy of the initialization.
+    c is the head size, which SnnParams refuses unless it is 1.
     """
     if min(m, d, c) < 1:
         raise ValueError("m, d, c must be >= 1")
@@ -100,7 +99,7 @@ def init_kaiming(rng, m, d, c, activation=RELU):
 
 
 def forward(params, X):
-    """Network outputs, shape (c, n), for column-stacked inputs X of shape (d, n)."""
+    """Network outputs, shape (1, n), for column-stacked inputs X of shape (d, n)."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] != params.d:
         raise ValueError(f"X has {X.shape[0]} rows, expected d={params.d}")
@@ -118,21 +117,21 @@ class Checkpoint:
 
 _MAGIC = b"SNNCKPT1"
 _VERSION = 1
-# magic, version, m, d, c, activation id, seed; then W, V, W0, V0 as
+# magic, version, m, d, c = 1, activation id, seed; then W, V, W0, V0 as
 # little-endian f64; then the trailer: epochs, final training error
 _HEADER = struct.Struct("<8s5IQ")
 _TRAILER = struct.Struct("<Id")
 
 
-CheckpointHeader = namedtuple("CheckpointHeader", "m d c activation seed")
+CheckpointHeader = namedtuple("CheckpointHeader", "m d activation seed")
 
 
 def checkpoint_save(ck, path):
     """Binary checkpoint in the layout described at _HEADER."""
     p = ck.params
     with atomic_open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, p.m, p.d, p.c,
-                             p.activation.id, ck.seed))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, p.m, p.d, 1, p.activation.id,
+                             ck.seed))
         for arr in (p.W, p.V, ck.snapshot.W0, ck.snapshot.V0):
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
         f.write(_TRAILER.pack(ck.epochs, ck.final_train_error))
@@ -143,8 +142,9 @@ def checkpoint_header(f):
     is left at the first array.
 
     DataError, naming the file, unless the magic, version, activation
-    id and dimensions are ones checkpoint_save writes and the file has
-    exactly the size they give: a truncated file and trailing bytes alike.
+    id and dimensions are ones checkpoint_save writes (c = 1 among them) and
+    the file has exactly the size they give: a truncated file and trailing
+    bytes alike.
     """
     raw = f.read(_HEADER.size)
     if raw[:8] != _MAGIC:
@@ -156,13 +156,15 @@ def checkpoint_header(f):
         raise DataError(f"{f.name}: unsupported version {version}")
     if act_id not in ACTIVATION_BY_ID:
         raise DataError(f"{f.name}: unknown activation id {act_id}")
-    if max(m, d, c) > 2 ** 24 or min(m, d, c) < 1:
-        raise DataError(f"{f.name}: implausible dimensions m={m} d={d} c={c}")
-    size = _HEADER.size + 8 * 2 * (m * d + c * m) + _TRAILER.size
+    if c != 1:
+        raise DataError(f"{f.name}: c = {c} outputs, but the model has c = 1")
+    if max(m, d) > 2 ** 24 or min(m, d) < 1:
+        raise DataError(f"{f.name}: implausible dimensions m={m} d={d}")
+    size = _HEADER.size + 8 * 2 * (m * d + m) + _TRAILER.size
     actual = os.fstat(f.fileno()).st_size
     if actual != size:
         raise DataError(f"{f.name}: {actual} bytes, header gives {size}")
-    return CheckpointHeader(m, d, c, ACTIVATION_BY_ID[act_id], seed)
+    return CheckpointHeader(m, d, ACTIVATION_BY_ID[act_id], seed)
 
 
 def checkpoint_load(path):
@@ -170,7 +172,7 @@ def checkpoint_load(path):
     with open(path, "rb") as f:
         h = checkpoint_header(f)
         W, V, W0, V0 = [np.empty(shape, dtype="<f8")
-                        for shape in [(h.m, h.d), (h.c, h.m)] * 2]
+                        for shape in [(h.m, h.d), (1, h.m)] * 2]
         for arr in (W, V, W0, V0):
             f.readinto(arr)
         epochs, final_err = _TRAILER.unpack(f.read(_TRAILER.size))

@@ -204,8 +204,8 @@ def khintchine_sandwich_check(X, samples=1000, rng=None):
 
     Returns (mc_mean, lower, upper) where lower = (sum ||x_i||^2)^(1/2)/sqrt(2)
     and upper = (sum ||x_i||^2)^(1/2).  Exact enumeration replaces sampling
-    for n <= 10.  Raises AssertionError if the sandwich fails beyond 3
-    standard errors.
+    for n <= EXHAUSTIVE_MAX_N.  Raises AssertionError if the sandwich fails
+    beyond 3 standard errors.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -214,13 +214,14 @@ def khintchine_sandwich_check(X, samples=1000, rng=None):
     rss = frobenius_norm(X)
     lower = rss / math.sqrt(2.0)
     upper = rss
-    if n <= 10:
+    exhaustive = n <= EXHAUSTIVE_MAX_N
+    if exhaustive:
         sigmas = enumerate_signs(n)
     else:
         sigmas = sample_signs(rng or fork_rng(0, 3), samples, n)
     norms = np.linalg.norm(X @ sigmas.T, axis=0)
     mean = float(np.mean(norms))
-    se = 0.0 if n <= 10 else float(np.std(norms, ddof=1) / math.sqrt(samples))
+    se = 0.0 if exhaustive else float(np.std(norms, ddof=1) / math.sqrt(samples))
     if not (lower - 3 * se - 1e-12 <= mean <= upper + 3 * se + 1e-12):
         raise AssertionError(
             f"Khintchine sandwich violated: {lower} <= {mean} <= {upper}")

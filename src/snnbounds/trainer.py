@@ -1,9 +1,9 @@
 """Mini-batch SGD with momentum on binary cross-entropy with logits.
 
-Binary heads only (c = 1).  Labels are stored as {-1, +1} in the Dataset and
-mapped to {0, 1} internally for the BCE loss.  Training stops when the
-end-of-epoch 0-1 training error drops below the target, or when max_epochs
-is reached.
+The head has one output (c = 1), which model.SnnParams ensures.  Labels are
+stored as {-1, +1} in the Dataset and mapped to {0, 1} internally for the
+BCE loss.  Training stops when the end-of-epoch 0-1 training error drops
+below the target, or when max_epochs is reached.
 """
 
 import time
@@ -86,8 +86,6 @@ def margins(params, ds):
     The forward runs over blocks of at most COLUMN_BLOCK columns of X into
     one (n,) vector, so memory is O(m * block) rather than O(m * n).
     """
-    if params.c != 1:
-        raise ValueError("margins require c = 1")
     t = np.empty(ds.n)
     for cols in column_blocks(ds.n, COLUMN_BLOCK):
         t[cols] = forward(params, ds.X[:, cols])[0]
@@ -122,8 +120,6 @@ def sgd_train(params, ds, cfg, seed=0):
     """
     if ds.d != params.d:
         raise ValueError(f"dataset d={ds.d} but model d={params.d}")
-    if params.c != 1:
-        raise ValueError("the training harness supports c = 1 only")
 
     start = time.perf_counter()
     y01 = (ds.y + 1.0) / 2.0

@@ -49,6 +49,17 @@ def encode_cifar10_bin(images, labels):
     return b"".join(parts)
 
 
+def write_two_output_checkpoint(path, m, d, seed=0):
+    """A checkpoint file with a c = 2 head, written byte by byte in the
+    layout of docs/formats.md, which the model does not write."""
+    c = 2
+    with open(path, "wb") as f:
+        f.write(struct.pack("<8s5IQ", b"SNNCKPT1", 1, m, d, c, 0, seed))
+        f.write(np.ones(2 * (m * d + c * m), dtype="<f8").tobytes())
+        f.write(struct.pack("<Id", 0, 0.0))
+    return path
+
+
 def random_unit_dataset(rng, d, n):
     X = rng.standard_normal((d, n))
     X /= np.linalg.norm(X, axis=0)

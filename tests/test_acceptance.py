@@ -20,9 +20,8 @@ from snnbounds import (RELU, TANH, RadConfig, TaskSpec, TrainConfig,
                        khintchine_sandwich_check, make_rng, mc_rad_estimate,
                        measure_report, rad_lower,
                        rad_upper_path, sgd_train, spectral_norm, subsample,
-                       closed_form_toplayer_sup, standard_path_norm,
-                       path_norm, gen_bound_pn, all_bound_values,
-                       SnnParams, InitSnapshot, Dataset)
+                       closed_form_toplayer_sup, path_norm, gen_bound_pn,
+                       all_bound_values, Dataset)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
 from snnbounds.rademacher import _pga_best_values
@@ -85,9 +84,7 @@ def test_criterion_2_path_norm_inequality():
         W0 = rng.standard_normal((m, d))
         W = W0 + rng.standard_normal((m, d))
         V = rng.standard_normal((c, m))
-        params = SnnParams(W, V, RELU)
-        snap = InitSnapshot(W0, np.zeros((c, m)))
-        kappa = path_norm(params, snap)
+        kappa = path_norm(V, W - W0)
         R_W = float(np.linalg.norm(W - W0))
         R_V = float(np.linalg.norm(V))
         assert kappa <= math.sqrt(c) * R_W * R_V + 1e-9
@@ -97,7 +94,7 @@ def test_criterion_2_path_norm_inequality():
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         Ww = W0 + (R_W / math.sqrt(m)) * dirs
         Vw = np.full((c, m), R_V / math.sqrt(c * m))
-        kw = path_norm(SnnParams(Ww, Vw, RELU), snap)
+        kw = path_norm(Vw, Ww - W0)
         assert abs(kw - math.sqrt(c) * R_W * R_V) < 1e-10
     assert time.monotonic() - t0 < 10
     _report(2, "path-norm Cauchy-Schwarz bound and witness equality")
@@ -158,8 +155,8 @@ def test_criterion_4_width_insensitivity():
     cells = _train_sweep(_subset(_load_mnist_task(), 4000), widths, [0, 1, 2])
     kappas, kappas_s = {}, {}
     for (m, seed), (params, snap) in cells.items():
-        k = path_norm(params, snap)
-        ks = standard_path_norm(params)
+        k = path_norm(params.V, params.W - snap.W0)
+        ks = path_norm(params.V, params.W)
         assert k < ks, f"kappa >= kappa_s at m={m}, seed={seed}"
         kappas.setdefault(m, []).append(k)
         kappas_s.setdefault(m, []).append(ks)
@@ -241,8 +238,7 @@ def test_criteria_4_and_5_code_path_on_stand_in(stand_in_task):
         values = {v.method: v.value for v in bound_values}
         assert all(math.isfinite(x) for x in
                    [value, *values.values(), *vars(report).values()]), m
-        assert report.kappa <= (math.sqrt(params.c) * report.R_W * report.R_V
-                                * (1 + 1e-12)), m
+        assert report.kappa <= report.R_W * report.R_V * (1 + 1e-12), m
         assert values["rad_lower"] <= values["rad_upper_path"], m
 
 

@@ -87,7 +87,7 @@ def test_rad_upper_frob_equals_path_at_default_sup():
     """The Frobenius product R_W R_V is the class's path-norm sup,
     so the two upper-bound rows are one number."""
     _, _, _, report = _trained_like()
-    by_name = {v.method: v.value for v in all_bound_values(report)}
+    by_name = {v.method: v.value for v in all_bound_values(report, delta=0.01)}
     assert by_name["rad_upper_frob"] == by_name["rad_upper_path"]
     assert by_name["rad_upper_path"] == rad_upper_path(report)
 
@@ -260,7 +260,7 @@ def test_comparator_rows_at_init():
 
 def test_all_bound_values_relu_full_set():
     params, snap, ds, report = _trained_like(seed=13)
-    values = all_bound_values(report)
+    values = all_bound_values(report, delta=0.01)
     # bounds.csv order: the comparators, then the rows computed here
     assert [v.method for v in values] == [
         "vc_dim", "inf1_product", "spn_radbound", "fro_product",
@@ -280,7 +280,7 @@ def test_all_bound_values_tanh_drops_lower():
     params, snap = init_kaiming(make_rng(14), 4, 3, 1, TANH)
     ds = random_unit_dataset(make_rng(15), 3, 8)
     report = measure_report(params, snap, ds)
-    names = [v.method for v in all_bound_values(report)]
+    names = [v.method for v in all_bound_values(report, delta=0.01)]
     assert "rad_lower" not in names
     assert len(names) == 13
 

@@ -22,7 +22,8 @@ from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
-from conftest import encode_cifar10_bin, encode_idx_labels, write_fake_mnist_dir
+from conftest import (encode_cifar10_bin, encode_idx_labels,
+                      write_fake_mnist_dir, write_two_output_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -769,7 +770,7 @@ def test_bounds_reads_measures_csv_without_data(tmp_path, mnist_dir,
         ck = checkpoint_load(os.path.join(out, f"ckpt_mnist_s0_m{m}.snn"))
         report = measure_report(ck.params, ck.snapshot, ds)
         want += [(ds.name, str(m), bv.method, repr(bv.value))
-                 for bv in all_bound_values(report)]
+                 for bv in all_bound_values(report, delta=0.01)]
     assert got == want
 
 
@@ -940,9 +941,7 @@ def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
     assert _run(["train"] + _base_args(mnist_dir, out)) == 0
     path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
     d = checkpoint_load(path).params.d
-    params, snap = init_kaiming(make_rng(0), 4, d, 2)
-    checkpoint_save(Checkpoint(params, snap, seed=0, epochs=0,
-                               final_train_error=0.0), path)
+    write_two_output_checkpoint(path, 4, d)
     monkeypatch.setattr(cli_mod, "measure_report",
                         lambda *a: pytest.fail("measured a c = 2 checkpoint"))
     monkeypatch.setattr(cli_mod, "load_task_dataset",
@@ -951,6 +950,28 @@ def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and path in err and "c = 2" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
+def test_measure_exit_3_on_checkpoint_of_other_d(tmp_path, mnist_dir,
+                                                 monkeypatch, capsys):
+    # with no manifest to compare, a checkpoint whose input dimension is not
+    # the data's is refused, naming it and both d values, before any cell is
+    # measured; it is found only once the data is prepared, so this is not
+    # a case of the c = 2 test above
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    os.remove(os.path.join(out, "manifest.json"))
+    d = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn")).params.d
+    path = os.path.join(out, "ckpt_mnist_s0_m8.snn")
+    checkpoint_save(Checkpoint(*init_kaiming(make_rng(0), 8, 5, 1)), path)
+    monkeypatch.setattr(cli_mod, "measure_report",
+                        lambda *a: pytest.fail("measured a checkpoint"))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out, widths="4,8")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and path in err
+    assert "d = 5" in err and f"d = {d}" in err
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 

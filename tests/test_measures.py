@@ -9,7 +9,7 @@ import pytest
 from snnbounds import (ACTIVATIONS, Dataset, InitSnapshot, RELU, SnnParams,
                        frobenius_norm, init_activation_term,
                        init_kaiming, make_rng, measure_report, path_norm,
-                       spectral_norm, standard_path_norm)
+                       spectral_norm)
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
@@ -20,21 +20,20 @@ from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
 from conftest import random_unit_dataset
 
 
-def _params_snap(seed=0, m=4, d=3, c=1, shift=0.2):
-    params, snap = init_kaiming(make_rng(seed), m, d, c)
+def _params_snap(seed=0, m=4, d=3, shift=0.2):
+    params, snap = init_kaiming(make_rng(seed), m, d, 1)
     params.W = params.W + shift * make_rng(seed + 1).standard_normal(params.W.shape)
     return params, snap
 
 
 def test_path_norm_zero_at_init():
     params, snap = init_kaiming(make_rng(0), 3, 2, 1)
-    assert path_norm(params, snap) == 0.0
+    assert path_norm(params.V, params.W - snap.W0) == 0.0
 
 
 def test_path_norm_hand_scalar():
-    snap = InitSnapshot(np.array([[0.0, 0.0]]), np.array([[0.0]]))
-    params = SnnParams(np.array([[3.0, 0.0]]), np.array([[2.0]]), RELU)
-    assert path_norm(params, snap) == pytest.approx(6.0)
+    W0 = np.array([[1.0, -1.0]])
+    assert path_norm(np.array([[2.0]]), np.array([[4.0, -1.0]]) - W0) == 6.0
 
 
 def test_path_norm_sqrt_m_gap():
@@ -46,22 +45,21 @@ def test_path_norm_sqrt_m_gap():
     W = W0.copy()
     W[0, 0] += delta
     V = np.full((1, m), 1.0 / math.sqrt(m))
-    params = SnnParams(W, V, RELU)
-    snap = InitSnapshot(W0, np.zeros((1, m)))
-    assert path_norm(params, snap) == pytest.approx(delta / math.sqrt(m), rel=1e-12)
+    assert path_norm(V, W - W0) == pytest.approx(delta / math.sqrt(m), rel=1e-12)
     prod = np.linalg.norm(W - W0) * np.linalg.norm(V)
     assert prod == pytest.approx(delta, rel=1e-12)
 
 
 def test_standard_path_norm():
-    params = SnnParams(np.array([[2.0, 0.0], [0.0, 3.0]]),
-                       np.array([[1.0, -1.0]]), RELU)
-    assert standard_path_norm(params) == pytest.approx(5.0)
-    zero_head = SnnParams(np.ones((2, 2)), np.zeros((1, 2)), RELU)
-    assert standard_path_norm(zero_head) == 0.0
-    multi = SnnParams(np.ones((2, 2)), np.ones((3, 2)), RELU)
-    with pytest.raises(ValueError):
-        standard_path_norm(multi)
+    # kappa_s is the path-norm against a zero reference: path_norm(V, W),
+    # and a report's kappa when W0 = 0
+    W = np.array([[2.0, 0.0], [0.0, 3.0]])
+    assert path_norm(np.array([[1.0, -1.0]]), W) == 5.0
+    assert path_norm(np.zeros((1, 2)), np.ones((2, 2))) == 0.0
+    params = SnnParams(W, np.array([[1.0, -1.0]]), RELU)
+    snap = InitSnapshot(np.zeros((2, 2)), np.zeros((1, 2)))
+    rep = measure_report(params, snap, random_unit_dataset(make_rng(0), 2, 5))
+    assert rep.kappa == rep.kappa_s == 5.0
 
 
 def test_init_term_zero_init_relu():
@@ -104,6 +102,22 @@ def test_init_term_peak_memory_well_below_one_m_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
+
+
+def test_measure_report_peak_memory_below_two_and_a_half_w():
+    # W - W0 is formed once: the peak beyond the inputs is that difference
+    # plus one temporary of W's size, not a second copy of the difference
+    m, d = 1024, 512
+    params, snap = _params_snap(seed=6, m=m, d=d)
+    ds = random_unit_dataset(make_rng(7), d, 16)
+    ds.stats  # the data statistics are computed once, before the report
+    tracemalloc.start()
+    try:
+        measure_report(params, snap, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * d * 8  # one (m, d) float64 array is 4 MB
 
 
 def test_report_at_init():
@@ -242,8 +256,8 @@ def test_report_from_row_rejects_bad_activation_id(value, match):
 
 def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
     # a NaN kappa_s is no network's; a network with c > 1 outputs has no
-    # row: measure_report refuses it, and a row of the earlier schema,
-    # which gave c a column, is refused whatever its c
+    # row: the model refuses it, and a row of the earlier schema, which
+    # gave c a column, is refused whatever its c
     params, snap = _params_snap(seed=16)
     ds = random_unit_dataset(make_rng(17), 3, 6)
     row = dict(zip(MEASURE_CSV_FIELDS,
@@ -253,7 +267,7 @@ def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
     with pytest.raises(DataError, match="rerun `snnbounds measure`"):
         report_from_row(_with_c_column(row, "2"))
     with pytest.raises(ValueError, match="c = 1"):
-        measure_report(*_params_snap(seed=16, c=2), ds)
+        init_kaiming(make_rng(16), 4, 3, 2)
 
 
 def test_data_stats_computed_once_per_dataset(monkeypatch):

@@ -11,6 +11,7 @@ from snnbounds import (ACTIVATIONS, RELU, SIGMOID, TANH, Checkpoint,
                        checkpoint_save, forward, init_kaiming, make_rng)
 from snnbounds.datasets import DataError
 from snnbounds.model import ACTIVATION_BY_ID, checkpoint_header
+from conftest import write_two_output_checkpoint
 
 
 def test_relu_values():
@@ -49,8 +50,8 @@ def test_activation_ids():
 
 
 def test_init_deterministic():
-    p1, s1 = init_kaiming(make_rng(3), 5, 4, 2)
-    p2, s2 = init_kaiming(make_rng(3), 5, 4, 2)
+    p1, s1 = init_kaiming(make_rng(3), 5, 4, 1)
+    p2, s2 = init_kaiming(make_rng(3), 5, 4, 1)
     assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.V, p2.V)
     assert np.array_equal(s1.W0, s2.W0)
 
@@ -82,13 +83,15 @@ def test_forward_hand_scalar():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         SnnParams(np.ones((3, 2)), np.ones((1, 4)), RELU)
+    with pytest.raises(ValueError, match="c = 1"):  # a head of two outputs
+        SnnParams(np.ones((3, 2)), np.ones((2, 3)), RELU)
     p = SnnParams(np.ones((3, 2)), np.ones((1, 3)), RELU)
     with pytest.raises(ValueError):
         forward(p, np.ones((5, 1)))
 
 
-def _random_checkpoint(seed=0, m=4, d=3, c=1, act="tanh"):
-    params, snap = init_kaiming(make_rng(seed), m, d, c, ACTIVATIONS[act])
+def _random_checkpoint(seed=0, m=4, d=3, act="tanh"):
+    params, snap = init_kaiming(make_rng(seed), m, d, 1, ACTIVATIONS[act])
     params.W += 0.1
     return Checkpoint(params, snap, seed=seed, epochs=7, final_train_error=0.125)
 
@@ -185,12 +188,23 @@ def test_checkpoint_bad_version(tmp_path):
 
 def test_checkpoint_header_reads_the_header_only(tmp_path):
     path = os.path.join(tmp_path, "a.snn")
-    checkpoint_save(_random_checkpoint(seed=3, m=5, d=2, c=2), path)
+    checkpoint_save(_random_checkpoint(seed=3, m=5, d=2), path)
     with open(path, "rb") as f:
         header = checkpoint_header(f)
         assert f.tell() == 36  # left at the first array
-    assert (header.m, header.d, header.c, header.seed) == (5, 2, 2, 3)
+    assert (header.m, header.d, header.seed) == (5, 2, 3)
     assert header.activation is TANH
+
+
+def test_checkpoint_header_refuses_two_outputs(tmp_path):
+    # a file of the documented layout with c = 2 has the size its header
+    # gives, and is refused for its head alone
+    path = write_two_output_checkpoint(os.path.join(tmp_path, "a.snn"), 5, 2)
+    with open(path, "rb") as f, pytest.raises(DataError) as exc:
+        checkpoint_header(f)
+    assert path in str(exc.value) and "c = 2" in str(exc.value)
+    with pytest.raises(DataError, match="c = 2"):
+        checkpoint_load(path)
 
 
 def test_checkpoint_load_peak_memory_is_one_copy(tmp_path):
