@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,13 +20,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import datasets as data_mod
 from . import figures as fig_mod
-from .files import atomic_open
+from .files import atomic_open, write_csv
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, checkpoint_header,
                     checkpoint_load, checkpoint_save, init_kaiming)
-from .rademacher import RadConfig, check_scale, mc_rad_estimate
+from .rademacher import RADIUS_GUARD, RadConfig, check_scale, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
 BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
@@ -178,13 +178,6 @@ def _read_measures(out):
     return [(row, report_from_row(row)) for row in rows]
 
 
-def _write_csv(path, header, rows):
-    """A header and rows as CSV; no path or "-" writes to stdout."""
-    with (nullcontext(sys.stdout) if path in (None, "", "-")
-          else atomic_open(path, "w", newline="")) as f:
-        csv.writer(f).writerows([header, *rows])
-
-
 def _ckpt_path(cfg, seed, m):
     return os.path.join(cfg.out, f"ckpt_{cfg.dataset}_s{seed}_m{m}.snn")
 
@@ -289,7 +282,7 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
         report = measure_report(ck.params, ck.snapshot, ds)
         rows.append(measure_row(report, ds.name, seed))
     _remove_derived(cfg.out, "bounds.csv")  # derived from the old measures.csv
-    _write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
+    write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
     return 0
 
 
@@ -301,7 +294,7 @@ def cmd_bounds(cfg):
             rows.append([row["dataset"], row["seed"], row["m"], bv.method,
                          repr(bv.value), repr(cfg.delta), bv.data_dependent,
                          bv.qualitative])
-    _write_csv(os.path.join(cfg.out, "bounds.csv"), BOUNDS_CSV_FIELDS, rows)
+    write_csv(os.path.join(cfg.out, "bounds.csv"), BOUNDS_CSV_FIELDS, rows)
     return 0
 
 
@@ -321,8 +314,8 @@ def cmd_rad(args):
     n, d, m, R_W, R_V = args.n, args.d, args.m, args.rw, args.rv
     if min(n, d, m) < 1:
         raise ConfigError("n, d and m must be >= 1")
-    if not all(0.0 <= r < np.inf for r in (R_W, R_V)):
-        raise ConfigError("radii must be finite and >= 0")
+    if not all(0.0 <= r <= RADIUS_GUARD for r in (R_W, R_V)):
+        raise ConfigError(f"radii must lie in [0, {RADIUS_GUARD:g}]")
     try:  # RadConfig's counts and seed, and both scale guards, before any draw
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
         check_scale(n, d, m, cfg)
@@ -340,7 +333,7 @@ def cmd_rad(args):
     lower = bounds_mod.rad_lower(measures)
     row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper,
            float("nan") if lower is None else lower, upper - est.mean]
-    _write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
+    write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
     return 0
 
 

@@ -11,13 +11,12 @@ Full-data passes run over fixed blocks of examples, so no float copy of the
 whole image stack and no temporary of the size of X is built.
 
 A task is prepared once per output directory: :func:`load_prepared_task`
-stores X, y and their statistics in ``prepared_<source>.npy``, keyed by a
+stores X, y and their statistics in ``prepared_<source>.bin``, keyed by a
 hash of everything they are computed from, and later stages read that file
 instead of rebuilding them.
 """
 
 import hashlib
-import io
 import os
 import struct
 from dataclasses import astuple, dataclass
@@ -253,16 +252,19 @@ def prepared_key(fingerprint):
 
 def load_prepared_task(raw, spec, directory):
     """build_binary_task(raw, spec) with its statistics, through the
-    prepared-data file ``prepared_<source>.npy`` in directory.
+    prepared-data file ``prepared_<source>.bin`` in directory.
 
-    The file is read when it holds this key's task and otherwise rebuilt and
-    replaced, so a damaged or stale file costs a rebuild and nothing else.
-    No file is written when directory does not exist.  The returned Dataset
+    The file is the 64 hex digits of prepared_key, then X.T, y and the
+    statistics as little-endian float64.  It is read when it holds this key
+    and has the size of n examples, and otherwise rebuilt and replaced, so a
+    damaged or stale file costs a rebuild and nothing else.  The key covers
+    this code, so a file of another layout has another key.  No file is
+    written when directory does not exist.  The returned Dataset
     carries the data fingerprint, which a change of code leaves as it is.
     """
     fingerprint = data_fingerprint(raw, spec)
-    key = prepared_key(fingerprint)
-    path = os.path.join(directory, f"prepared_{spec.source}.npy")
+    key = prepared_key(fingerprint).encode()
+    path = os.path.join(directory, f"prepared_{spec.source}.bin")
     n = int(np.count_nonzero(np.isin(raw.labels, (spec.positive_class,
                                                    spec.negative_class))))
     ds = _read_prepared(path, key, spec, n)
@@ -270,54 +272,29 @@ def load_prepared_task(raw, spec, directory):
         ds = build_binary_task(raw, spec)
         if os.path.isdir(directory):
             with atomic_open(path, "wb") as f:
-                for arr in (np.frombuffer(key.encode(), dtype=np.uint8), ds.X,
-                            ds.y, np.array(astuple(ds.stats))):
-                    np.save(f, arr)
+                f.write(key)
+                for arr in (ds.X.T, ds.y, np.array(astuple(ds.stats))):
+                    f.write(np.ascontiguousarray(arr, dtype="<f8"))
     ds.fingerprint = fingerprint
     return ds
 
 
-def _npy_header(shape, dtype, fortran_order):
-    """The header np.save writes before an array of this shape, dtype and order."""
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(buf, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-        "fortran_order": fortran_order, "shape": shape})
-    return buf.getvalue()
-
-
-def _read_record(f, shape, dtype):
-    """The next np.save record of f, an array of this shape and dtype,
-    F-ordered if 2-D as X is; ValueError if it is not.
-
-    The header is compared byte for byte with the one np.save writes, so
-    numpy's parser never sees a malformed one and no more than the expected
-    array is ever allocated.
-    """
-    header = _npy_header(shape, dtype, len(shape) == 2)
-    start = f.tell()
-    if f.read(len(header)) != header:
-        raise ValueError("not a record of the expected shape, dtype and order")
-    f.seek(start)
-    return np.load(f, allow_pickle=False)
-
-
 def _read_prepared(path, key, spec, n):
     """The Dataset in the prepared-data file at path, with its statistics, or
-    None unless the file is whole, of this key and holds n finite-statistic
-    examples of the task."""
+    None unless the file holds key, has exactly the size of n examples and
+    finite statistics.  Nothing is allocated before the size is checked."""
+    d = TARGET_SIDE * TARGET_SIDE
     try:
         with open(path, "rb") as f:
-            stored = _read_record(f, (len(key),), np.uint8)
-            if stored.tobytes() != key.encode():
+            if (f.read(len(key)) != key or os.fstat(f.fileno()).st_size
+                    != len(key) + 8 * (d * n + n + 3)):
                 return None
-            X = _read_record(f, (TARGET_SIDE * TARGET_SIDE, n), np.float64)
-            y = _read_record(f, (n,), np.float64)
-            stats = _read_record(f, (3,), np.float64)
-            if f.read(1):
-                return None
+            X = np.empty((d, n), dtype="<f8", order="F")
+            y, stats = np.empty(n, dtype="<f8"), np.empty(3, dtype="<f8")
+            for arr in (X.T, y, stats):
+                f.readinto(arr)
         ds = Dataset(X, y, name=spec.name)
-    except (OSError, ValueError, DataError):
+    except (OSError, DataError):
         return None
     if not np.all(np.isfinite(stats)):
         return None

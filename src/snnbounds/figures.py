@@ -7,13 +7,12 @@ tidy CSV (figure, m, series, mean, min, max) plus an SVG with a log2 x-axis,
 log10 y-axis, one polyline per series and a shaded min-max band across seeds.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 from . import bounds
 from .datasets import DataError
-from .files import atomic_open
+from .files import atomic_open, write_csv
 
 FIGURE_KINDS = ("fig1a", "fig1b", "fig2", "fig3")
 
@@ -66,12 +65,10 @@ def figure_series(kind, reports, delta):
 
 
 def write_figure_csv(path, kind, series_list):
-    with atomic_open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["figure", "m", "series", "mean", "min", "max"])
-        for s in series_list:
-            for x, mean, lo, hi in zip(s.x, s.mean, s.lo, s.hi):
-                writer.writerow([kind, x, s.label, repr(mean), repr(lo), repr(hi)])
+    write_csv(path, ["figure", "m", "series", "mean", "min", "max"],
+              [[kind, x, s.label, repr(mean), repr(lo), repr(hi)]
+               for s in series_list
+               for x, mean, lo, hi in zip(s.x, s.mean, s.lo, s.hi)])
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",

@@ -1,8 +1,10 @@
 """Crash-safe output files: every file the package writes appears whole or
 not at all."""
 
+import csv
 import os
-from contextlib import contextmanager, suppress
+import sys
+from contextlib import contextmanager, nullcontext, suppress
 
 
 @contextmanager
@@ -23,3 +25,10 @@ def atomic_open(path, mode="w", **kwargs):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """A header and rows as CSV; no path or "-" writes to stdout."""
+    with (nullcontext(sys.stdout) if path in (None, "", "-")
+          else atomic_open(path, "w", newline="")) as f:
+        csv.writer(f).writerows([header, *rows])

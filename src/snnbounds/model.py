@@ -168,13 +168,16 @@ def checkpoint_header(f):
 
 
 def checkpoint_load(path):
-    """Checkpoint at path; each array is read straight into its own memory."""
+    """Checkpoint at path; each array is read straight into its own memory.
+    DataError, naming the file, if an array holds a NaN or an infinity."""
     with open(path, "rb") as f:
         h = checkpoint_header(f)
         W, V, W0, V0 = [np.empty(shape, dtype="<f8")
                         for shape in [(h.m, h.d), (1, h.m)] * 2]
         for arr in (W, V, W0, V0):
             f.readinto(arr)
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"{path}: non-finite weights")
         epochs, final_err = _TRAILER.unpack(f.read(_TRAILER.size))
     return Checkpoint(SnnParams(W, V, h.activation), InitSnapshot(W0, V0),
                       seed=h.seed, epochs=epochs, final_train_error=final_err)

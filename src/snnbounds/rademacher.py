@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import fork_rng, frobenius_norm, sample_signs
 
 SCALE_GUARD = 100_000  # max n * m * d
+RADIUS_GUARD = 1e50  # max R_W, R_V; squared norms overflow from about 1e154
 # max floats in one of the PGA's iterate arrays, (sign vectors) x restarts x
 # m x (d + n): 256 MB; the PGA's peak is about five such arrays
 PGA_GUARD = 2 ** 25

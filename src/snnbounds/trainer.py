@@ -47,8 +47,10 @@ class TrainReport:
 
 
 class TrainingDiverged(Exception):
-    def __init__(self, epoch, batch):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch, batch=None):
+        super().__init__(
+            f"non-finite margins at the end of epoch {epoch}" if batch is None
+            else f"non-finite loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -116,7 +118,8 @@ def sgd_train(params, ds, cfg, seed=0):
     Each epoch ends with one full-data pass, margins(params, ds), whose
     margins give both the early-stop 0-1 error and, after the last epoch,
     the final ramp risk.  The weights depend on the margins only
-    through the early-stop comparison.
+    through the early-stop comparison.  TrainingDiverged is raised on a
+    non-finite batch loss or on non-finite margins (overflowed weights).
     """
     if ds.d != params.d:
         raise ValueError(f"dataset d={ds.d} but model d={params.d}")
@@ -150,6 +153,8 @@ def sgd_train(params, ds, cfg, seed=0):
             n_batches += 1
         loss_curve.append(epoch_loss / n_batches)
         t = margins(params, ds)
+        if not np.all(np.isfinite(t)):  # the weights overflowed
+            raise TrainingDiverged(epoch)
         error_curve.append(zero_one_error(t))
         if error_curve[-1] < cfg.target_train_error:
             break

@@ -9,7 +9,8 @@ from snnbounds import (Dataset, RELU, TANH, SnnParams, all_bound_values,
                        gen_bound_pn, gen_bound_spn, init_kaiming, make_rng,
                        measure_report, rad_lower, rad_upper_path)
 from snnbounds.bounds import COMPARATORS, class_bound_inputs
-from snnbounds.cli import _read_measures, _write_csv
+from snnbounds.cli import _read_measures
+from snnbounds.files import write_csv
 from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
                                 MeasureReport, measure_row)
 from conftest import random_unit_dataset
@@ -305,8 +306,8 @@ def test_all_bound_values_identical_from_measures_csv(tmp_path, act):
     ds = random_unit_dataset(make_rng(19), 3, 11)
     report = measure_report(params, snap, ds)
     path = str(tmp_path / "measures.csv")
-    _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(report, ds.name, 0)])
+    write_csv(path, MEASURE_CSV_FIELDS,
+              [measure_row(report, ds.name, 0)])
     [(_, read_back)] = _read_measures(str(tmp_path))
     want = all_bound_values(report, delta=0.05)
     got = all_bound_values(read_back, delta=0.05)

@@ -16,13 +16,15 @@ from snnbounds import (ACTIVATIONS, RELU, Checkpoint, all_bound_values,
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
+from snnbounds import rademacher as rademacher_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
+from snnbounds.files import write_csv
 from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
                            main, parse_config_file)
-from conftest import (encode_cifar10_bin, encode_idx_labels,
+from conftest import (encode_cifar10_bin, encode_idx_images, encode_idx_labels,
                       write_fake_mnist_dir, write_two_output_checkpoint)
 
 
@@ -227,6 +229,21 @@ def test_exit_code_data_error(tmp_path):
     assert rc == 3
 
 
+def _train_on_raw_mnist(tmp_path, images, labels):
+    """The exit code of `train` on an MNIST directory of these IDX file
+    bytes; the output directory must stay empty."""
+    raw = os.path.join(tmp_path, "mnist")
+    os.mkdir(raw)
+    for name, blob in (("train-images-idx3-ubyte", images),
+                       ("train-labels-idx1-ubyte", labels)):
+        with open(os.path.join(raw, name), "wb") as f:
+            f.write(blob)
+    out = os.path.join(tmp_path, "run")
+    rc = _run(["train", "--mnist-dir", raw, "--out", out])
+    assert os.listdir(out) == []  # no checkpoint, no prepared_mnist.bin
+    return rc
+
+
 @pytest.mark.parametrize("n, h, w, payload", [
     (1, 0xFFFFFFE4, 0xFFFFFFE4, 784),  # sides of 2^32 - 28, not -28
     (2, 0, 28, 0),
@@ -234,16 +251,29 @@ def test_exit_code_data_error(tmp_path):
 def test_train_exit_3_on_idx_image_sides_out_of_range(tmp_path, capsys,
                                                       n, h, w, payload):
     # the IDX header's counts are unsigned; a side below 1 has no image
-    raw = os.path.join(tmp_path, "mnist")
-    os.mkdir(raw)
-    with open(os.path.join(raw, "train-images-idx3-ubyte"), "wb") as f:
-        f.write(struct.pack(">4I", 0x803, n, h, w) + bytes(payload))
-    with open(os.path.join(raw, "train-labels-idx1-ubyte"), "wb") as f:
-        f.write(encode_idx_labels(np.resize([1, 7], n)))
-    out = os.path.join(tmp_path, "run")
-    assert _run(["train", "--mnist-dir", raw, "--out", out]) == 3
+    assert _train_on_raw_mnist(
+        tmp_path, struct.pack(">4I", 0x803, n, h, w) + bytes(payload),
+        encode_idx_labels(np.resize([1, 7], n))) == 3
     assert capsys.readouterr().err.startswith("data error")
-    assert os.listdir(out) == []  # no checkpoint, no prepared_mnist.npy
+
+
+_IMAGES = encode_idx_images(np.full((4, 28, 28), 9))
+_LABELS = encode_idx_labels([1, 7, 1, 7])
+
+
+@pytest.mark.parametrize("images, labels, message", [
+    (_IMAGES, encode_idx_labels([1, 7, 1]), "images and labels length mismatch"),
+    (_IMAGES[:10], _LABELS, "header truncated at byte 10"),
+    (_IMAGES, _LABELS[:5], "header truncated at byte 5"),
+    (encode_idx_images(np.zeros((0, 28, 28))), encode_idx_labels([]),
+     "empty image set"),
+], ids=["count-mismatch", "image-header-truncated", "label-header-truncated",
+        "empty"])
+def test_train_exit_3_on_malformed_raw_mnist(tmp_path, capsys, images, labels,
+                                             message):
+    assert _train_on_raw_mnist(tmp_path, images, labels) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and message in err
 
 
 def test_train_cardinality_contract(tmp_path, mnist_dir):
@@ -350,8 +380,8 @@ def test_train_then_measure_builds_once_and_records_fingerprint(
     for cmd in ("train", "measure"):
         assert _run([cmd] + _base_args(mnist_dir, out)) == 0
     assert len(builds) == 1
-    with open(os.path.join(out, "prepared_mnist.npy"), "rb") as f:
-        key = np.load(f).tobytes().decode()
+    with open(os.path.join(out, "prepared_mnist.bin"), "rb") as f:
+        key = f.read(64).decode()
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)
     fingerprint = datasets_mod.data_fingerprint(
@@ -368,9 +398,9 @@ def test_measure_after_a_source_edit_rebuilds_the_prepared_data(
     trained before the edit."""
     out = os.path.join(tmp_path, "run")
     assert _run(["train"] + _base_args(mnist_dir, out)) == 0
-    path = os.path.join(out, "prepared_mnist.npy")
+    path = os.path.join(out, "prepared_mnist.bin")
     with open(path, "rb") as f:
-        old_key = np.load(f).tobytes().decode()
+        old_key = f.read(64).decode()
     edited = os.path.join(tmp_path, "datasets.py")
     shutil.copy(datasets_mod.__file__, edited)
     with open(edited, "a") as f:
@@ -386,7 +416,7 @@ def test_measure_after_a_source_edit_rebuilds_the_prepared_data(
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 0
     assert len(builds) == 1
     with open(path, "rb") as f:
-        new_key = np.load(f).tobytes().decode()
+        new_key = f.read(64).decode()
     assert new_key != old_key
     with open(os.path.join(out, "manifest.json")) as f:
         assert new_key == datasets_mod.prepared_key(
@@ -449,17 +479,34 @@ def test_diverged_retrain_removes_the_old_checkpoint(tmp_path, mnist_dir,
     assert "no checkpoints found" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+def test_train_records_an_overflowing_run_as_a_failure(tmp_path, mnist_dir):
+    # a step of size 1e300 overflows the weights; the cell is a failure and
+    # leaves no checkpoint, so measure finds nothing to measure
+    out = os.path.join(tmp_path, "run")
+    args = _base_args(mnist_dir, out) + ["--learning-rate", "1e300",
+                                         "--batch-size", "1000"]
+    assert _run(["train"] + args) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["cells"] == []
+    (failure,) = manifest["failures"]
+    assert failure["m"] == 4 and "epoch 0" in failure["error"]
+    assert not os.path.exists(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
+    assert _run(["measure"] + args) == 3
+
+
 def test_csv_write_failing_midway_keeps_previous_file(tmp_path):
     class Unprintable:
         def __str__(self):
             raise RuntimeError("cannot format")
 
     path = os.path.join(tmp_path, "out.csv")
-    cli_mod._write_csv(path, ["a", "b"], [[1, 2]])
+    write_csv(path, ["a", "b"], [[1, 2]])
     with open(path) as f:
         before = f.read()
     with pytest.raises(RuntimeError, match="cannot format"):
-        cli_mod._write_csv(path, ["a", "b"], [[3, 4], [Unprintable(), 5]])
+        write_csv(path, ["a", "b"], [[3, 4], [Unprintable(), 5]])
     with open(path) as f:
         assert f.read() == before
     assert os.listdir(tmp_path) == ["out.csv"]
@@ -568,7 +615,7 @@ def test_cifar10_exit_3_on_missing_batch(tmp_path, capsys):
                  "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and "data_batch_5.bin" in err
-    assert os.listdir(out) == []  # no checkpoint, no prepared_cifar10.npy
+    assert os.listdir(out) == []  # no checkpoint, no prepared_cifar10.bin
 
 
 def test_cifar10_without_cifar_dir_exits_2(tmp_path, capsys):
@@ -691,6 +738,17 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
     assert row["lower_bound"] <= row["upper_bound_path"]
 
 
+@pytest.mark.parametrize("shape", [
+    ["--n", "4", "--d", "2", "--m", "2"],
+    ["--n", "20", "--d", "10", "--m", "10", "--sigma-samples", "50"],
+], ids=["exhaustive", "sampled"])
+def test_rad_at_the_radius_guard_is_finite(tmp_path, shape):
+    guard = repr(rademacher_mod.RADIUS_GUARD)
+    row = _rad_row(tmp_path, *shape, "--rw", guard, "--rv", guard)
+    assert all(math.isfinite(v) for v in row.values())
+    assert row["lower_bound"] <= row["estimate"] <= row["upper_bound_path"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--sigma-samples", "0"],
     ["--n", "100", "--d", "100", "--m", "100"],
@@ -698,9 +756,16 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
     ["--rw", "-1"],
     ["--rw", "nan"],
     ["--rv", "inf"],
+    # above RADIUS_GUARD: ||V*||^2 overflowed, the PGA's starts were all
+    # projected to 0, and std_error became inf
+    ["--n", "4", "--d", "2", "--m", "2", "--rv", "1e155"],
+    ["--n", "4", "--d", "2", "--m", "2", "--rw", "1e155"],
+    ["--n", "20", "--d", "10", "--m", "10", "--sigma-samples", "50",
+     "--rw", "1e100", "--rv", "1e100"],
     ["--seed", "-1"],
 ], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius",
-        "nan-radius", "infinite-radius", "negative-seed"])
+        "nan-radius", "infinite-radius", "huge-rv", "huge-rw", "huge-both",
+        "negative-seed"])
 def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--out-csv", out_csv]) == 2
@@ -953,6 +1018,30 @@ def test_measure_exit_3_on_two_output_checkpoint(tmp_path, mnist_dir,
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    (24, 3, "unknown activation id 3"),
+    (12, 2 ** 25, "implausible dimensions m=33554432"),
+], ids=["activation-id", "m-2^25"])
+def test_measure_exit_3_on_refused_checkpoint_header(
+        tmp_path, mnist_dir, monkeypatch, capsys, offset, value, message):
+    # one uint32 of the header (magic, version, m, d, c, activation id,
+    # seed) rewritten; refused from the header alone, before the data is
+    # prepared
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(struct.pack("<I", value))
+    monkeypatch.setattr(cli_mod, "load_task_dataset",
+                        lambda *a: pytest.fail("prepared the data first"))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and path in err and message in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
 def test_measure_exit_3_on_checkpoint_of_other_d(tmp_path, mnist_dir,
                                                  monkeypatch, capsys):
     # with no manifest to compare, a checkpoint whose input dimension is not
@@ -972,6 +1061,25 @@ def test_measure_exit_3_on_checkpoint_of_other_d(tmp_path, mnist_dir,
     err = capsys.readouterr().err
     assert err.startswith("data error") and path in err
     assert "d = 5" in err and f"d = {d}" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
+@pytest.mark.parametrize("array", ["W", "V0"])
+def test_measure_exit_3_on_non_finite_checkpoint(tmp_path, mnist_dir, capsys,
+                                                 array):
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
+    # a NaN as the first float of W, after the 36-byte header, or as the
+    # last of V0, before the 12-byte trailer
+    at = 36 if array == "W" else os.path.getsize(path) - 12 - 8
+    with open(path, "r+b") as f:
+        f.seek(at)
+        f.write(struct.pack("<d", math.nan))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and path in err and "non-finite" in err
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -278,8 +279,8 @@ def test_prepared_task_reads_back_bitwise(tmp_path, monkeypatch, kind):
     assert ds.name == fresh.name == "mnist_1v7"
     assert ds.stats == fresh.stats
     assert ds.fingerprint == datasets_mod.data_fingerprint(raw, spec)
-    with open(tmp_path / "prepared_mnist.npy", "rb") as f:
-        key = np.load(f).tobytes().decode()
+    with open(tmp_path / "prepared_mnist.bin", "rb") as f:
+        key = f.read(64).decode()
     assert key == datasets_mod.prepared_key(ds.fingerprint)
 
 
@@ -316,14 +317,16 @@ def test_prepared_task_rebuilt_for_changed_bytes_or_task(tmp_path, monkeypatch):
     assert len(builds) == 2
 
 
-def _write_records(path, *arrays):
+def _write_records(path, key, X, y, stats):
+    """A prepared-data file in the layout load_prepared_task writes."""
     with open(path, "wb") as f:
-        for arr in arrays:
-            np.save(f, arr)
+        f.write(key)
+        for arr in (X.T, y, stats):
+            f.write(np.ascontiguousarray(arr).tobytes())
 
 
 def _damage(kind, path, key, ds):
-    key_bytes = np.frombuffer(key.encode(), dtype=np.uint8)
+    key = key.encode()
     stats = np.array([ds.stats.X_fro, ds.stats.gram_spec_sqrt, ds.stats.b_x])
     with open(path, "rb") as f:
         blob = f.read()
@@ -334,29 +337,28 @@ def _damage(kind, path, key, ds):
         with open(path, "wb") as f:
             f.write(make_rng(0).integers(0, 256, 5000).astype(np.uint8).tobytes())
     elif kind == "wrong key":
-        _write_records(path, np.frombuffer(b"0" * 64, dtype=np.uint8),
-                       ds.X, ds.y, stats)
-    elif kind == "wrong shape":
-        _write_records(path, key_bytes, ds.X[:, 1:], ds.y[1:], stats)
-    elif kind == "float32":
-        _write_records(path, key_bytes, ds.X.astype(np.float32), ds.y, stats)
-    elif kind == "C-ordered X":
-        _write_records(path, key_bytes, np.ascontiguousarray(ds.X), ds.y, stats)
+        _write_records(path, b"0" * 64, ds.X, ds.y, stats)
+    elif kind == "wrong shape":  # one example short: the size differs
+        _write_records(path, key, ds.X[:, 1:], ds.y[1:], stats)
+    elif kind == "float32":  # half the size
+        _write_records(path, key, ds.X.astype(np.float32), ds.y, stats)
     elif kind == "nan statistic":
-        _write_records(path, key_bytes, ds.X, ds.y, stats * np.nan)
+        _write_records(path, key, ds.X, ds.y, stats * np.nan)
+    elif kind == "label 0":
+        _write_records(path, key, ds.X, np.where(ds.y > 0, 1.0, 0.0), stats)
     elif kind == "trailing bytes":
         with open(path, "wb") as f:
             f.write(blob + b"\0")
 
 
 @pytest.mark.parametrize("kind", ["truncated", "garbage", "wrong key",
-                                  "wrong shape", "float32", "C-ordered X",
-                                  "nan statistic", "trailing bytes"])
+                                  "wrong shape", "float32", "nan statistic",
+                                  "label 0", "trailing bytes"])
 def test_prepared_task_bad_file_is_rebuilt(tmp_path, monkeypatch, kind):
     raw = _raw_mnist_like()
     spec = TaskSpec("mnist", 1, 7)
     cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
-    path = tmp_path / "prepared_mnist.npy"
+    path = tmp_path / "prepared_mnist.bin"
     good = path.read_bytes()
     _damage(kind, path, datasets_mod.prepared_key(cold.fingerprint), cold)
     builds = _counting_builds(monkeypatch)
@@ -364,35 +366,67 @@ def test_prepared_task_bad_file_is_rebuilt(tmp_path, monkeypatch, kind):
     assert builds == [spec]
     assert ds.X.tobytes() == cold.X.tobytes() and ds.stats == cold.stats
     assert path.read_bytes() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.npy"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.bin"]
+
+
+def test_prepared_file_of_wrong_size_is_refused_before_any_allocation(
+        tmp_path):
+    # one float short of the size of an MNIST-sized task, whose X alone
+    # would take 106 MB; a sparse file, so nothing of that size is written
+    n, d = 13007, 1024
+    key = b"0" * 64
+    path = tmp_path / "prepared_mnist.bin"
+    with open(path, "wb") as f:
+        f.write(key)
+        f.truncate(len(key) + 8 * (d * n + n + 3) - 8)
+    tracemalloc.start()
+    try:
+        ds = datasets_mod._read_prepared(str(path), key,
+                                         TaskSpec("mnist", 1, 7), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds is None
+    assert peak < 2 ** 20
+
+
+class _DiskFullAfterX:
+    """A file whose third write, that of y, fails."""
+
+    def __init__(self, f):
+        self.f, self.writes = f, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError("disk full")
+        return self.f.write(data)
 
 
 def test_prepared_file_kept_whole_when_a_write_fails(tmp_path, monkeypatch):
     raw = _raw_mnist_like()
     datasets_mod.load_prepared_task(raw, TaskSpec("mnist", 1, 7), str(tmp_path))
-    path = tmp_path / "prepared_mnist.npy"
+    path = tmp_path / "prepared_mnist.bin"
     before = path.read_bytes()
-    save = np.save
-    saved = []
+    real_open = datasets_mod.atomic_open
 
-    def failing_save(f, arr):
-        saved.append(arr)
-        if len(saved) == 2:  # the key record is written, X is not
-            raise OSError("disk full")
-        save(f, arr)
+    @contextmanager
+    def failing_open(*args):
+        with real_open(*args) as f:
+            yield _DiskFullAfterX(f)
 
-    monkeypatch.setattr(np, "save", failing_save)
+    monkeypatch.setattr(datasets_mod, "atomic_open", failing_open)
     with pytest.raises(OSError, match="disk full"):
         datasets_mod.load_prepared_task(raw, TaskSpec("mnist", 7, 1),
                                         str(tmp_path))
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.npy"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["prepared_mnist.bin"]
 
 
 def test_prepared_task_ignores_a_left_over_temporary_file(tmp_path, monkeypatch):
     raw = _raw_mnist_like()
     spec = TaskSpec("mnist", 1, 7)
-    left_over = tmp_path / "prepared_mnist.npy.99999.tmp"
+    left_over = tmp_path / "prepared_mnist.bin.99999.tmp"
     left_over.write_bytes(b"half a file")
     builds = _counting_builds(monkeypatch)
     cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))

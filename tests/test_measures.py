@@ -14,7 +14,8 @@ from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
 from snnbounds.linalg import COLUMN_BLOCK
-from snnbounds.cli import _read_measures, _write_csv
+from snnbounds.cli import _read_measures
+from snnbounds.files import write_csv
 from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
                                 MeasureReport, measure_row, report_from_row)
 from conftest import random_unit_dataset
@@ -162,8 +163,8 @@ def test_csv_roundtrip(tmp_path):
     ds = random_unit_dataset(make_rng(7), 3, 6)
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
-    _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(rep, "synthetic", 0)])
+    write_csv(path, MEASURE_CSV_FIELDS,
+              [measure_row(rep, "synthetic", 0)])
     rows = [row for row, _ in _read_measures(tmp_path)]
     assert len(rows) == 1
     row = rows[0]
@@ -200,8 +201,8 @@ def test_report_from_row_roundtrip(tmp_path):
     ds = random_unit_dataset(make_rng(11), 3, 6)
     rep = measure_report(params, snap, ds)
     path = os.path.join(tmp_path, "measures.csv")
-    _write_csv(path, MEASURE_CSV_FIELDS,
-               [measure_row(rep, "synthetic", 0)])
+    write_csv(path, MEASURE_CSV_FIELDS,
+              [measure_row(rep, "synthetic", 0)])
     [(_, back)] = _read_measures(tmp_path)
     assert back == rep  # every field exactly, n as an int
 

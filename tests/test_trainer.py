@@ -126,6 +126,18 @@ def test_divergence_reported_with_location():
     assert exc.value.epoch == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
+def test_divergence_on_overflowing_weights_names_the_epoch():
+    # every batch loss is finite, as it is taken before the step; the step
+    # of size 1e300 overflows the weights, and so the margins
+    ds = random_unit_dataset(make_rng(5), 3, 8)
+    params, _ = init_kaiming(make_rng(0), 4, 3, 1)
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite margins at the end of epoch 0"):
+        sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e300,
+                                          batch_size=8))
+
+
 def test_zero_one_error_tie_rule():
     params = SnnParams(np.ones((2, 3)), np.zeros((1, 2)), RELU)
     ds = random_unit_dataset(make_rng(6), 3, 10)
