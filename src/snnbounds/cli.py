@@ -24,7 +24,7 @@ from .files import atomic_open, write_csv
 from .linalg import fork_rng, make_rng
 from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
-from .model import (ACTIVATIONS, Checkpoint, checkpoint_header,
+from .model import (ACTIVATIONS, Checkpoint, InitSnapshot, checkpoint_header,
                     checkpoint_load, checkpoint_save, init_kaiming)
 from .rademacher import RADIUS_GUARD, RadConfig, check_scale, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
@@ -197,8 +197,13 @@ def cmd_train(cfg, ds):
     cells = []
     for m in cfg.widths:
         for seed in cfg.seeds:
-            params, snapshot = init_kaiming(
-                fork_rng(seed, m), m, ds.d, 1, ACTIVATIONS[cfg.activation])
+            # trained in float32 from the rounded Kaiming draw, which is the
+            # snapshot, so W - W0 is the training displacement alone;
+            # checkpoint_save writes the exact float64 upcast
+            params = init_kaiming(fork_rng(seed, m), m, ds.d, 1,
+                                  ACTIVATIONS[cfg.activation])[0]
+            params = params.astype(np.float32)
+            snapshot = InitSnapshot(params.W, params.V)
             try:
                 report = sgd_train(params, ds, cfg, seed)
             except TrainingDiverged as exc:

@@ -94,7 +94,10 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V):
 
 
 def measure_report(params, snapshot, ds):
-    """All scalar measures; the class fields are class_bound_inputs' ones."""
+    """All scalar measures; the class fields are class_bound_inputs' ones.
+    ValueError unless W and V are float64: no measure is taken in float32."""
+    if params.W.dtype != np.float64:
+        raise ValueError(f"measures are taken in float64, not {params.W.dtype}")
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
         raise ValueError("params/snapshot shape mismatch")
     dW = params.W - snapshot.W0

@@ -27,8 +27,14 @@ class Activation:
     lipschitz: float
 
 
+def model_dtype(a):
+    """The dtype the model computes a in: float32 for float32 input (the
+    weights and batches of a float32 training run), float64 for any other."""
+    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+
+
 def _sigmoid(a):
-    out = np.empty_like(a, dtype=float)
+    out = np.empty_like(a, dtype=model_dtype(a))
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     e = np.exp(a[~pos])
@@ -36,9 +42,10 @@ def _sigmoid(a):
     return out
 
 
-# ReLU subgradient at 0 is taken to be 0.
+# ReLU subgradient at 0 is taken to be 0.  Each fn and deriv keeps a float32
+# input's dtype.
 RELU = Activation("relu", 0, lambda a: np.maximum(a, 0.0),
-                  lambda a: (a > 0).astype(float), 1.0)
+                  lambda a: (a > 0).astype(model_dtype(a)), 1.0)
 TANH = Activation("tanh", 1, np.tanh, lambda a: 1.0 - np.tanh(a) ** 2, 1.0)
 SIGMOID = Activation("sigmoid", 2, _sigmoid,
                      lambda a: _sigmoid(a) * (1.0 - _sigmoid(a)), 0.25)
@@ -49,13 +56,17 @@ ACTIVATION_BY_ID = {a.id: a for a in ACTIVATIONS.values()}
 
 @dataclass
 class SnnParams:
+    """The weights, of one dtype: float32 arrays stay float32, any other
+    become float64."""
     W: np.ndarray  # (m, d)
     V: np.ndarray  # (1, m)
     activation: Activation
 
     def __post_init__(self):
-        self.W = np.ascontiguousarray(self.W, dtype=float)
-        self.V = np.ascontiguousarray(self.V, dtype=float)
+        self.W = np.ascontiguousarray(self.W, dtype=model_dtype(self.W))
+        self.V = np.ascontiguousarray(self.V, dtype=model_dtype(self.V))
+        if self.W.dtype != self.V.dtype:
+            raise ValueError(f"W is {self.W.dtype} but V is {self.V.dtype}")
         if self.W.ndim != 2:
             raise ValueError("W must be 2-D")
         if self.V.shape != (1, self.m):
@@ -69,6 +80,11 @@ class SnnParams:
     @property
     def d(self):
         return self.W.shape[1]
+
+    def astype(self, dtype):
+        """A copy with W and V cast to dtype."""
+        return SnnParams(self.W.astype(dtype), self.V.astype(dtype),
+                         self.activation)
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,9 @@ def init_kaiming(rng, m, d, c, activation=RELU):
 
 
 def forward(params, X):
-    """Network outputs, shape (1, n), for column-stacked inputs X of shape (d, n)."""
-    X = np.asarray(X, dtype=float)
+    """Network outputs, shape (1, n), for column-stacked inputs X of shape
+    (d, n), computed in the dtype of the weights: X is cast to it."""
+    X = np.asarray(X, dtype=params.W.dtype)
     if X.shape[0] != params.d:
         raise ValueError(f"X has {X.shape[0]} rows, expected d={params.d}")
     return params.V @ params.activation.fn(params.W @ X)

@@ -4,6 +4,11 @@ The head has one output (c = 1), which model.SnnParams ensures.  Labels are
 stored as {-1, +1} in the Dataset and mapped to {0, 1} internally for the
 BCE loss.  Training stops when the end-of-epoch 0-1 training error drops
 below the target, or when max_epochs is reached.
+
+Training runs in the dtype of the weights it is given: `snnbounds train`
+gives float32 ones.  Every measure is taken in float64 from the checkpoint,
+so the training precision decides which weights are found, never whether a
+bound holds for them.
 """
 
 import time
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import COLUMN_BLOCK, column_blocks, fork_rng
-from .model import SIGMOID, forward
+from .model import SIGMOID, forward, model_dtype
 
 
 @dataclass
@@ -59,10 +64,11 @@ def bce_logits(score, y01):
     """Stable binary cross-entropy with logits; returns (loss, dloss/dscore).
 
     loss = -[y log sigma(s) + (1-y) log(1 - sigma(s))], computed as
-    max(s, 0) - s*y + log(1 + exp(-|s|)).
+    max(s, 0) - s*y + log(1 + exp(-|s|)), in the dtype of score (float32
+    if it is float32, else float64).
     """
-    s = np.asarray(score, dtype=float)
-    y = np.asarray(y01, dtype=float)
+    s = np.asarray(score, dtype=model_dtype(score))
+    y = np.asarray(y01, dtype=s.dtype)
     loss = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     return loss, SIGMOID.fn(s) - y
 
@@ -85,8 +91,9 @@ def _batch_grads(params, Xb, yb01):
 def margins(params, ds):
     """y_i * psi(x_i) for every example: one full-data forward.
 
-    The forward runs over blocks of at most COLUMN_BLOCK columns of X into
-    one (n,) vector, so memory is O(m * block) rather than O(m * n).
+    The forward runs in the weights' dtype over blocks of at most
+    COLUMN_BLOCK columns of X, each cast there, into one float64 (n,)
+    vector, so memory is O(m * block) rather than O(m * n).
     """
     t = np.empty(ds.n)
     for cols in column_blocks(ds.n, COLUMN_BLOCK):
@@ -106,8 +113,18 @@ def ramp_risk(t):
     return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
 
 
+# an overflow ends the run as TrainingDiverged, not as a numpy warning,
+# which -W error would raise in its place
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_train(params, ds, cfg, seed=0):
     """Train params in place with SGD + classical momentum.
+
+    The loop runs in the dtype of params (float32 or float64, see
+    model.SnnParams).  Momenta, step buffer, labels, mu and lr have it too,
+    so no product is promoted to float64 under either numpy's promotion
+    rules.  Each batch and each margins block is cast after its gather, so
+    no copy of X is made.  After TrainingDiverged, params hold the weights
+    of the step that overflowed.
 
     Epoch e visits the examples in the order fork_rng(seed, e).permutation(n).
     Batches are row gathers from ds.X.T, which for the F-ordered X of a
@@ -125,9 +142,12 @@ def sgd_train(params, ds, cfg, seed=0):
         raise ValueError(f"dataset d={ds.d} but model d={params.d}")
 
     start = time.perf_counter()
-    y01 = (ds.y + 1.0) / 2.0
+    dtype = params.W.dtype
+    y01 = ((ds.y + 1.0) / 2.0).astype(dtype, copy=False)
     XT = ds.X.T                             # (n, d)
-    mu, lr = cfg.momentum, cfg.learning_rate
+    # scalars of the dtype, lest they promote a product; np.float32(1e300)
+    # is inf, and such a run diverges at its first step
+    mu, lr = dtype.type(cfg.momentum), dtype.type(cfg.learning_rate)
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)
     stepW = np.empty_like(params.W)
@@ -140,7 +160,8 @@ def sgd_train(params, ds, cfg, seed=0):
         n_batches = 0
         for start_idx in range(0, ds.n, cfg.batch_size):
             idx = order[start_idx:start_idx + cfg.batch_size]
-            loss, gW, gV = _batch_grads(params, XT[idx].T, y01[idx])
+            loss, gW, gV = _batch_grads(
+                params, XT[idx].astype(dtype, copy=False).T, y01[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, n_batches)
             uW *= mu

@@ -10,9 +10,10 @@ import struct
 import numpy as np
 import pytest
 
-from snnbounds import (ACTIVATIONS, RELU, Checkpoint, all_bound_values,
-                       checkpoint_load, checkpoint_save, init_kaiming,
-                       make_rng, measure_report, report_from_row)
+from snnbounds import (ACTIVATIONS, RELU, Checkpoint, InitSnapshot,
+                       SnnParams, all_bound_values, checkpoint_load,
+                       checkpoint_save, init_kaiming, make_rng,
+                       measure_report, report_from_row)
 from snnbounds import build_binary_task
 from snnbounds import cli as cli_mod
 from snnbounds import datasets as datasets_mod
@@ -20,6 +21,7 @@ from snnbounds import rademacher as rademacher_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import Dataset
 from snnbounds.files import write_csv
+from snnbounds.measures import measure_row
 from snnbounds.trainer import TrainConfig, TrainingDiverged
 from snnbounds.cli import (BOUNDS_CSV_FIELDS, RAD_CSV_FIELDS, ConfigError,
                            ExperimentConfig, build_parser, load_task_dataset,
@@ -479,10 +481,10 @@ def test_diverged_retrain_removes_the_old_checkpoint(tmp_path, mnist_dir,
     assert "no checkpoints found" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
 def test_train_records_an_overflowing_run_as_a_failure(tmp_path, mnist_dir):
-    # a step of size 1e300 overflows the weights; the cell is a failure and
-    # leaves no checkpoint, so measure finds nothing to measure
+    # a step of size 1e300 overflows the weights (in float32, lr itself is
+    # inf); the cell is a failure and leaves no checkpoint, so measure finds
+    # nothing to measure
     out = os.path.join(tmp_path, "run")
     args = _base_args(mnist_dir, out) + ["--learning-rate", "1e300",
                                          "--batch-size", "1000"]
@@ -494,6 +496,60 @@ def test_train_records_an_overflowing_run_as_a_failure(tmp_path, mnist_dir):
     assert failure["m"] == 4 and "epoch 0" in failure["error"]
     assert not os.path.exists(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
     assert _run(["measure"] + args) == 3
+
+
+def _recording_sgd_train(monkeypatch):
+    """Wrap cli.sgd_train; the returned list gets, per call, copies of the
+    weights it started from and of the ones it returned."""
+    calls = []
+    real = cli_mod.sgd_train
+
+    def recording(params, ds, cfg, seed):
+        start = (params.W.copy(), params.V.copy())
+        report = real(params, ds, cfg, seed)
+        calls.append({"start": start, "end": (params.W.copy(), params.V.copy()),
+                      "cfg": cfg})
+        return report
+
+    monkeypatch.setattr(cli_mod, "sgd_train", recording)
+    return calls
+
+
+def test_float32_checkpoint_starts_where_sgd_started(tmp_path, mnist_dir,
+                                                     monkeypatch):
+    # train trains in float32; its checkpoint holds float64 arrays: W0 and
+    # V0 are the start bit for bit, W and V the exact upcast of the end
+    calls = _recording_sgd_train(monkeypatch)
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    (call,) = calls
+    assert all(a.dtype == np.float32 for a in call["start"] + call["end"])
+    ck = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
+    arrays = (ck.params.W, ck.params.V, ck.snapshot.W0, ck.snapshot.V0)
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert np.array_equal(ck.snapshot.W0, call["start"][0])
+    assert np.array_equal(ck.snapshot.V0, call["start"][1])
+    assert np.array_equal(ck.params.W, call["end"][0])
+    assert np.array_equal(ck.params.V, call["end"][1])
+    assert not np.array_equal(ck.params.W, ck.snapshot.W0)  # it trained
+
+
+def test_measure_of_a_float32_run_is_the_float64_measure(tmp_path, mnist_dir,
+                                                         monkeypatch):
+    calls = _recording_sgd_train(monkeypatch)
+    out = os.path.join(tmp_path, "run")
+    args = _base_args(mnist_dir, out)
+    for cmd in ("train", "measure"):
+        assert _run([cmd] + args) == 0
+    (call,) = calls
+    ds = load_task_dataset(call["cfg"])
+    W, V = (a.astype(np.float64) for a in call["end"])
+    W0, V0 = call["start"]
+    want = measure_row(measure_report(SnnParams(W, V, RELU),
+                                      InitSnapshot(W0, V0), ds), ds.name, 0)
+    with open(os.path.join(out, "measures.csv"), newline="") as f:
+        (_, row) = list(csv.reader(f))
+    assert row == [str(v) for v in want]
 
 
 def test_csv_write_failing_midway_keeps_previous_file(tmp_path):

@@ -129,6 +129,13 @@ def test_report_at_init():
     assert rep.w_spectral == pytest.approx(rep.w0_spectral, rel=1e-10)
 
 
+def test_report_refuses_float32_weights():
+    params, snap = _params_snap()
+    ds = random_unit_dataset(make_rng(3), 3, 9)
+    with pytest.raises(ValueError, match="measures are taken in float64"):
+        measure_report(params.astype(np.float32), snap, ds)
+
+
 def test_report_data_fields_unit_norm():
     params, snap = _params_snap()
     ds = random_unit_dataset(make_rng(3), 3, 9)

@@ -32,6 +32,37 @@ def test_sigmoid_stable_at_extremes():
     assert vals[2] == pytest.approx(1.0, abs=1e-15)
 
 
+def _sigmoid_float64(a):
+    out = np.empty_like(a, dtype=float)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+# each activation's fn and deriv as written when the model computed in
+# float64 alone
+FLOAT64_EXPRESSIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0).astype(float)),
+    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
+    "sigmoid": (_sigmoid_float64,
+                lambda a: _sigmoid_float64(a) * (1.0 - _sigmoid_float64(a))),
+}
+
+
+@pytest.mark.parametrize("name", list(ACTIVATIONS))
+def test_activations_keep_the_input_dtype(name):
+    act = ACTIVATIONS[name]
+    a = make_rng(4).standard_normal((5, 7)) * 3
+    a[0, :3] = [0.0, 40.0, -40.0]
+    for dtype in (np.float32, np.float64):
+        for got in (act.fn(a.astype(dtype)), act.deriv(a.astype(dtype))):
+            assert got.dtype == dtype
+    for fn, want in zip((act.fn, act.deriv), FLOAT64_EXPRESSIONS[name]):
+        assert np.array_equal(fn(a), want(a))
+
+
 def test_lipschitz_constants():
     assert RELU.lipschitz == 1.0
     assert TANH.lipschitz == 1.0
@@ -73,6 +104,21 @@ def test_forward_zero_head():
     p = SnnParams(np.ones((3, 2)), np.zeros((1, 3)), RELU)
     out = forward(p, np.ones((2, 4)))
     assert np.all(out == 0.0)
+
+
+def test_params_keep_float32_and_forward_casts_x_to_their_dtype():
+    W = make_rng(5).standard_normal((3, 2))
+    p64 = SnnParams(W.astype(np.float16), np.ones((1, 3), int), RELU)
+    assert p64.W.dtype == p64.V.dtype == np.float64
+    p32 = p64.astype(np.float32)
+    assert p32.W.dtype == p32.V.dtype == np.float32
+    assert np.array_equal(p32.W, p64.W) and p32.activation is RELU
+    for V in (np.ones((1, 3)), np.ones((1, 3), int)):
+        with pytest.raises(ValueError, match="W is float32 but V is float64"):
+            SnnParams(p32.W, V, RELU)
+    X = make_rng(6).standard_normal((2, 4))
+    assert forward(p32, X).dtype == np.float32
+    assert forward(p64, X.astype(np.float32)).dtype == np.float64
 
 
 def test_forward_hand_scalar():

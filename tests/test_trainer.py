@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snnbounds import (Dataset, RELU, TANH, RawImageSet, SnnParams,
+from snnbounds import (Dataset, RELU, SIGMOID, TANH, RawImageSet, SnnParams,
                        TaskSpec, TrainConfig, bce_logits, build_binary_task,
                        init_kaiming, make_rng, margins, ramp_risk, sgd_train,
                        zero_one_error)
@@ -12,6 +12,9 @@ from snnbounds.linalg import COLUMN_BLOCK, fork_rng
 from snnbounds.model import forward
 from snnbounds.trainer import TrainingDiverged, _batch_grads
 from conftest import random_unit_dataset
+
+
+DTYPES = (np.float64, np.float32)  # the dtypes sgd_train trains in
 
 
 def test_bce_at_zero():
@@ -51,14 +54,8 @@ def test_zero_lr_leaves_params():
     assert np.array_equal(params.W, W) and np.array_equal(params.V, V)
 
 
-def test_single_full_batch_step_matches_gd_oracle():
-    """momentum 0, batch = n, 1 epoch must equal one plain gradient step."""
-    rng = make_rng(1)
-    ds = random_unit_dataset(rng, 3, 8)
-    params, _ = init_kaiming(rng, 4, 3, 1)
-    W, V = params.W.copy(), params.V.copy()
-
-    # independent oracle: mean BCE gradient computed from first principles
+def _gd_oracle_step(W, V, ds, lr):
+    """One plain gradient step on the mean BCE, from first principles."""
     y01 = (ds.y + 1.0) / 2.0
     Z = W @ ds.X
     A = np.maximum(Z, 0.0)
@@ -67,12 +64,39 @@ def test_single_full_batch_step_matches_gd_oracle():
     ds_ = (sig - y01) / ds.n
     gV = ds_[None, :] @ A.T
     gW = ((V.T @ ds_[None, :]) * (Z > 0)) @ ds.X.T
+    return W - lr * gW, V - lr * gV
+
+
+def test_single_full_batch_step_matches_gd_oracle():
+    """momentum 0, batch = n, 1 epoch must equal one plain gradient step."""
+    rng = make_rng(1)
+    ds = random_unit_dataset(rng, 3, 8)
+    params, _ = init_kaiming(rng, 4, 3, 1)
     lr = 0.05
+    W1, V1 = _gd_oracle_step(params.W, params.V, ds, lr)
     cfg = TrainConfig(batch_size=ds.n, momentum=0.0, learning_rate=lr,
                       max_epochs=1, target_train_error=0.0)
     sgd_train(params, ds, cfg)
-    assert np.max(np.abs(params.W - (W - lr * gW))) < 1e-12
-    assert np.max(np.abs(params.V - (V - lr * gV))) < 1e-12
+    assert np.max(np.abs(params.W - W1)) < 1e-12
+    assert np.max(np.abs(params.V - V1)) < 1e-12
+
+
+def test_single_full_batch_step_in_float32_matches_gd_oracle():
+    """The same step on float32 weights, against the float64 oracle from
+    the same start at float32 precision."""
+    rng = make_rng(1)
+    ds = random_unit_dataset(rng, 3, 8)
+    params = init_kaiming(rng, 4, 3, 1)[0].astype(np.float32)
+    lr = 0.05
+    W1, V1 = _gd_oracle_step(params.W.astype(float), params.V.astype(float),
+                             ds, lr)
+    cfg = TrainConfig(batch_size=ds.n, momentum=0.0, learning_rate=lr,
+                      max_epochs=1, target_train_error=0.0)
+    sgd_train(params, ds, cfg)
+    assert params.W.dtype == params.V.dtype == np.float32
+    assert np.max(np.abs(params.W - W1)) < 1e-6
+    assert np.max(np.abs(params.V - V1)) < 1e-6
+    assert np.max(np.abs(params.W - W1)) > 0  # it did run in float32
 
 
 def test_training_deterministic():
@@ -126,15 +150,27 @@ def test_divergence_reported_with_location():
     assert exc.value.epoch == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow
 def test_divergence_on_overflowing_weights_names_the_epoch():
     # every batch loss is finite, as it is taken before the step; the step
-    # of size 1e300 overflows the weights, and so the margins
+    # of size 1e300 overflows the weights, and so the margins.  In float32,
+    # lr itself is inf, and weights above 3.4e38 overflow
     ds = random_unit_dataset(make_rng(5), 3, 8)
-    params, _ = init_kaiming(make_rng(0), 4, 3, 1)
+    for dtype in DTYPES:
+        params = init_kaiming(make_rng(0), 4, 3, 1)[0].astype(dtype)
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite margins at the end of epoch 0"):
+            sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e300,
+                                              batch_size=8))
+
+
+def test_float32_divergence_on_weights_beyond_its_range():
+    # lr = 1e36 is finite in float32, but the step takes the weights and
+    # the scores past 3.4e38; float64 would hold them
+    ds = random_unit_dataset(make_rng(5), 3, 8)
+    params = init_kaiming(make_rng(0), 4, 3, 1)[0].astype(np.float32)
     with pytest.raises(TrainingDiverged,
                        match="non-finite margins at the end of epoch 0"):
-        sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e300,
+        sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e36,
                                           batch_size=8))
 
 
@@ -198,17 +234,48 @@ def test_batch_grads_match_finite_differences():
             assert abs(fd - gW[i, j]) < 1e-5
 
 
+@pytest.mark.parametrize("act", [RELU, TANH, SIGMOID])
+def test_batch_grads_keep_float32(act):
+    # float32 weights and batch, float64 labels: the labels must not
+    # promote the loss gradient, and so the backward GEMMs, to float64
+    rng = make_rng(13)
+    ds = random_unit_dataset(rng, 3, 6)
+    params, _ = init_kaiming(rng, 4, 3, 1, act)
+    p32 = params.astype(np.float32)
+    loss, gW, gV = _batch_grads(p32, ds.X.astype(np.float32),
+                                (ds.y + 1.0) / 2.0)
+    assert gW.dtype == gV.dtype == np.float32
+    assert np.isfinite(loss)
+    _, gW64, gV64 = _batch_grads(params, ds.X, (ds.y + 1.0) / 2.0)
+    assert gW64.dtype == gV64.dtype == np.float64
+    assert np.allclose(gW, gW64, rtol=1e-4, atol=1e-6)
+    assert np.allclose(gV, gV64, rtol=1e-4, atol=1e-6)
+
+
+def test_bce_keeps_float32():
+    loss, grad = bce_logits(np.array([-2.0, 0.5], dtype=np.float32),
+                            np.array([0.0, 1.0]))
+    assert loss.dtype == grad.dtype == np.float32
+    loss64, grad64 = bce_logits(np.array([-2.0, 0.5]), np.array([0.0, 1.0]))
+    assert loss64.dtype == grad64.dtype == np.float64
+
+
 def _reference_sgd(params, ds, cfg, seed):
-    """Straightforward loop: column-gathered batches, momentum buffers
+    """Straightforward loop in the dtype of params: X, labels, mu and lr
+    cast once up front, column-gathered batches, momentum buffers
     reallocated every step, and separate 0-1 / ramp evaluations."""
+    dtype = params.W.dtype
+    X = ds.X.astype(dtype, copy=False)
+    y01 = ((ds.y + 1.0) / 2.0).astype(dtype)
+    mu, lr = dtype.type(cfg.momentum), dtype.type(cfg.learning_rate)
+
     def error():
-        return float(np.mean(ds.y * forward(params, ds.X)[0] <= 0.0))
+        return float(np.mean(ds.y * forward(params, X)[0] <= 0.0))
 
     def ramp():
-        t = ds.y * forward(params, ds.X)[0]
+        t = ds.y * forward(params, X)[0]
         return float(np.mean(np.clip(1.0 - t, 0.0, 1.0)))
 
-    y01 = (ds.y + 1.0) / 2.0
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)
     loss_curve, error_curve = [], []
@@ -217,11 +284,11 @@ def _reference_sgd(params, ds, cfg, seed):
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, gW, gV = _batch_grads(params, ds.X[:, idx], y01[idx])
-            uW = cfg.momentum * uW + gW
-            uV = cfg.momentum * uV + gV
-            params.W -= cfg.learning_rate * uW
-            params.V -= cfg.learning_rate * uV
+            loss, gW, gV = _batch_grads(params, X[:, idx], y01[idx])
+            uW = mu * uW + gW
+            uV = mu * uV + gV
+            params.W -= lr * uW
+            params.V -= lr * uV
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / n_batches)
@@ -239,19 +306,21 @@ def _learnable_dataset(d, n):
     return Dataset(X, y, name="halfspace")
 
 
-@pytest.mark.parametrize("n, batch_size, max_epochs, target, act", [
+REFERENCE_LOOP_CASES = [
     pytest.param(90, 16, 3, 0.0, RELU, id="partial-last-batch"),
     pytest.param(81, 16, 2, 0.0, RELU, id="last-batch-of-one"),
     pytest.param(90, 16, 10, 0.1, RELU, id="early-stop"),
     pytest.param(90, 16, 0, 0.0, RELU, id="zero-epochs"),
     pytest.param(90, 32, 3, 0.0, TANH, id="tanh"),
-])
-def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
-                                                  target, act):
+]
+
+
+def _check_against_reference_loop(n, batch_size, max_epochs, target, act,
+                                  dtype):
     ds = _learnable_dataset(48, n)
     cfg = TrainConfig(batch_size=batch_size, learning_rate=0.5,
                       max_epochs=max_epochs, target_train_error=target)
-    params, _ = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    params = init_kaiming(make_rng(3), 32, ds.d, 1, act)[0].astype(dtype)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
     loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
     report = sgd_train(params, ds, cfg, seed=4)
@@ -264,6 +333,22 @@ def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
     assert report.epochs_run == len(loss_curve)
     if target > 0:
         assert report.epochs_run < max_epochs
+
+
+@pytest.mark.parametrize("n, batch_size, max_epochs, target, act",
+                         REFERENCE_LOOP_CASES)
+def test_sgd_train_bitwise_matches_reference_loop(n, batch_size, max_epochs,
+                                                  target, act):
+    _check_against_reference_loop(n, batch_size, max_epochs, target, act,
+                                  np.float64)
+
+
+@pytest.mark.parametrize("n, batch_size, max_epochs, target, act",
+                         REFERENCE_LOOP_CASES)
+def test_sgd_train_in_float32_bitwise_matches_reference_loop(
+        n, batch_size, max_epochs, target, act):
+    _check_against_reference_loop(n, batch_size, max_epochs, target, act,
+                                  np.float32)
 
 
 @pytest.mark.parametrize("max_epochs, target, act", [
@@ -294,14 +379,15 @@ def test_epoch_peak_memory_well_below_one_m_by_n_array():
     m, n = 256, 20000
     rng = make_rng(7)
     ds = random_unit_dataset(rng, 8, n)
-    params, _ = init_kaiming(rng, m, ds.d, 1)
-    tracemalloc.start()
-    try:
-        sgd_train(params, ds, TrainConfig(max_epochs=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
+    for dtype in DTYPES:
+        params = init_kaiming(rng, m, ds.d, 1)[0].astype(dtype)
+        tracemalloc.start()
+        try:
+            sgd_train(params, ds, TrainConfig(max_epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 4  # one m x n float64 array is 41 MB
 
 
 def test_epoch_peak_memory_well_below_a_copy_of_x():
@@ -312,11 +398,13 @@ def test_epoch_peak_memory_well_below_a_copy_of_x():
     raw = RawImageSet(rng.integers(1, 256, size=(n, 28, 28), dtype=np.uint8),
                       np.resize(np.array([1, 7], dtype=np.uint8), n))
     ds = build_binary_task(raw, TaskSpec("mnist", 1, 7))
-    params, _ = init_kaiming(rng, m, ds.d, 1)
-    tracemalloc.start()
-    try:
-        sgd_train(params, ds, TrainConfig(max_epochs=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < ds.X.nbytes / 2  # X is 33 MB
+    for dtype in DTYPES:
+        params = init_kaiming(rng, m, ds.d, 1)[0].astype(dtype)
+        tracemalloc.start()
+        try:
+            sgd_train(params, ds, TrainConfig(max_epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # X is 33 MB; in float32, a cast copy of it would be half that
+        assert peak < ds.X.nbytes / 2
