@@ -62,7 +62,7 @@ class ExperimentConfig(TrainConfig):
     """Every experiment knob: the training knobs of TrainConfig, then the
     experiment's own.  Flags and config-file keys derive from the fields,
     whose metadata may give a parser (``type``) and ``choices``."""
-    max_epochs: int = 0  # 0 = source default (20 MNIST / 50 CIFAR)
+    max_epochs: int = None  # None = source default (20 MNIST / 50 CIFAR)
     dataset: str = field(default="mnist",
                          metadata={"choices": tuple(DEFAULT_TASKS)})
     mnist_dir: str = ""
@@ -93,12 +93,12 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("delta must lie in (0, 1)")
         if self.subsample < 0:
             raise ConfigError("subsample must be >= 0 (0 = full dataset)")
+        if self.max_epochs is None:
+            self.max_epochs = 20 if self.dataset == "mnist" else 50
         try:
             super().__post_init__()  # TrainConfig checks the training knobs
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.max_epochs == 0:
-            self.max_epochs = 20 if self.dataset == "mnist" else 50
 
 
 def parse_config_file(path):

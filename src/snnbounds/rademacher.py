@@ -92,9 +92,9 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     def per_iterate_dot(M, N):
         return np.einsum("ibj,ibj->b", M.reshape(-1, B, m), N.reshape(-1, B, m))
 
-    def sup_over_v(Z):
-        """G^T (B*m,) and ||G||_2 per iterate, for Z = (W X)^T (n, B*m)."""
-        G = np.einsum("ik,ik->k", activation.fn(Z), sig)
+    def sup_over_v(A):
+        """G^T (B*m,) and ||G||_2 per iterate, for A = gamma(W X)^T (n, B*m)."""
+        G = np.einsum("ik,ik->k", A, sig)
         return G, np.sqrt(per_iterate_dot(G, G))
 
     # restart starts come from per-restart forked streams so that adding
@@ -110,8 +110,8 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     # replaced by the start that moves the one unit j* by R_W along x_i*,
     # where (j*, i*) maximises w0_j . x_i + R_W ||x_i||.  For ReLU, if that
     # maximum is <= 0, every feasible W is dead and 0 is the exact sup.
-    dead = ~np.any(activation.deriv(X.T @ D + Z0).reshape(n, B, m),
-                   axis=(0, 2))
+    dead = ~np.any(activation.deriv(activation.fn(X.T @ D + Z0))
+                   .reshape(n, B, m), axis=(0, 2))
     if dead.any():
         x_norms = np.linalg.norm(X, axis=0)
         j, i = np.unravel_index(np.argmax(W0 @ X + R_W * x_norms), (m, n))
@@ -121,14 +121,13 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
 
     step = cfg.step_size
     for _ in range(cfg.pga_steps):
-        Z = X.T @ D
-        Z += Z0
-        G, gnorm = sup_over_v(Z)
+        A = activation.fn(X.T @ D + Z0)                       # gamma(W X)^T
+        G, gnorm = sup_over_v(A)
         # grad_W R_V ||G||_2 = ((U sigma^T) * gamma'(W X)) X^T with
         # U = R_V G / ||G||_2, here transposed
         G *= np.repeat(R_V / np.maximum(gnorm, 1e-30), m)
         dZ = sig * G
-        dZ *= activation.deriv(Z)
+        dZ *= activation.deriv(A)
         D += step * (X @ dZ)
         # project after every step
         norms = np.sqrt(per_iterate_dot(D, D))
@@ -141,7 +140,7 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     dWs = Ws - W0_tiled
     if np.any(np.sqrt(per_iterate_dot(dWs, dWs)) > R_W * (1 + 1e-9) + 1e-12):
         raise RuntimeError("projection failure: infeasible PGA iterate")
-    G, gnorm = sup_over_v(X.T @ Ws)
+    G, gnorm = sup_over_v(activation.fn(X.T @ Ws))
     V_star = G * np.repeat(R_V / np.maximum(gnorm, 1e-30), m)   # V*^T
     if np.any(np.sqrt(per_iterate_dot(V_star, V_star))
               > R_V * (1 + 1e-9) + 1e-12):

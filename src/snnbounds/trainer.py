@@ -76,14 +76,13 @@ def bce_logits(score, y01):
 def _batch_grads(params, Xb, yb01):
     """Mean BCE loss and its gradients w.r.t. W and V on one batch."""
     act = params.activation
-    Z = params.W @ Xb                       # (m, B)
-    A = act.fn(Z)                           # (m, B)
+    A = act.fn(params.W @ Xb)               # (m, B)
     s = (params.V @ A)[0]                   # (B,)
     loss, ds = bce_logits(s, yb01)
     B = Xb.shape[1]
     ds = ds / B
     grad_V = (ds[None, :] @ A.T)            # (1, m)
-    back = (params.V.T @ ds[None, :]) * act.deriv(Z)   # (m, B)
+    back = (params.V.T @ ds[None, :]) * act.deriv(A)   # (m, B)
     grad_W = back @ Xb.T                    # (m, d)
     return float(np.mean(loss)), grad_W, grad_V
 

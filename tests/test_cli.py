@@ -52,6 +52,7 @@ def test_config_defaults_and_validation():
     cfg = ExperimentConfig()
     assert cfg.max_epochs == 20  # mnist default
     assert ExperimentConfig(dataset="cifar10", cifar_dir="x").max_epochs == 50
+    assert ExperimentConfig(max_epochs=0).max_epochs == 0
     with pytest.raises(ConfigError):
         ExperimentConfig(widths=[8, 4])
     with pytest.raises(ConfigError):
@@ -105,6 +106,33 @@ def test_experiment_config_extends_train_config(tmp_path, mnist_dir):
         "activation", "batch_size", "cifar_dir", "dataset", "delta",
         "learning_rate", "max_epochs", "mnist_dir", "momentum", "out",
         "seeds", "subsample", "target_train_error", "widths"]
+
+
+@pytest.mark.parametrize("given_in", ["flag", "config file"])
+def test_max_epochs_zero_trains_no_epoch(tmp_path, mnist_dir, given_in):
+    # 0 epochs, not the dataset default: the checkpoint is the rounded
+    # Kaiming draw, the untrained baseline
+    out = os.path.join(tmp_path, "run")
+    argv = ["train", "--mnist-dir", mnist_dir, "--out", out, "--widths", "4",
+            "--seeds", "0"]
+    if given_in == "flag":
+        argv += ["--max-epochs", "0"]
+    else:
+        path = os.path.join(tmp_path, "exp.cfg")
+        with open(path, "w") as f:
+            f.write("max_epochs=0\n")
+        argv += ["--config", path]
+    assert _run(argv) == 0
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["config"]["max_epochs"] == 0
+    [cell] = manifest["cells"]
+    assert (cell["epochs"], cell["loss_curve"], cell["error_curve"]) == (
+        0, [], [])
+    ck = checkpoint_load(os.path.join(out, "ckpt_mnist_s0_m4.snn"))
+    assert ck.epochs == 0
+    assert np.array_equal(ck.params.W, ck.snapshot.W0)
+    assert np.array_equal(ck.params.V, ck.snapshot.V0)
 
 
 def test_exit_code_config_error(tmp_path):

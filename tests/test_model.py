@@ -17,7 +17,8 @@ from conftest import write_two_output_checkpoint
 def test_relu_values():
     assert RELU.fn(np.array(-2.0)) == 0.0
     assert RELU.fn(np.array(3.0)) == 3.0
-    assert RELU.deriv(np.array(0.0)) == 0.0  # subgradient at 0 pinned to 0
+    # subgradient at 0 pinned to 0
+    assert RELU.deriv(RELU.fn(np.array(0.0))) == 0.0
 
 
 def test_tanh_matches_reference():
@@ -32,8 +33,10 @@ def test_sigmoid_stable_at_extremes():
     assert vals[2] == pytest.approx(1.0, abs=1e-15)
 
 
-def _sigmoid_float64(a):
-    out = np.empty_like(a, dtype=float)
+def _sigmoid_masked_scatter(a):
+    """The sigmoid as the model computed it in separate passes over a >= 0
+    and a < 0, in the dtype of a."""
+    out = np.empty_like(a)
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     e = np.exp(a[~pos])
@@ -42,12 +45,13 @@ def _sigmoid_float64(a):
 
 
 # each activation's fn and deriv as written when the model computed in
-# float64 alone
+# float64 alone, both as functions of z (the model's deriv takes gamma(z))
 FLOAT64_EXPRESSIONS = {
     "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0).astype(float)),
     "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
-    "sigmoid": (_sigmoid_float64,
-                lambda a: _sigmoid_float64(a) * (1.0 - _sigmoid_float64(a))),
+    "sigmoid": (_sigmoid_masked_scatter,
+                lambda a: _sigmoid_masked_scatter(a)
+                * (1.0 - _sigmoid_masked_scatter(a))),
 }
 
 
@@ -57,10 +61,21 @@ def test_activations_keep_the_input_dtype(name):
     a = make_rng(4).standard_normal((5, 7)) * 3
     a[0, :3] = [0.0, 40.0, -40.0]
     for dtype in (np.float32, np.float64):
-        for got in (act.fn(a.astype(dtype)), act.deriv(a.astype(dtype))):
-            assert got.dtype == dtype
-    for fn, want in zip((act.fn, act.deriv), FLOAT64_EXPRESSIONS[name]):
-        assert np.array_equal(fn(a), want(a))
+        g = act.fn(a.astype(dtype))
+        assert g.dtype == act.deriv(g).dtype == dtype
+    got = (act.fn(a), act.deriv(act.fn(a)))
+    for value, want in zip(got, FLOAT64_EXPRESSIONS[name]):
+        assert np.array_equal(value, want(a))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_the_masked_scatter_bitwise(dtype):
+    a = (make_rng(5).standard_normal((64, 96)) * 20).astype(dtype)
+    a[0, :6] = [0.0, -0.0, np.inf, -np.inf, 100.0, -100.0]
+    for view in (a, a.T, a[::3, 1::2], a[0], a[:1, :1]):
+        got = SIGMOID.fn(view)
+        assert got.dtype == dtype
+        assert np.array_equal(got, _sigmoid_masked_scatter(view))
 
 
 def test_lipschitz_constants():

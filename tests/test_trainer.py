@@ -213,25 +213,27 @@ def test_config_validation():
         TrainConfig(max_epochs=-1)
 
 
-def test_batch_grads_match_finite_differences():
+@pytest.mark.parametrize("act", [RELU, TANH, SIGMOID], ids=lambda a: a.name)
+def test_batch_grads_match_finite_differences(act):
     rng = make_rng(12)
     ds = random_unit_dataset(rng, 3, 6)
-    params, _ = init_kaiming(rng, 4, 3, 1, RELU)
+    params, _ = init_kaiming(rng, 4, 3, 1, act)
     y01 = (ds.y + 1.0) / 2.0
     _, gW, gV = _batch_grads(params, ds.X, y01)
 
     def loss_at(W, V):
-        s = (V @ np.maximum(W @ ds.X, 0.0))[0]
+        s = (V @ act.fn(W @ ds.X))[0]
         return float(np.mean(bce_logits(s, y01)[0]))
 
     h = 1e-6
-    for i in range(params.m):
-        for j in range(params.d):
-            Wp, Wm = params.W.copy(), params.W.copy()
-            Wp[i, j] += h
-            Wm[i, j] -= h
-            fd = (loss_at(Wp, params.V) - loss_at(Wm, params.V)) / (2 * h)
-            assert abs(fd - gW[i, j]) < 1e-5
+    for k, grad in enumerate((gW, gV)):
+        for idx in np.ndindex(grad.shape):
+            plus = [params.W.copy(), params.V.copy()]
+            minus = [params.W.copy(), params.V.copy()]
+            plus[k][idx] += h
+            minus[k][idx] -= h
+            fd = (loss_at(*plus) - loss_at(*minus)) / (2 * h)
+            assert abs(fd - grad[idx]) < 1e-5
 
 
 @pytest.mark.parametrize("act", [RELU, TANH, SIGMOID])
@@ -312,6 +314,7 @@ REFERENCE_LOOP_CASES = [
     pytest.param(90, 16, 10, 0.1, RELU, id="early-stop"),
     pytest.param(90, 16, 0, 0.0, RELU, id="zero-epochs"),
     pytest.param(90, 32, 3, 0.0, TANH, id="tanh"),
+    pytest.param(90, 32, 3, 0.0, SIGMOID, id="sigmoid"),
 ]
 
 
