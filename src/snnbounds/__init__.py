@@ -13,9 +13,7 @@ from .measures import (MeasureReport, init_activation_term, measure_report,
 from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
                     InitSnapshot, SnnParams, checkpoint_load, checkpoint_save,
                     forward, init_kaiming)
-from .rademacher import (RadConfig, RadEstimate, closed_form_linear_sup,
-                         closed_form_toplayer_sup, enumerate_signs,
-                         khintchine_sandwich_check, mc_rad_estimate)
+from .rademacher import RadConfig, RadEstimate, enumerate_signs, mc_rad_estimate
 from .trainer import (TrainConfig, TrainReport, bce_logits, margins,
                       ramp_risk, sgd_train, zero_one_error)
 

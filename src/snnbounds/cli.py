@@ -195,6 +195,9 @@ def cmd_train(cfg, ds):
     _remove_derived(cfg.out, "measures.csv")  # derived from the models replaced here
     failures = []
     cells = []
+    # every network trains on one float32 copy of X, half the size of ds.X;
+    # ds itself stays float64, for `all` to measure
+    ds32 = ds.astype(np.float32)
     for m in cfg.widths:
         for seed in cfg.seeds:
             # trained in float32 from the rounded Kaiming draw, which is the
@@ -205,7 +208,7 @@ def cmd_train(cfg, ds):
             params = params.astype(np.float32)
             snapshot = InitSnapshot(params.W, params.V)
             try:
-                report = sgd_train(params, ds, cfg, seed)
+                report = sgd_train(params, ds32, cfg, seed)
             except TrainingDiverged as exc:
                 failures.append({"seed": seed, "m": m, "error": str(exc)})
                 with suppress(FileNotFoundError):  # lest measure take the old one

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import linalg
 from .files import atomic_open
-from .linalg import COLUMN_BLOCK, column_blocks, frobenius_norm, spectral_norm
+from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, model_dtype,
+                     spectral_norm)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -74,13 +75,16 @@ class DataStats:
 
 @dataclass
 class Dataset:
+    """Examples X and labels y.  A float32 X stays float32 (the training
+    copy of astype), any other becomes float64; statistics, and so every
+    measure and bound, are taken of a float64 X only."""
     X: np.ndarray  # (d, n), columns are examples with unit l2 norm
     y: np.ndarray  # (n,) entries in {-1, +1}
     name: str = ""
     fingerprint: str = ""  # data_fingerprint of the task X and y come from
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
+        self.X = np.asarray(self.X, dtype=model_dtype(self.X))
         self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[1] != self.y.size:
             raise DataError("inconsistent dataset shapes")
@@ -95,16 +99,25 @@ class Dataset:
     def n(self):
         return self.X.shape[1]
 
+    def astype(self, dtype):
+        """A copy with X cast to dtype, F-ordered, sharing y, name and
+        fingerprint: `snnbounds train` trains on one float32 copy."""
+        return Dataset(self.X.astype(dtype, order="F"), self.y, self.name,
+                       self.fingerprint)
+
     @cached_property
     def stats(self):
         """Statistics of X that every measure and bound of this dataset shares.
 
         Computed on first use and kept, so X must not be modified afterwards.
-        The Gram spectral norm is sigma_max(X), from one eigensolve of the
-        smaller of X X^T (d x d) and X^T X (n x n).  The column norms behind
-        b_x are taken over blocks of columns; a column of a block view is
-        reduced exactly as in the whole array.
+        ValueError unless X is float64: no statistic is taken of float32
+        data.  The Gram spectral norm is sigma_max(X), from one eigensolve of
+        the smaller of X X^T (d x d) and X^T X (n x n).  The column norms
+        behind b_x are taken over blocks of columns; a column of a block view
+        is reduced exactly as in the whole array.
         """
+        if self.X.dtype != np.float64:
+            raise ValueError(f"statistics are taken in float64, not {self.X.dtype}")
         b_x = max(float(np.max(np.linalg.norm(self.X[:, cols], axis=0)))
                   for cols in column_blocks(self.n, COLUMN_BLOCK))
         return DataStats(X_fro=frobenius_norm(self.X),

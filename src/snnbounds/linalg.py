@@ -13,6 +13,12 @@ _SUPPORTED_ORDS = (1, 2, np.inf)
 COLUMN_BLOCK = 1024
 
 
+def model_dtype(a):
+    """The dtype a is computed in: float32 for float32 input (the weights,
+    data and batches of a float32 training run), float64 for any other."""
+    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
+
+
 def make_rng(seed):
     """Generator with a fixed algorithm (PCG64) for a 64-bit integer seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import DataError
 from .files import atomic_open
+from .linalg import model_dtype
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,6 @@ class Activation:
     fn: Callable
     deriv: Callable
     lipschitz: float
-
-
-def model_dtype(a):
-    """The dtype the model computes a in: float32 for float32 input (the
-    weights and batches of a float32 training run), float64 for any other."""
-    return np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64
 
 
 def _sigmoid(a):

@@ -6,8 +6,9 @@ BCE loss.  Training stops when the end-of-epoch 0-1 training error drops
 below the target, or when max_epochs is reached.
 
 Training runs in the dtype of the weights it is given: `snnbounds train`
-gives float32 ones.  Every measure is taken in float64 from the checkpoint,
-so the training precision decides which weights are found, never whether a
+gives float32 ones, and one float32 copy of X for all its networks.  Every
+measure is taken in float64 from the checkpoint and the float64 data, so
+the training precision decides which weights are found, never whether a
 bound holds for them.
 """
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import COLUMN_BLOCK, column_blocks, fork_rng
-from .model import SIGMOID, forward, model_dtype
+from .linalg import COLUMN_BLOCK, column_blocks, fork_rng, model_dtype
+from .model import SIGMOID, forward
 
 
 @dataclass
@@ -73,8 +74,9 @@ def bce_logits(score, y01):
     return loss, SIGMOID.fn(s) - y
 
 
-def _batch_grads(params, Xb, yb01):
-    """Mean BCE loss and its gradients w.r.t. W and V on one batch."""
+def _batch_grads(params, Xb, yb01, grad_W=None):
+    """Mean BCE loss and its gradients w.r.t. W and V on one batch; the W
+    gradient is written into grad_W if it is given."""
     act = params.activation
     A = act.fn(params.W @ Xb)               # (m, B)
     s = (params.V @ A)[0]                   # (B,)
@@ -82,8 +84,9 @@ def _batch_grads(params, Xb, yb01):
     B = Xb.shape[1]
     ds = ds / B
     grad_V = (ds[None, :] @ A.T)            # (1, m)
-    back = (params.V.T @ ds[None, :]) * act.deriv(A)   # (m, B)
-    grad_W = back @ Xb.T                    # (m, d)
+    back = np.multiply(params.V.T, ds)      # (m, B)
+    back *= act.deriv(A)
+    grad_W = np.matmul(back, Xb.T, out=grad_W)   # (m, d)
     return float(np.mean(loss)), grad_W, grad_V
 
 
@@ -91,8 +94,9 @@ def margins(params, ds):
     """y_i * psi(x_i) for every example: one full-data forward.
 
     The forward runs in the weights' dtype over blocks of at most
-    COLUMN_BLOCK columns of X, each cast there, into one float64 (n,)
-    vector, so memory is O(m * block) rather than O(m * n).
+    COLUMN_BLOCK columns of X into one float64 (n,) vector, so memory is
+    O(m * block) rather than O(m * n).  A block is cast only if X is not
+    of the weights' dtype; the `train` stage's X is, as it casts X once.
     """
     t = np.empty(ds.n)
     for cols in column_blocks(ds.n, COLUMN_BLOCK):
@@ -119,11 +123,15 @@ def sgd_train(params, ds, cfg, seed=0):
     """Train params in place with SGD + classical momentum.
 
     The loop runs in the dtype of params (float32 or float64, see
-    model.SnnParams).  Momenta, step buffer, labels, mu and lr have it too,
-    so no product is promoted to float64 under either numpy's promotion
-    rules.  Each batch and each margins block is cast after its gather, so
-    no copy of X is made.  After TrainingDiverged, params hold the weights
-    of the step that overflowed.
+    model.SnnParams).  Momenta, the gradient buffer (which then holds the
+    step), labels, mu and lr have it too, so no product is promoted to
+    float64 under either numpy's promotion rules, and a step allocates no
+    array of W's size.
+    The `train` stage passes X already cast to that dtype, once for all its
+    networks (Dataset.astype), so batches and margins blocks are not cast;
+    an X of another dtype is cast per batch and per block after its gather,
+    so sgd_train itself makes no copy of X.  After TrainingDiverged, params
+    hold the weights of the step that overflowed.
 
     Epoch e visits the examples in the order fork_rng(seed, e).permutation(n).
     Batches are row gathers from ds.X.T, which for the F-ordered X of a
@@ -149,7 +157,7 @@ def sgd_train(params, ds, cfg, seed=0):
     mu, lr = dtype.type(cfg.momentum), dtype.type(cfg.learning_rate)
     uW = np.zeros_like(params.W)
     uV = np.zeros_like(params.V)
-    stepW = np.empty_like(params.W)
+    gradW = np.empty_like(params.W)  # each batch's W gradient, then its step
     loss_curve = []
     error_curve = []
     t = None
@@ -160,14 +168,14 @@ def sgd_train(params, ds, cfg, seed=0):
         for start_idx in range(0, ds.n, cfg.batch_size):
             idx = order[start_idx:start_idx + cfg.batch_size]
             loss, gW, gV = _batch_grads(
-                params, XT[idx].astype(dtype, copy=False).T, y01[idx])
+                params, XT[idx].astype(dtype, copy=False).T, y01[idx], gradW)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, n_batches)
             uW *= mu
             uW += gW
             uV *= mu
             uV += gV
-            params.W -= np.multiply(uW, lr, out=stepW)
+            params.W -= np.multiply(uW, lr, out=gW)  # gW is spent
             params.V -= lr * uV
             epoch_loss += loss
             n_batches += 1

@@ -16,12 +16,10 @@ import numpy as np
 import pytest
 
 from snnbounds import (RELU, TANH, RadConfig, TaskSpec, TrainConfig,
-                       build_binary_task, init_kaiming, fork_rng,
-                       khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       measure_report, rad_lower,
+                       build_binary_task, init_kaiming, fork_rng, make_rng,
+                       mc_rad_estimate, measure_report, rad_lower,
                        rad_upper_path, sgd_train, spectral_norm, subsample,
-                       closed_form_toplayer_sup, path_norm, gen_bound_pn,
-                       all_bound_values, Dataset)
+                       path_norm, gen_bound_pn, all_bound_values, Dataset)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
 from snnbounds.rademacher import _pga_best_values
@@ -29,6 +27,7 @@ from snnbounds.trainer import _batch_grads, bce_logits
 from conftest import (MNIST_DIR, encode_cifar10_bin, encode_idx_images,
                       encode_idx_labels, mnist_available, random_unit_dataset,
                       requires_mnist)
+from oracles import closed_form_toplayer_sup, khintchine_sandwich_check
 
 
 def _report(k, name):

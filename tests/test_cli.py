@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,6 +579,60 @@ def test_measure_of_a_float32_run_is_the_float64_measure(tmp_path, mnist_dir,
     with open(os.path.join(out, "measures.csv"), newline="") as f:
         (_, row) = list(csv.reader(f))
     assert row == [str(v) for v in want]
+
+
+def test_all_trains_on_one_float32_copy_and_measures_float64(
+        tmp_path, mnist_dir, monkeypatch):
+    trained, measured = [], []
+    real_train, real_measure = cli_mod.sgd_train, cli_mod.measure_report
+
+    def recording_train(params, ds, cfg, seed):
+        trained.append(ds)
+        return real_train(params, ds, cfg, seed)
+
+    def recording_measure(params, snapshot, ds):
+        measured.append(ds)
+        return real_measure(params, snapshot, ds)
+
+    monkeypatch.setattr(cli_mod, "sgd_train", recording_train)
+    monkeypatch.setattr(cli_mod, "measure_report", recording_measure)
+    out = os.path.join(tmp_path, "run")
+    assert _run(["all"] + _base_args(mnist_dir, out, "4,8", "0,1")) == 0
+    assert len(trained) == len(measured) == 4
+    assert all(ds is trained[0] for ds in trained)  # one copy for the stage
+    assert all(ds is measured[0] for ds in measured)
+    assert trained[0].X.dtype == np.float32 and trained[0].X.flags.f_contiguous
+    assert measured[0].X.dtype == np.float64
+    assert np.array_equal(trained[0].X, measured[0].X.astype(np.float32))
+    assert trained[0].y is measured[0].y
+
+
+def test_train_stage_holds_at_most_one_float32_copy_of_x(tmp_path, monkeypatch):
+    # d = 1024 >> m, so X dominates.  Traced from the start of the stage,
+    # after the load, to its end: the float32 copy is half of X, and
+    # anything more of X's size would show.
+    mnist = write_fake_mnist_dir(os.path.join(tmp_path, "mnist"),
+                                 n_per_class=2000)
+    peaks = []
+    real = cli_mod.cmd_train
+
+    def traced(cfg, ds):
+        tracemalloc.start()
+        try:
+            code = real(cfg, ds)
+            peaks.append((tracemalloc.get_traced_memory()[1], ds.X.nbytes))
+        finally:
+            tracemalloc.stop()
+        return code
+
+    monkeypatch.setattr(cli_mod, "cmd_train", traced)
+    out = os.path.join(tmp_path, "run")
+    args = ["--mnist-dir", mnist, "--out", out, "--widths", "8", "--seeds",
+            "0", "--max-epochs", "1"]
+    assert _run(["train"] + args) == 0
+    ((peak, x_bytes),) = peaks
+    assert x_bytes == 1024 * 4000 * 8  # the float64 X, 33 MB
+    assert peak < 0.6 * x_bytes
 
 
 def test_csv_write_failing_midway_keeps_previous_file(tmp_path):

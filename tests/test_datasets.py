@@ -139,6 +139,41 @@ def test_subsample_identity_and_edges():
         subsample(ds, ds.n + 1, make_rng(0))
 
 
+def test_dataset_keeps_float32_and_makes_any_other_x_float64():
+    X = np.eye(2)
+    assert Dataset(X.astype(np.float32), np.ones(2)).X.dtype == np.float32
+    for dtype in (np.float16, np.int64, np.float64):
+        assert Dataset(X.astype(dtype), np.ones(2)).X.dtype == np.float64
+
+
+def test_astype_keeps_labels_name_and_fingerprint():
+    ds = build_binary_task(_raw_mnist_like(), TaskSpec("mnist", 1, 7))
+    ds.fingerprint = "f" * 64
+    ds32 = ds.astype(np.float32)
+    assert ds32.X.dtype == np.float32 and ds32.X.flags.f_contiguous
+    assert np.array_equal(ds32.X, ds.X.astype(np.float32))
+    assert ds32.y is ds.y
+    assert (ds32.name, ds32.fingerprint) == (ds.name, ds.fingerprint)
+    assert ds.X.dtype == np.float64  # a copy: ds is left as it was
+    # a C-ordered X is made F-ordered, so its transpose's rows are examples
+    c_ordered = Dataset(np.ascontiguousarray(ds.X), ds.y)
+    assert c_ordered.astype(np.float32).X.flags.f_contiguous
+    sub = subsample(ds32, 4, make_rng(3))
+    assert sub.X.dtype == np.float32
+    assert np.array_equal(sub.X, subsample(ds, 4, make_rng(3)).X.astype(np.float32))
+    assert (sub.name, sub.fingerprint) == (ds.name, ds.fingerprint)
+
+
+def test_stats_refuse_float32_x():
+    ds = build_binary_task(_raw_mnist_like(), TaskSpec("mnist", 1, 7))
+    ds32 = ds.astype(np.float32)
+    with pytest.raises(ValueError, match="float64, not float32"):
+        ds32.stats
+    ds.stats  # the float64 original still has them
+    with pytest.raises(ValueError, match="float64, not float32"):
+        ds.astype(np.float32).stats  # the copy does not share them
+
+
 # --- blocked build: bitwise gate against the whole-stack computation ---
 
 def _whole_stack_bilinear(images, out_h, out_w):

@@ -136,6 +136,18 @@ def test_report_refuses_float32_weights():
         measure_report(params.astype(np.float32), snap, ds)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32-weights", "float64-weights"])
+def test_report_and_class_inputs_refuse_float32_data(dtype):
+    # no measure or bound is taken of float32 data, whatever the weights
+    params, snap = _params_snap()
+    ds32 = random_unit_dataset(make_rng(3), 3, 9).astype(np.float32)
+    with pytest.raises(ValueError, match="float64, not float32"):
+        measure_report(params.astype(dtype), snap, ds32)
+    with pytest.raises(ValueError, match="float64, not float32"):
+        class_bound_inputs(ds32, snap.W0.astype(dtype), RELU, 1.0, 1.0)
+
+
 def test_report_data_fields_unit_norm():
     params, snap = _params_snap()
     ds = random_unit_dataset(make_rng(3), 3, 9)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
-                       closed_form_linear_sup, closed_form_toplayer_sup,
-                       enumerate_signs, init_kaiming,
-                       khintchine_sandwich_check, make_rng, mc_rad_estimate,
-                       rad_upper_path, sample_signs)
+                       enumerate_signs, init_kaiming, make_rng,
+                       mc_rad_estimate, rad_upper_path, sample_signs)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.linalg import fork_rng
 from snnbounds.rademacher import _pga_best_values
 from conftest import random_unit_dataset
+from oracles import (closed_form_linear_sup, closed_form_toplayer_sup,
+                     khintchine_sandwich_check)
 
 FAST = RadConfig(sigma_samples=50, pga_steps=40, pga_restarts=2,
                  step_size=0.1, seed=0)

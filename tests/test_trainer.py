@@ -378,6 +378,36 @@ def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
         assert report.epochs_run < max_epochs
 
 
+@pytest.mark.parametrize("max_epochs, target, act", [
+    pytest.param(3, 0.0, RELU, id="relu"),
+    pytest.param(10, 0.05, RELU, id="early-stop"),
+    pytest.param(3, 0.0, TANH, id="tanh"),
+    pytest.param(3, 0.0, SIGMOID, id="sigmoid"),
+])
+def test_sgd_train_on_float32_data_bitwise_matches_float64_data(
+        max_epochs, target, act):
+    # `train` gives float32 weights one float32 copy of X; that skips the
+    # cast of each batch and margins block and must change no bit.  n spans
+    # three column blocks, and its last batch of 2085 % 64 = 37 is partial.
+    # X is F-ordered, as a built or prepared task's is.
+    ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
+    ds = Dataset(np.asfortranarray(ds.X), ds.y)
+    cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
+                      target_train_error=target)
+    start = init_kaiming(make_rng(3), 32, ds.d, 1, act)[0].astype(np.float32)
+    runs = []
+    for data in (ds, ds.astype(np.float32)):
+        params = SnnParams(start.W.copy(), start.V.copy(), act)
+        runs.append((params, sgd_train(params, data, cfg, seed=4)))
+    (p64, r64), (p32, r32) = runs
+    assert np.array_equal(p32.W, p64.W) and np.array_equal(p32.V, p64.V)
+    for field in ("loss_curve", "error_curve", "final_train_error",
+                  "final_ramp_risk", "epochs_run"):
+        assert getattr(r32, field) == getattr(r64, field), field
+    if target > 0:
+        assert r32.epochs_run < max_epochs
+
+
 def test_epoch_peak_memory_well_below_one_m_by_n_array():
     m, n = 256, 20000
     rng = make_rng(7)
