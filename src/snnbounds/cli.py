@@ -204,8 +204,7 @@ def cmd_train(cfg, ds):
             # snapshot, so W - W0 is the training displacement alone;
             # checkpoint_save writes the exact float64 upcast
             params = init_kaiming(fork_rng(seed, m), m, ds.d, 1,
-                                  ACTIVATIONS[cfg.activation])[0]
-            params = params.astype(np.float32)
+                                  ACTIVATIONS[cfg.activation])[0].astype(np.float32)
             snapshot = InitSnapshot(params.W, params.V)
             try:
                 report = sgd_train(params, ds32, cfg, seed)
@@ -254,38 +253,43 @@ def _read_manifest(out):
 
 
 def _grid_checkpoints(cfg):
-    """(seed, path, d) of each checkpoint on the grid, d from its header;
+    """(seed, m, path, d) of each checkpoint on the grid, d from its header;
     DataError if there is none, or for a header checkpoint_header refuses,
     such as one with other than c = 1 outputs."""
-    found = [(seed, path) for m in cfg.widths for seed in cfg.seeds
+    found = [(seed, m, path) for m in cfg.widths for seed in cfg.seeds
              if os.path.exists(path := _ckpt_path(cfg, seed, m))]
     if not found:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
     checkpoints = []
-    for seed, path in found:
+    for seed, m, path in found:
         with open(path, "rb") as f:
-            checkpoints.append((seed, path, checkpoint_header(f).d))
+            checkpoints.append((seed, m, path, checkpoint_header(f).d))
     return checkpoints
 
 
 def cmd_measure(cfg, ds, checkpoints, manifest):
-    """measures.csv of the (seed, path, d) checkpoints of _grid_checkpoints;
+    """measures.csv of the (seed, m, path, d) checkpoints of _grid_checkpoints;
     ConfigError if the manifest of _read_manifest records other data than
-    ds, DataError if a checkpoint's d is not the data's."""
+    ds, DataError for a checkpoint whose cell it lacks or whose d differs."""
+    manifest_path = os.path.join(cfg.out, "manifest.json")
     for key, value in (("n", ds.n), ("d", ds.d),
                        ("data_fingerprint", ds.fingerprint)):
         if manifest is not None and manifest.get(key) != value:
             raise ConfigError(
-                f"{os.path.join(cfg.out, 'manifest.json')} gives {key} "
-                f"{manifest.get(key)!r} but the loaded data has {value!r}; "
-                "measure with the data and --subsample that `snnbounds "
-                "train` used")
-    for _, path, d in checkpoints:
+                f"{manifest_path} gives {key} {manifest.get(key)!r} but the "
+                f"loaded data has {value!r}; measure with the data and "
+                "--subsample that `snnbounds train` used")
+    cells = {(c["seed"], c["m"]) for c in (manifest or {}).get("cells", [])}
+    for seed, m, path, d in checkpoints:
+        if manifest is not None and (seed, m) not in cells:
+            raise data_mod.DataError(
+                f"{path} is not a cell of {manifest_path} but left from an "
+                "earlier run; rerun `snnbounds train` for this grid")
         if d != ds.d:
             raise data_mod.DataError(f"{path} has d = {d} inputs but the "
                                      f"data has d = {ds.d}")
     rows = []
-    for seed, path, _ in checkpoints:
+    for seed, _, path, _ in checkpoints:
         ck = checkpoint_load(path)
         report = measure_report(ck.params, ck.snapshot, ds)
         rows.append(measure_row(report, ds.name, seed))

@@ -101,7 +101,7 @@ class Dataset:
 
     def astype(self, dtype):
         """A copy with X cast to dtype, F-ordered, sharing y, name and
-        fingerprint: `snnbounds train` trains on one float32 copy."""
+        fingerprint: the one cast of X, as sgd_train and forward cast none."""
         return Dataset(self.X.astype(dtype, order="F"), self.y, self.name,
                        self.fingerprint)
 

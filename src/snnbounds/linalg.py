@@ -46,19 +46,23 @@ def column_blocks(n, size):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def frobenius_norm(M):
+def _matrix(M):
+    """M as a float64 array; ValueError if it is empty."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         raise ValueError("empty matrix")
+    return M
+
+
+def frobenius_norm(M):
+    M = _matrix(M)
     # np.linalg.norm accumulates through BLAS dot, which blocks the summation
     return float(np.linalg.norm(M))
 
 
 def pq_norm(M, p, q):
     """(p, q) matrix norm: the lq norm of the vector of columnwise lp norms."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("empty matrix")
+    M = _matrix(M)
     if p not in _SUPPORTED_ORDS or q not in _SUPPORTED_ORDS:
         raise ValueError(f"unsupported (p, q) = ({p}, {q}); use 1, 2 or inf")
     col_norms = np.linalg.norm(M, ord=p, axis=0)
@@ -72,9 +76,7 @@ def spectral_norm(M):
     Exact up to rounding: unlike an iterative estimate, it cannot stop early
     below the true value.
     """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("empty matrix")
+    M = _matrix(M)
     A = M if M.shape[0] <= M.shape[1] else M.T
     # the Gram matrix is PSD; rounding can leave a (near) zero one's top
     # eigenvalue slightly negative

@@ -108,12 +108,19 @@ def init_kaiming(rng, m, d, c, activation=RELU):
     return params, snapshot
 
 
-def forward(params, X):
-    """Network outputs, shape (1, n), for column-stacked inputs X of shape
-    (d, n), computed in the dtype of the weights: X is cast to it."""
-    X = np.asarray(X, dtype=params.W.dtype)
+def check_inputs(params, X):
+    """ValueError unless X is a (d, n) array of the weights' dtype."""
     if X.shape[0] != params.d:
         raise ValueError(f"X has {X.shape[0]} rows, expected d={params.d}")
+    if X.dtype != params.W.dtype:
+        raise ValueError(f"X is {X.dtype} but the weights are {params.W.dtype}; "
+                         "cast one with Dataset.astype or SnnParams.astype")
+
+
+def forward(params, X):
+    """Network outputs, shape (1, n), for column-stacked inputs X, a (d, n)
+    array of the weights' dtype (check_inputs)."""
+    check_inputs(params, X)
     return params.V @ params.activation.fn(params.W @ X)
 
 

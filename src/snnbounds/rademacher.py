@@ -58,10 +58,8 @@ def _pga_best_values(sigmas, X, W0, R_W, R_V, activation, cfg):
     sigmas has shape (S, n).  The PGA maximizes R_V ||gamma(W X) sigma||_2,
     the sup over V in closed form, over the deviation D = W - W0, with
     cfg.pga_restarts restarts per sigma run simultaneously.  Per sigma it
-    returns the best value, evaluated at a checked feasible (W, V*).
-    """
-    X = np.asarray(X, dtype=float)
-    W0 = np.asarray(W0, dtype=float)
+    returns the best value, evaluated at a checked feasible (W, V*).  X and
+    W0 are the float64 arrays of mc_rad_estimate."""
     S, n = sigmas.shape
     m, d = W0.shape
     R = cfg.pga_restarts

@@ -5,11 +5,11 @@ stored as {-1, +1} in the Dataset and mapped to {0, 1} internally for the
 BCE loss.  Training stops when the end-of-epoch 0-1 training error drops
 below the target, or when max_epochs is reached.
 
-Training runs in the dtype of the weights it is given: `snnbounds train`
-gives float32 ones, and one float32 copy of X for all its networks.  Every
-measure is taken in float64 from the checkpoint and the float64 data, so
-the training precision decides which weights are found, never whether a
-bound holds for them.
+Training runs in the dtype of the weights it is given, on X of that dtype:
+`snnbounds train` gives float32 weights, and one float32 copy of X for all
+its networks.  Every measure is taken in float64 from the checkpoint and
+the float64 data, so the training precision decides which weights are
+found, never whether a bound holds for them.
 """
 
 import time
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import COLUMN_BLOCK, column_blocks, fork_rng, model_dtype
-from .model import SIGMOID, forward
+from .model import SIGMOID, check_inputs, forward
 
 
 @dataclass
@@ -57,8 +57,7 @@ class TrainingDiverged(Exception):
         super().__init__(
             f"non-finite margins at the end of epoch {epoch}" if batch is None
             else f"non-finite loss at epoch {epoch}, batch {batch}")
-        self.epoch = epoch
-        self.batch = batch
+        self.epoch, self.batch = epoch, batch
 
 
 def bce_logits(score, y01):
@@ -81,8 +80,7 @@ def _batch_grads(params, Xb, yb01, grad_W=None):
     A = act.fn(params.W @ Xb)               # (m, B)
     s = (params.V @ A)[0]                   # (B,)
     loss, ds = bce_logits(s, yb01)
-    B = Xb.shape[1]
-    ds = ds / B
+    ds = ds / Xb.shape[1]                   # the mean over the batch
     grad_V = (ds[None, :] @ A.T)            # (1, m)
     back = np.multiply(params.V.T, ds)      # (m, B)
     back *= act.deriv(A)
@@ -93,11 +91,9 @@ def _batch_grads(params, Xb, yb01, grad_W=None):
 def margins(params, ds):
     """y_i * psi(x_i) for every example: one full-data forward.
 
-    The forward runs in the weights' dtype over blocks of at most
-    COLUMN_BLOCK columns of X into one float64 (n,) vector, so memory is
-    O(m * block) rather than O(m * n).  A block is cast only if X is not
-    of the weights' dtype; the `train` stage's X is, as it casts X once.
-    """
+    It runs over blocks of at most COLUMN_BLOCK columns of X, of the
+    weights' dtype (forward refuses any other), into one float64 (n,)
+    vector, so memory is O(m * block) rather than O(m * n)."""
     t = np.empty(ds.n)
     for cols in column_blocks(ds.n, COLUMN_BLOCK):
         t[cols] = forward(params, ds.X[:, cols])[0]
@@ -127,48 +123,40 @@ def sgd_train(params, ds, cfg, seed=0):
     step), labels, mu and lr have it too, so no product is promoted to
     float64 under either numpy's promotion rules, and a step allocates no
     array of W's size.
-    The `train` stage passes X already cast to that dtype, once for all its
-    networks (Dataset.astype), so batches and margins blocks are not cast;
-    an X of another dtype is cast per batch and per block after its gather,
-    so sgd_train itself makes no copy of X.  After TrainingDiverged, params
-    hold the weights of the step that overflowed.
+    X must have that dtype too (model.check_inputs): `train` casts it once
+    for all its networks (Dataset.astype), and nothing here casts a batch
+    or a margins block.  After TrainingDiverged, params hold the weights of
+    the step that overflowed.
 
     Epoch e visits the examples in the order fork_rng(seed, e).permutation(n).
     Batches are row gathers from ds.X.T, which for the F-ordered X of a
     built or prepared task is a C-contiguous (n, d) view: each batch copies
     only its own rows, and its transpose has the same values and strides as
     the column gather X[:, idx], so BLAS sees the same operands.
-    Momentum is updated in place.
     Each epoch ends with one full-data pass, margins(params, ds), whose
     margins give both the early-stop 0-1 error and, after the last epoch,
     the final ramp risk.  The weights depend on the margins only
     through the early-stop comparison.  TrainingDiverged is raised on a
     non-finite batch loss or on non-finite margins (overflowed weights).
     """
-    if ds.d != params.d:
-        raise ValueError(f"dataset d={ds.d} but model d={params.d}")
+    check_inputs(params, ds.X)
 
     start = time.perf_counter()
     dtype = params.W.dtype
-    y01 = ((ds.y + 1.0) / 2.0).astype(dtype, copy=False)
-    XT = ds.X.T                             # (n, d)
+    y01 = ((ds.y + 1.0) / 2.0).astype(dtype)
     # scalars of the dtype, lest they promote a product; np.float32(1e300)
     # is inf, and such a run diverges at its first step
     mu, lr = dtype.type(cfg.momentum), dtype.type(cfg.learning_rate)
-    uW = np.zeros_like(params.W)
-    uV = np.zeros_like(params.V)
+    uW, uV = np.zeros_like(params.W), np.zeros_like(params.V)
     gradW = np.empty_like(params.W)  # each batch's W gradient, then its step
-    loss_curve = []
-    error_curve = []
+    loss_curve, error_curve = [], []
     t = None
     for epoch in range(cfg.max_epochs):
         order = fork_rng(seed, epoch).permutation(ds.n)
-        epoch_loss = 0.0
-        n_batches = 0
+        epoch_loss, n_batches = 0.0, 0
         for start_idx in range(0, ds.n, cfg.batch_size):
             idx = order[start_idx:start_idx + cfg.batch_size]
-            loss, gW, gV = _batch_grads(
-                params, XT[idx].astype(dtype, copy=False).T, y01[idx], gradW)
+            loss, gW, gV = _batch_grads(params, ds.X.T[idx].T, y01[idx], gradW)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, n_batches)
             uW *= mu

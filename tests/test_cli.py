@@ -826,6 +826,24 @@ def test_measure_without_manifest_measures_the_checkpoints(tmp_path,
         assert [r["seed"] for r in csv.DictReader(f)] == ["0", "1"]
 
 
+def test_measure_exit_3_on_checkpoint_the_manifest_does_not_list(
+        tmp_path, mnist_dir, capsys):
+    # a tanh run of four cells, then a relu retrain of one: the other three
+    # tanh checkpoints stay, but the new manifest lists (0, 4) alone
+    out = os.path.join(tmp_path, "run")
+    grid = _base_args(mnist_dir, out, widths="4,8", seeds="0,1")
+    assert _run(["all", *grid, "--max-epochs", "1", "--activation", "tanh"]) == 0
+    assert _run(["train", *_base_args(mnist_dir, out),
+                 "--learning-rate", "0"]) == 0
+    capsys.readouterr()
+    assert _run(["measure", *grid]) == 3
+    err = capsys.readouterr().err
+    stale = os.path.join(out, "ckpt_mnist_s1_m4.snn")
+    assert err.startswith(f"data error: {stale} is not a cell of")
+    assert "rerun `snnbounds train`" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
 def test_rad_subcommand(tmp_path):
     out_csv = os.path.join(tmp_path, "rad.csv")
     rc = _run(["rad", "--n", "6", "--d", "3", "--m", "3", "--rw", "1.5",

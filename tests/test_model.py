@@ -121,7 +121,7 @@ def test_forward_zero_head():
     assert np.all(out == 0.0)
 
 
-def test_params_keep_float32_and_forward_casts_x_to_their_dtype():
+def test_params_keep_float32_and_forward_keeps_their_dtype():
     W = make_rng(5).standard_normal((3, 2))
     p64 = SnnParams(W.astype(np.float16), np.ones((1, 3), int), RELU)
     assert p64.W.dtype == p64.V.dtype == np.float64
@@ -132,8 +132,17 @@ def test_params_keep_float32_and_forward_casts_x_to_their_dtype():
         with pytest.raises(ValueError, match="W is float32 but V is float64"):
             SnnParams(p32.W, V, RELU)
     X = make_rng(6).standard_normal((2, 4))
-    assert forward(p32, X).dtype == np.float32
-    assert forward(p64, X.astype(np.float32)).dtype == np.float64
+    assert forward(p32, X.astype(np.float32)).dtype == np.float32
+    assert forward(p64, X).dtype == np.float64
+
+
+@pytest.mark.parametrize("weights, data", [(np.float32, np.float64),
+                                           (np.float64, np.float32)],
+                         ids=["float32-weights", "float64-weights"])
+def test_forward_refuses_x_of_another_dtype(weights, data):
+    p = SnnParams(np.ones((3, 2)), np.ones((1, 3)), RELU).astype(weights)
+    with pytest.raises(ValueError, match="astype"):
+        forward(p, np.ones((2, 4), dtype=data))
 
 
 def test_forward_hand_scalar():

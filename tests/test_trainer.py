@@ -92,7 +92,7 @@ def test_single_full_batch_step_in_float32_matches_gd_oracle():
                              ds, lr)
     cfg = TrainConfig(batch_size=ds.n, momentum=0.0, learning_rate=lr,
                       max_epochs=1, target_train_error=0.0)
-    sgd_train(params, ds, cfg)
+    sgd_train(params, ds.astype(np.float32), cfg)
     assert params.W.dtype == params.V.dtype == np.float32
     assert np.max(np.abs(params.W - W1)) < 1e-6
     assert np.max(np.abs(params.V - V1)) < 1e-6
@@ -159,8 +159,9 @@ def test_divergence_on_overflowing_weights_names_the_epoch():
         params = init_kaiming(make_rng(0), 4, 3, 1)[0].astype(dtype)
         with pytest.raises(TrainingDiverged,
                            match="non-finite margins at the end of epoch 0"):
-            sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e300,
-                                              batch_size=8))
+            sgd_train(params, ds.astype(dtype),
+                      TrainConfig(max_epochs=2, learning_rate=1e300,
+                                  batch_size=8))
 
 
 def test_float32_divergence_on_weights_beyond_its_range():
@@ -170,8 +171,20 @@ def test_float32_divergence_on_weights_beyond_its_range():
     params = init_kaiming(make_rng(0), 4, 3, 1)[0].astype(np.float32)
     with pytest.raises(TrainingDiverged,
                        match="non-finite margins at the end of epoch 0"):
-        sgd_train(params, ds, TrainConfig(max_epochs=2, learning_rate=1e36,
-                                          batch_size=8))
+        sgd_train(params, ds.astype(np.float32),
+                  TrainConfig(max_epochs=2, learning_rate=1e36, batch_size=8))
+
+
+@pytest.mark.parametrize("weights, data", [(np.float32, np.float64),
+                                           (np.float64, np.float32)],
+                         ids=["float32-weights", "float64-weights"])
+def test_sgd_train_refuses_data_of_another_dtype(weights, data):
+    ds = random_unit_dataset(make_rng(5), 3, 8).astype(data)
+    params = init_kaiming(make_rng(0), 4, 3, 1)[0].astype(weights)
+    W = params.W.copy()
+    with pytest.raises(ValueError, match="astype"):
+        sgd_train(params, ds, TrainConfig(max_epochs=1))
+    assert np.array_equal(params.W, W)  # refused before the first step
 
 
 def test_zero_one_error_tie_rule():
@@ -263,11 +276,11 @@ def test_bce_keeps_float32():
 
 
 def _reference_sgd(params, ds, cfg, seed):
-    """Straightforward loop in the dtype of params: X, labels, mu and lr
-    cast once up front, column-gathered batches, momentum buffers
+    """Straightforward loop in the dtype of params and of ds.X: labels, mu
+    and lr cast once up front, column-gathered batches, momentum buffers
     reallocated every step, and separate 0-1 / ramp evaluations."""
     dtype = params.W.dtype
-    X = ds.X.astype(dtype, copy=False)
+    X = ds.X
     y01 = ((ds.y + 1.0) / 2.0).astype(dtype)
     mu, lr = dtype.type(cfg.momentum), dtype.type(cfg.learning_rate)
 
@@ -320,7 +333,7 @@ REFERENCE_LOOP_CASES = [
 
 def _check_against_reference_loop(n, batch_size, max_epochs, target, act,
                                   dtype):
-    ds = _learnable_dataset(48, n)
+    ds = _learnable_dataset(48, n).astype(dtype)
     cfg = TrainConfig(batch_size=batch_size, learning_rate=0.5,
                       max_epochs=max_epochs, target_train_error=target)
     params = init_kaiming(make_rng(3), 32, ds.d, 1, act)[0].astype(dtype)
@@ -354,17 +367,25 @@ def test_sgd_train_in_float32_bitwise_matches_reference_loop(
                                   np.float32)
 
 
-@pytest.mark.parametrize("max_epochs, target, act", [
-    pytest.param(3, 0.0, RELU, id="relu"),
-    pytest.param(10, 0.05, RELU, id="early-stop"),
-    pytest.param(3, 0.0, TANH, id="tanh"),
+@pytest.mark.parametrize("max_epochs, target, act, dtype", [
+    pytest.param(3, 0.0, RELU, np.float64, id="relu"),
+    pytest.param(10, 0.05, RELU, np.float64, id="early-stop"),
+    pytest.param(3, 0.0, TANH, np.float64, id="tanh"),
+    pytest.param(3, 0.0, SIGMOID, np.float64, id="sigmoid"),
+    pytest.param(3, 0.0, RELU, np.float32, id="relu-float32"),
+    pytest.param(10, 0.05, RELU, np.float32, id="early-stop-float32"),
+    pytest.param(3, 0.0, TANH, np.float32, id="tanh-float32"),
+    pytest.param(3, 0.0, SIGMOID, np.float32, id="sigmoid-float32"),
 ])
-def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
-    # n spans three column blocks of the epoch-end forward
-    ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
+def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act,
+                                                     dtype):
+    # n spans three column blocks of the epoch-end forward, and its last
+    # batch of 2085 % 64 = 37 is partial.  The data has the weights' dtype
+    # and is F-ordered, as `train`'s float32 copy (Dataset.astype) is.
+    ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37).astype(dtype)
     cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
                       target_train_error=target)
-    params, _ = init_kaiming(make_rng(3), 32, ds.d, 1, act)
+    params = init_kaiming(make_rng(3), 32, ds.d, 1, act)[0].astype(dtype)
     ref = SnnParams(params.W.copy(), params.V.copy(), act)
     loss_curve, error_curve, err, ramp = _reference_sgd(ref, ds, cfg, seed=4)
     report = sgd_train(params, ds, cfg, seed=4)
@@ -378,45 +399,16 @@ def test_sgd_train_blocked_margins_match_whole_array(max_epochs, target, act):
         assert report.epochs_run < max_epochs
 
 
-@pytest.mark.parametrize("max_epochs, target, act", [
-    pytest.param(3, 0.0, RELU, id="relu"),
-    pytest.param(10, 0.05, RELU, id="early-stop"),
-    pytest.param(3, 0.0, TANH, id="tanh"),
-    pytest.param(3, 0.0, SIGMOID, id="sigmoid"),
-])
-def test_sgd_train_on_float32_data_bitwise_matches_float64_data(
-        max_epochs, target, act):
-    # `train` gives float32 weights one float32 copy of X; that skips the
-    # cast of each batch and margins block and must change no bit.  n spans
-    # three column blocks, and its last batch of 2085 % 64 = 37 is partial.
-    # X is F-ordered, as a built or prepared task's is.
-    ds = _learnable_dataset(16, 2 * COLUMN_BLOCK + 37)
-    ds = Dataset(np.asfortranarray(ds.X), ds.y)
-    cfg = TrainConfig(batch_size=64, learning_rate=0.5, max_epochs=max_epochs,
-                      target_train_error=target)
-    start = init_kaiming(make_rng(3), 32, ds.d, 1, act)[0].astype(np.float32)
-    runs = []
-    for data in (ds, ds.astype(np.float32)):
-        params = SnnParams(start.W.copy(), start.V.copy(), act)
-        runs.append((params, sgd_train(params, data, cfg, seed=4)))
-    (p64, r64), (p32, r32) = runs
-    assert np.array_equal(p32.W, p64.W) and np.array_equal(p32.V, p64.V)
-    for field in ("loss_curve", "error_curve", "final_train_error",
-                  "final_ramp_risk", "epochs_run"):
-        assert getattr(r32, field) == getattr(r64, field), field
-    if target > 0:
-        assert r32.epochs_run < max_epochs
-
-
 def test_epoch_peak_memory_well_below_one_m_by_n_array():
     m, n = 256, 20000
     rng = make_rng(7)
     ds = random_unit_dataset(rng, 8, n)
     for dtype in DTYPES:
         params = init_kaiming(rng, m, ds.d, 1)[0].astype(dtype)
+        data = ds.astype(dtype)
         tracemalloc.start()
         try:
-            sgd_train(params, ds, TrainConfig(max_epochs=1))
+            sgd_train(params, data, TrainConfig(max_epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -433,11 +425,12 @@ def test_epoch_peak_memory_well_below_a_copy_of_x():
     ds = build_binary_task(raw, TaskSpec("mnist", 1, 7))
     for dtype in DTYPES:
         params = init_kaiming(rng, m, ds.d, 1)[0].astype(dtype)
+        data = ds.astype(dtype)
         tracemalloc.start()
         try:
-            sgd_train(params, ds, TrainConfig(max_epochs=1))
+            sgd_train(params, data, TrainConfig(max_epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # X is 33 MB; in float32, a cast copy of it would be half that
+        # X is 33 MB; a float32 copy of it would be half that
         assert peak < ds.X.nbytes / 2
