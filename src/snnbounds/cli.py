@@ -26,7 +26,7 @@ from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
                        report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, InitSnapshot, checkpoint_header,
                     checkpoint_load, checkpoint_save, init_kaiming)
-from .rademacher import RADIUS_GUARD, RadConfig, check_scale, mc_rad_estimate
+from .rademacher import RadConfig, check_scale, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
 
 BOUNDS_CSV_FIELDS = ["dataset", "seed", "m", "method", "value", "delta",
@@ -238,7 +238,8 @@ def cmd_train(cfg, ds):
 
 def _read_manifest(out):
     """The manifest.json of --out, None if there is none (checkpoints of
-    other code are measured as they are); DataError if not a JSON object."""
+    other code are measured as they are); DataError if not a JSON object
+    whose cells are a list of objects with integer seed and m."""
     path = os.path.join(out, "manifest.json")
     try:
         with open(path, encoding="utf-8") as f:
@@ -249,6 +250,10 @@ def _read_manifest(out):
         manifest = None
     if not isinstance(manifest, dict):
         raise data_mod.DataError(f"{path} is not a JSON object")
+    cells = manifest.get("cells")
+    if not (isinstance(cells, list) and all(isinstance(c, dict) and all(
+            type(c.get(k)) is int for k in ("seed", "m")) for c in cells)):
+        raise data_mod.DataError(f"{path} has no list of cells of integer seed and m")
     return manifest
 
 
@@ -279,7 +284,7 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
                 f"{manifest_path} gives {key} {manifest.get(key)!r} but the "
                 f"loaded data has {value!r}; measure with the data and "
                 "--subsample that `snnbounds train` used")
-    cells = {(c["seed"], c["m"]) for c in (manifest or {}).get("cells", [])}
+    cells = {(c["seed"], c["m"]) for c in manifest["cells"]} if manifest else set()
     for seed, m, path, d in checkpoints:
         if manifest is not None and (seed, m) not in cells:
             raise data_mod.DataError(
@@ -324,13 +329,9 @@ def cmd_figure(cfg):
 def cmd_rad(args):
     """Tiny-instance Rademacher probe: MC feasible estimate vs. the bounds."""
     n, d, m, R_W, R_V = args.n, args.d, args.m, args.rw, args.rv
-    if min(n, d, m) < 1:
-        raise ConfigError("n, d and m must be >= 1")
-    if not all(0.0 <= r <= RADIUS_GUARD for r in (R_W, R_V)):
-        raise ConfigError(f"radii must lie in [0, {RADIUS_GUARD:g}]")
-    try:  # RadConfig's counts and seed, and both scale guards, before any draw
+    try:  # RadConfig's counts and seed, and the probe's limits, before any draw
         cfg = RadConfig(**{name: getattr(args, name) for name in _RAD_KNOBS})
-        check_scale(n, d, m, cfg)
+        check_scale(n, d, m, R_W, R_V, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     act = ACTIVATIONS[args.activation]

@@ -182,17 +182,8 @@ def bilinear_resize(images, out_h, out_w):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    rows = np.take(images, x0, axis=2)  # (n, h, out_w), interpolated along x
-    rows *= 1 - fx
-    right = np.take(images, x1, axis=2)
-    right *= fx
-    rows += right
-    out = np.take(rows, y0, axis=1)
-    out *= 1 - fy
-    below = np.take(rows, y1, axis=1)
-    below *= fy
-    out += below
-    return out
+    rows = images[:, :, x0] * (1 - fx) + images[:, :, x1] * fx  # (n, h, out_w)
+    return rows[:, y0] * (1 - fy) + rows[:, y1] * fy
 
 
 def build_binary_task(raw, spec):

@@ -134,10 +134,15 @@ def enumerate_signs(n):
     return (2.0 * grid - 1.0).astype(float)
 
 
-def check_scale(n, d, m, cfg):
-    """ValueError if the instance size n * m * d exceeds SCALE_GUARD, or the
-    PGA's iterate size (sign vectors) * restarts * m * (d + n) under cfg
-    exceeds PGA_GUARD."""
+def check_scale(n, d, m, R_W, R_V, cfg):
+    """ValueError unless the probe's four limits hold: n, d, m >= 1; R_W and
+    R_V in [0, RADIUS_GUARD], so neither NaN nor inf; n * m * d at most
+    SCALE_GUARD; and the PGA's iterate size (sign vectors) * restarts * m *
+    (d + n) under cfg at most PGA_GUARD."""
+    if min(n, d, m) < 1:
+        raise ValueError("n, d and m must be >= 1")
+    if not all(0.0 <= r <= RADIUS_GUARD for r in (R_W, R_V)):
+        raise ValueError(f"radii must lie in [0, {RADIUS_GUARD:g}]")
     if n * m * d > SCALE_GUARD:
         raise ValueError(
             f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
@@ -156,13 +161,15 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     (exact sigma-expectation over the 2^(n-1) pairs {sigma, -sigma};
     ``samples`` counts all 2^n), otherwise sampled.  Every per-sigma value
     is a certified feasible lower estimate, so the result lower-bounds the
-    true complexity up to sigma-sampling error.
+    true complexity up to sigma-sampling error.  ValueError, before any
+    work, outside check_scale's four limits: n, d, m >= 1, radii in
+    [0, RADIUS_GUARD], SCALE_GUARD on n * m * d, and PGA_GUARD.
     """
     cfg = cfg or RadConfig()
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
     d, n = X.shape
-    check_scale(n, d, W0.shape[0], cfg)
+    check_scale(n, d, W0.shape[0], R_W, R_V, cfg)
     exhaustive = n <= EXHAUSTIVE_MAX_N
     if exhaustive:
         # sup(-sigma) = sup(sigma) under V -> -V, and from the same starts the

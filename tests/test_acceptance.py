@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from snnbounds import (RELU, TANH, RadConfig, TaskSpec, TrainConfig,
-                       build_binary_task, init_kaiming, fork_rng, make_rng,
-                       mc_rad_estimate, measure_report, rad_lower,
+from snnbounds import (RELU, TANH, InitSnapshot, RadConfig, TaskSpec,
+                       TrainConfig, build_binary_task, init_kaiming, fork_rng,
+                       make_rng, mc_rad_estimate, measure_report, rad_lower,
                        rad_upper_path, sgd_train, spectral_norm, subsample,
                        path_norm, gen_bound_pn, all_bound_values, Dataset)
 from snnbounds.bounds import class_bound_inputs
@@ -119,12 +119,17 @@ def _init_term_cells(ds, widths):
 
 
 def _train_sweep(ds, widths, seeds):
+    """Each cell trained as `snnbounds train` trains it: in float32 on one
+    float32 copy of X, from the rounded Kaiming draw, which is the snapshot.
+    The cells hold the float64 upcast that a checkpoint stores."""
+    ds32 = ds.astype(np.float32)
     cells = {}
     for m in widths:
         for seed in seeds:
-            params, snap = init_kaiming(fork_rng(seed, m), m, ds.d, 1)
-            sgd_train(params, ds, TrainConfig(), seed)
-            cells[(m, seed)] = (params, snap)
+            params = init_kaiming(fork_rng(seed, m), m, ds.d, 1)[0].astype(np.float32)
+            snap = InitSnapshot(params.W, params.V)
+            sgd_train(params, ds32, TrainConfig(), seed)
+            cells[(m, seed)] = (params.astype(np.float64), snap)
     return cells
 
 

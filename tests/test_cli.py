@@ -815,6 +815,27 @@ def test_measure_exit_3_on_damaged_manifest(tmp_path, mnist_dir, capsys,
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 
+@pytest.mark.parametrize("cells", [[{"seed": 0}], "x", [0], None],
+                         ids=["cell-without-m", "string", "not-objects", "null"])
+def test_measure_exit_3_on_malformed_manifest_cells(tmp_path, mnist_dir, capsys,
+                                                    monkeypatch, cells):
+    out = os.path.join(tmp_path, "run")
+    assert _run(["train", *_base_args(mnist_dir, out), "--max-epochs", "1"]) == 0
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest["cells"] = cells
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    # refused before the data is prepared
+    monkeypatch.setattr(cli_mod, "load_task_dataset",
+                        lambda *a: pytest.fail("prepared the data first"))
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path} ")
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
 def test_measure_without_manifest_measures_the_checkpoints(tmp_path,
                                                             mnist_dir):
     # checkpoints of other code come without a manifest.json

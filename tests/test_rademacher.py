@@ -7,6 +7,7 @@ from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
                        enumerate_signs, init_kaiming, make_rng,
                        mc_rad_estimate, rad_upper_path, sample_signs)
 from snnbounds.bounds import class_bound_inputs
+from snnbounds.cli import main
 from snnbounds.linalg import fork_rng
 from snnbounds.rademacher import _pga_best_values
 from conftest import random_unit_dataset
@@ -247,6 +248,25 @@ def test_scale_guard():
     W0 = np.zeros((100, 100))
     with pytest.raises(ValueError):
         mc_rad_estimate(X, W0, 1.0, 1.0, RELU, cfg=FAST)
+
+
+@pytest.mark.parametrize("n, d, m, R_W, R_V", [
+    (0, 4, 4, 1.0, 1.0), (8, 4, 4, -1.0, 1.0), (8, 4, 4, math.nan, 1.0),
+    (8, 4, 4, 1.0, math.inf), (4, 2, 2, 1.0, 1e155), (4, 2, 2, 1e155, 1.0),
+], ids=["n-below-1", "negative-radius", "nan-radius", "infinite-radius",
+        "huge-rv", "huge-rw"])
+def test_mc_estimate_refuses_what_rad_refuses(capsys, n, d, m, R_W, R_V):
+    # the instance `rad` would draw, refused with the message `rad` prints
+    rng = make_rng(0)
+    X = rng.standard_normal((d, n))
+    X /= np.linalg.norm(X, axis=0)
+    W0 = init_kaiming(rng, m, d, 1)[1].W0
+    assert main(["rad", "--n", str(n), "--d", str(d), "--m", str(m),
+                 "--rw", repr(R_W), "--rv", repr(R_V)]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ValueError) as exc:
+        mc_rad_estimate(X, W0, R_W, R_V, RELU)
+    assert err == f"config error: {exc.value}\n"
 
 
 def test_khintchine_single_vector_exact():
