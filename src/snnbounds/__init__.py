@@ -6,8 +6,7 @@ from .bounds import (BoundValue, all_bound_values, cm_constant,
 from .datasets import (DataStats, Dataset, RawImageSet, TaskSpec,
                        build_binary_task, parse_cifar10_bin, parse_idx_images,
                        parse_idx_labels, subsample)
-from .linalg import (fork_rng, frobenius_norm, make_rng, pq_norm, sample_signs,
-                     spectral_norm)
+from .linalg import fork_rng, make_rng, sample_signs, spectral_norm
 from .measures import (MeasureReport, init_activation_term, measure_report,
                        path_norm, report_from_row)
 from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,

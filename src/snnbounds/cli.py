@@ -257,16 +257,22 @@ def _read_manifest(out):
     return manifest
 
 
-def _grid_checkpoints(cfg):
+def _grid_checkpoints(cfg, manifest):
     """(seed, m, path, d) of each checkpoint on the grid, d from its header;
-    DataError if there is none, or for a header checkpoint_header refuses,
-    such as one with other than c = 1 outputs."""
+    DataError if there is none, for one left from an earlier run (no cell of
+    the manifest of _read_manifest), or for a header checkpoint_header refuses."""
     found = [(seed, m, path) for m in cfg.widths for seed in cfg.seeds
              if os.path.exists(path := _ckpt_path(cfg, seed, m))]
     if not found:
         raise data_mod.DataError(f"no checkpoints found under {cfg.out}")
+    cells = {(c["seed"], c["m"]) for c in manifest["cells"]} if manifest else set()
     checkpoints = []
     for seed, m, path in found:
+        if manifest is not None and (seed, m) not in cells:
+            raise data_mod.DataError(
+                f"{path} is not a cell of {os.path.join(cfg.out, 'manifest.json')}"
+                " but left from an earlier run; rerun `snnbounds train` for "
+                "this grid")
         with open(path, "rb") as f:
             checkpoints.append((seed, m, path, checkpoint_header(f).d))
     return checkpoints
@@ -275,7 +281,7 @@ def _grid_checkpoints(cfg):
 def cmd_measure(cfg, ds, checkpoints, manifest):
     """measures.csv of the (seed, m, path, d) checkpoints of _grid_checkpoints;
     ConfigError if the manifest of _read_manifest records other data than
-    ds, DataError for a checkpoint whose cell it lacks or whose d differs."""
+    ds, DataError for a checkpoint whose d differs."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     for key, value in (("n", ds.n), ("d", ds.d),
                        ("data_fingerprint", ds.fingerprint)):
@@ -284,12 +290,7 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
                 f"{manifest_path} gives {key} {manifest.get(key)!r} but the "
                 f"loaded data has {value!r}; measure with the data and "
                 "--subsample that `snnbounds train` used")
-    cells = {(c["seed"], c["m"]) for c in manifest["cells"]} if manifest else set()
-    for seed, m, path, d in checkpoints:
-        if manifest is not None and (seed, m) not in cells:
-            raise data_mod.DataError(
-                f"{path} is not a cell of {manifest_path} but left from an "
-                "earlier run; rerun `snnbounds train` for this grid")
+    for _, _, path, d in checkpoints:
         if d != ds.d:
             raise data_mod.DataError(f"{path} has d = {d} inputs but the "
                                      f"data has d = {ds.d}")
@@ -393,17 +394,18 @@ def main(argv=None):
         if args.command == "measure":
             # every checkpoint's header and the manifest are read before the
             # data is prepared
-            checkpoints, manifest = _grid_checkpoints(cfg), _read_manifest(cfg.out)
+            manifest = _read_manifest(cfg.out)
+            checkpoints = _grid_checkpoints(cfg, manifest)
             return cmd_measure(cfg, load_task_dataset(cfg), checkpoints, manifest)
         # train and measure share one load of the data within `all`; train
         # makes --out first, so that the load can keep the prepared data there
         os.makedirs(cfg.out, exist_ok=True)
         ds = load_task_dataset(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, ds)
-        return (cmd_train(cfg, ds)  # all
-                or cmd_measure(cfg, ds, _grid_checkpoints(cfg),
-                               _read_manifest(cfg.out))
+        status = cmd_train(cfg, ds)
+        if args.command == "train" or status:
+            return status
+        manifest = _read_manifest(cfg.out)  # all
+        return (cmd_measure(cfg, ds, _grid_checkpoints(cfg, manifest), manifest)
                 or cmd_bounds(cfg) or cmd_figure(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

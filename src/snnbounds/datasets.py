@@ -26,8 +26,7 @@ import numpy as np
 
 from . import linalg
 from .files import atomic_open
-from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, model_dtype,
-                     spectral_norm)
+from .linalg import COLUMN_BLOCK, column_blocks, model_dtype, spectral_norm
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -120,7 +119,7 @@ class Dataset:
             raise ValueError(f"statistics are taken in float64, not {self.X.dtype}")
         b_x = max(float(np.max(np.linalg.norm(self.X[:, cols], axis=0)))
                   for cols in column_blocks(self.n, COLUMN_BLOCK))
-        return DataStats(X_fro=frobenius_norm(self.X),
+        return DataStats(X_fro=float(np.linalg.norm(self.X)),
                          gram_spec_sqrt=spectral_norm(self.X), b_x=b_x)
 
 

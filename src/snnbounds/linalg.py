@@ -1,4 +1,6 @@
-"""Dense linear algebra helpers: matrix norms, exact spectral norm, seeded RNG.
+"""Numerics that need their own code: the exact spectral norm, the dtype
+rule, column blocks of full-data passes, seeded RNG and sign draws.  The
+other norms of the measures are numpy's, called where they are taken.
 
 All randomness in the package flows through generators created by
 :func:`make_rng` / :func:`fork_rng`, which pin the bit generator to PCG64 so
@@ -7,7 +9,6 @@ that a given seed produces the same stream on every platform.
 
 import numpy as np
 
-_SUPPORTED_ORDS = (1, 2, np.inf)
 # columns of X per block of a full-data pass (data statistics, init term,
 # training margins), so that no pass holds an m x n array
 COLUMN_BLOCK = 1024
@@ -46,37 +47,16 @@ def column_blocks(n, size):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _matrix(M):
-    """M as a float64 array; ValueError if it is empty."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("empty matrix")
-    return M
-
-
-def frobenius_norm(M):
-    M = _matrix(M)
-    # np.linalg.norm accumulates through BLAS dot, which blocks the summation
-    return float(np.linalg.norm(M))
-
-
-def pq_norm(M, p, q):
-    """(p, q) matrix norm: the lq norm of the vector of columnwise lp norms."""
-    M = _matrix(M)
-    if p not in _SUPPORTED_ORDS or q not in _SUPPORTED_ORDS:
-        raise ValueError(f"unsupported (p, q) = ({p}, {q}); use 1, 2 or inf")
-    col_norms = np.linalg.norm(M, ord=p, axis=0)
-    return float(np.linalg.norm(col_norms, ord=q))
-
-
 def spectral_norm(M):
     """Largest singular value of M from one dense eigensolve of the smaller
     Gram matrix, M M^T or M^T M.
 
     Exact up to rounding: unlike an iterative estimate, it cannot stop early
-    below the true value.
+    below the true value.  ValueError if M is empty.
     """
-    M = _matrix(M)
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        raise ValueError("empty matrix")
     A = M if M.shape[0] <= M.shape[1] else M.T
     # the Gram matrix is PSD; rounding can leave a (near) zero one's top
     # eigenvalue slightly negative

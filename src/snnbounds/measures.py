@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import DataError
-from .linalg import (COLUMN_BLOCK, column_blocks, frobenius_norm, pq_norm,
-                     spectral_norm)
+from .linalg import COLUMN_BLOCK, column_blocks, spectral_norm
 from .model import ACTIVATION_BY_ID
 
 
@@ -68,9 +67,9 @@ class MeasureReport(ClassMeasures):
     v_dist: float          # ||V - V0||_F
     w0_spectral: float
     w_spectral: float
-    w_dist_12: float       # ||W - W0||_{1,2}
-    w_inf1: float
-    v_inf1: float
+    w_dist_12: float       # ||W - W0||_{1,2}: l2 norm of the column l1 norms
+    w_inf1: float          # ||W||_{inf,1}: sum of the column max-norms
+    v_inf1: float          # ||V||_{inf,1}
     b_x: float             # max_i ||x_i||_2
     d: int                 # input dimension
 
@@ -103,16 +102,17 @@ def measure_report(params, snapshot, ds):
     dW = params.W - snapshot.W0
     return MeasureReport(
         **vars(class_bound_inputs(ds, snapshot.W0, params.activation,
-                                  frobenius_norm(dW), frobenius_norm(params.V))),
+                                  float(np.linalg.norm(dW)),
+                                  float(np.linalg.norm(params.V)))),
         kappa=path_norm(params.V, dW),
         kappa_s=path_norm(params.V, params.W),
-        w_fro=frobenius_norm(params.W),
-        v_dist=frobenius_norm(params.V - snapshot.V0),
+        w_fro=float(np.linalg.norm(params.W)),
+        v_dist=float(np.linalg.norm(params.V - snapshot.V0)),
         w0_spectral=spectral_norm(snapshot.W0),
         w_spectral=spectral_norm(params.W),
-        w_dist_12=pq_norm(dW, 1, 2),
-        w_inf1=pq_norm(params.W, np.inf, 1),
-        v_inf1=pq_norm(params.V, np.inf, 1),
+        w_dist_12=float(np.linalg.norm(np.abs(dW).sum(axis=0))),
+        w_inf1=float(np.abs(params.W).max(axis=0).sum()),
+        v_inf1=float(np.abs(params.V).max(axis=0).sum()),
         b_x=ds.stats.b_x,
         d=params.d,
     )

@@ -135,10 +135,10 @@ def enumerate_signs(n):
 
 
 def check_scale(n, d, m, R_W, R_V, cfg):
-    """ValueError unless the probe's four limits hold: n, d, m >= 1; R_W and
-    R_V in [0, RADIUS_GUARD], so neither NaN nor inf; n * m * d at most
-    SCALE_GUARD; and the PGA's iterate size (sign vectors) * restarts * m *
-    (d + n) under cfg at most PGA_GUARD."""
+    """ValueError unless the probe's limits hold: n, d, m >= 1; R_W and R_V
+    in [0, RADIUS_GUARD], so neither NaN nor inf; n * m * d <= SCALE_GUARD;
+    sigma_samples >= 2 if sampled, for a standard error; and the PGA's
+    iterate size (sign vectors) * restarts * m * (d + n) <= PGA_GUARD."""
     if min(n, d, m) < 1:
         raise ValueError("n, d and m must be >= 1")
     if not all(0.0 <= r <= RADIUS_GUARD for r in (R_W, R_V)):
@@ -146,6 +146,8 @@ def check_scale(n, d, m, R_W, R_V, cfg):
     if n * m * d > SCALE_GUARD:
         raise ValueError(
             f"instance size n*m*d = {n * m * d} exceeds {SCALE_GUARD}")
+    if n > EXHAUSTIVE_MAX_N and cfg.sigma_samples < 2:
+        raise ValueError(f"sigma_samples must be >= 2 for n > {EXHAUSTIVE_MAX_N}")
     signs = 2 ** (n - 1) if n <= EXHAUSTIVE_MAX_N else cfg.sigma_samples
     size = signs * cfg.pga_restarts * m * (d + n)
     if size > PGA_GUARD:
@@ -162,13 +164,15 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     ``samples`` counts all 2^n), otherwise sampled.  Every per-sigma value
     is a certified feasible lower estimate, so the result lower-bounds the
     true complexity up to sigma-sampling error.  ValueError, before any
-    work, outside check_scale's four limits: n, d, m >= 1, radii in
-    [0, RADIUS_GUARD], SCALE_GUARD on n * m * d, and PGA_GUARD.
+    work, unless W0 is (m, d) for X's d, and outside check_scale's limits
+    (n, d, m >= 1, the radii, SCALE_GUARD, sigma_samples, PGA_GUARD).
     """
     cfg = cfg or RadConfig()
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
     d, n = X.shape
+    if W0.ndim != 2 or W0.shape[1] != d:
+        raise ValueError(f"W0 {W0.shape} is not (m, d) for X (d, n) = {X.shape}")
     check_scale(n, d, W0.shape[0], R_W, R_V, cfg)
     exhaustive = n <= EXHAUSTIVE_MAX_N
     if exhaustive:

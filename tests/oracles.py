@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from snnbounds.linalg import fork_rng, frobenius_norm, sample_signs
+from snnbounds.linalg import fork_rng, sample_signs
 from snnbounds.rademacher import EXHAUSTIVE_MAX_N, enumerate_signs
 
 
@@ -40,7 +40,7 @@ def khintchine_sandwich_check(X, samples=1000, rng=None):
         raise ValueError("samples must be >= 100")
     X = np.asarray(X, dtype=float)
     d, n = X.shape
-    rss = frobenius_norm(X)
+    rss = float(np.linalg.norm(X))
     lower = rss / math.sqrt(2.0)
     upper = rss
     exhaustive = n <= EXHAUSTIVE_MAX_N

@@ -848,7 +848,7 @@ def test_measure_without_manifest_measures_the_checkpoints(tmp_path,
 
 
 def test_measure_exit_3_on_checkpoint_the_manifest_does_not_list(
-        tmp_path, mnist_dir, capsys):
+        tmp_path, mnist_dir, capsys, monkeypatch):
     # a tanh run of four cells, then a relu retrain of one: the other three
     # tanh checkpoints stay, but the new manifest lists (0, 4) alone
     out = os.path.join(tmp_path, "run")
@@ -857,7 +857,10 @@ def test_measure_exit_3_on_checkpoint_the_manifest_does_not_list(
     assert _run(["train", *_base_args(mnist_dir, out),
                  "--learning-rate", "0"]) == 0
     capsys.readouterr()
+    loads = []
+    monkeypatch.setattr(cli_mod, "load_task_dataset", loads.append)
     assert _run(["measure", *grid]) == 3
+    assert loads == []  # refused before the data is prepared
     err = capsys.readouterr().err
     stale = os.path.join(out, "ckpt_mnist_s1_m4.snn")
     assert err.startswith(f"data error: {stale} is not a cell of")
@@ -917,7 +920,8 @@ def test_rad_lower_bound_below_r0_is_top_layer_term(tmp_path):
 
 
 @pytest.mark.parametrize("shape", [
-    ["--n", "4", "--d", "2", "--m", "2"],
+    # an exhaustive probe reads no --sigma-samples, so 1 is allowed
+    ["--n", "4", "--d", "2", "--m", "2", "--sigma-samples", "1"],
     ["--n", "20", "--d", "10", "--m", "10", "--sigma-samples", "50"],
 ], ids=["exhaustive", "sampled"])
 def test_rad_at_the_radius_guard_is_finite(tmp_path, shape):
@@ -941,9 +945,12 @@ def test_rad_at_the_radius_guard_is_finite(tmp_path, shape):
     ["--n", "20", "--d", "10", "--m", "10", "--sigma-samples", "50",
      "--rw", "1e100", "--rv", "1e100"],
     ["--seed", "-1"],
+    # one sampled sign vector has no standard error: numpy warned and wrote
+    # std_error = nan
+    ["--n", "11", "--d", "1", "--m", "1", "--sigma-samples", "1"],
 ], ids=["radconfig-count", "scale-guard", "n-below-1", "negative-radius",
         "nan-radius", "infinite-radius", "huge-rv", "huge-rw", "huge-both",
-        "negative-seed"])
+        "negative-seed", "one-sampled-sign-vector"])
 def test_rad_exit_2_on_bad_arguments(tmp_path, capsys, flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--out-csv", out_csv]) == 2

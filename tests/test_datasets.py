@@ -139,6 +139,15 @@ def test_subsample_identity_and_edges():
         subsample(ds, ds.n + 1, make_rng(0))
 
 
+@pytest.mark.parametrize("X, y", [
+    (np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones((3, 1))),
+    (np.ones((2, 3)), np.ones(4)),
+], ids=["1-d-x", "2-d-y", "other-n"])
+def test_dataset_refuses_inconsistent_shapes(X, y):
+    with pytest.raises(DataError, match="inconsistent dataset shapes"):
+        Dataset(X, y)
+
+
 def test_dataset_keeps_float32_and_makes_any_other_x_float64():
     X = np.eye(2)
     assert Dataset(X.astype(np.float32), np.ones(2)).X.dtype == np.float32

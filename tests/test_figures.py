@@ -125,6 +125,18 @@ def test_svg_width_ticks():
     assert ticks == ["2^4", "24", "2^6"]
 
 
+def test_svg_flat_series_drawn_at_mid_height():
+    # every plotted value equal: the y range is widened to half a decade on
+    # each side, so the lines run through the middle of the plot
+    reports = [_report(m, 2.0, 2.0) for m in (16, 64)]
+    svg = render_svg(figure_series("fig1b", reports, 0.01))
+    lines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert len(lines) == 2
+    for line in lines:
+        points = line.split('points="')[1].split('"')[0].split()
+        assert [p.split(",")[1] for p in points] == ["230.0000"] * 2
+
+
 def test_svg_rejects_empty():
     with pytest.raises(DataError):
         render_svg([])

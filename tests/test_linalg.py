@@ -1,48 +1,44 @@
+import math
+
 import numpy as np
 import pytest
 
-from snnbounds import (fork_rng, frobenius_norm, make_rng, pq_norm,
-                       sample_signs, spectral_norm)
+from snnbounds import (InitSnapshot, RELU, SnnParams, fork_rng, make_rng,
+                       measure_report, sample_signs, spectral_norm)
+from conftest import random_unit_dataset
+
+
+# The measures' Frobenius and (p, q) norms are numpy expressions taken inside
+# measure_report; these check them on a network built by hand:
+# W = [[1, -2], [3, 4]], W0 = W - I and V = V0 = [[-2, 1]]
+def _hand_report():
+    W = np.array([[1.0, -2.0], [3.0, 4.0]])
+    V = np.array([[-2.0, 1.0]])
+    snap = InitSnapshot(W - np.eye(2), V)
+    return measure_report(SnnParams(W, V, RELU), snap,
+                          random_unit_dataset(make_rng(12), 2, 5))
 
 
 def test_frobenius_zero_matrix():
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
+    assert _hand_report().v_dist == 0.0  # V = V0
 
 
 def test_frobenius_identity():
-    assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2), abs=1e-15)
-
-
-def test_frobenius_matches_entrywise_sum():
-    rng = make_rng(1)
-    M = rng.standard_normal((5, 4))
-    brute = np.sqrt(sum(M[i, j] ** 2 for i in range(5) for j in range(4)))
-    assert frobenius_norm(M) == pytest.approx(brute, rel=1e-13)
-
-
-def test_frobenius_empty_rejected():
-    with pytest.raises(ValueError):
-        frobenius_norm(np.empty((0, 3)))
+    rep = _hand_report()
+    assert rep.R_W == pytest.approx(math.sqrt(2), abs=1e-15)  # ||I||_F
+    assert rep.R_V == pytest.approx(math.sqrt(5), abs=1e-15)
 
 
 def test_pq_identity_12():
-    assert pq_norm(np.eye(2), 1, 2) == pytest.approx(np.sqrt(2), abs=1e-15)
+    # the l2 norm of I's column l1 norms (1, 1)
+    assert _hand_report().w_dist_12 == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
 def test_pq_hand_inf1():
-    M = np.array([[1.0, -2.0], [3.0, 4.0]])
-    assert pq_norm(M, np.inf, 1) == pytest.approx(7.0, abs=1e-15)
-
-
-def test_pq_22_equals_frobenius():
-    rng = make_rng(2)
-    M = rng.standard_normal((6, 3))
-    assert abs(pq_norm(M, 2, 2) - frobenius_norm(M)) < 1e-14
-
-
-def test_pq_unsupported_order():
-    with pytest.raises(ValueError):
-        pq_norm(np.eye(2), 3, 2)
+    # the sum of the column max-norms
+    rep = _hand_report()
+    assert rep.w_inf1 == 7.0  # 3 + 4
+    assert rep.v_inf1 == 3.0  # |-2| + |1|: V has one row
 
 
 def test_spectral_identity():
@@ -61,6 +57,11 @@ def test_spectral_near_degenerate_top_singular_values():
 
 def test_spectral_zero_matrix():
     assert spectral_norm(np.zeros((3, 5))) == 0.0
+
+
+def test_spectral_empty_rejected():
+    with pytest.raises(ValueError, match="empty matrix"):
+        spectral_norm(np.empty((0, 3)))
 
 
 def test_spectral_single_row_is_l2_norm():

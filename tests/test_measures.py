@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from snnbounds import (ACTIVATIONS, Dataset, InitSnapshot, RELU, SnnParams,
-                       frobenius_norm, init_activation_term,
-                       init_kaiming, make_rng, measure_report, path_norm,
-                       spectral_norm)
+                       init_activation_term, init_kaiming, make_rng,
+                       measure_report, path_norm, spectral_norm)
 from snnbounds import datasets as datasets_mod
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import DataError
@@ -136,6 +135,14 @@ def test_report_refuses_float32_weights():
         measure_report(params.astype(np.float32), snap, ds)
 
 
+def test_report_refuses_a_snapshot_of_another_shape():
+    params, _ = _params_snap(m=4)
+    _, snap = _params_snap(m=5)
+    ds = random_unit_dataset(make_rng(3), 3, 9)
+    with pytest.raises(ValueError, match="params/snapshot shape mismatch"):
+        measure_report(params, snap, ds)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                          ids=["float32-weights", "float64-weights"])
 def test_report_and_class_inputs_refuse_float32_data(dtype):
@@ -175,6 +182,20 @@ def test_report_against_dense_oracles():
     kappa_oracle = sum(abs(params.V[0, j]) * np.linalg.norm(dW[j])
                        for j in range(params.m))
     assert rep.kappa == pytest.approx(kappa_oracle, rel=1e-12)
+
+
+def test_report_frobenius_norms_match_entrywise_sums():
+    params, snap = _params_snap(seed=8, m=5, d=4)
+    params.V = params.V + 0.3 * make_rng(10).standard_normal(params.V.shape)
+    rep = measure_report(params, snap, random_unit_dataset(make_rng(11), 4, 7))
+
+    def brute(M):
+        return math.sqrt(sum(M[i, j] ** 2 for i in range(M.shape[0])
+                             for j in range(M.shape[1])))
+
+    for got, M in ((rep.R_W, params.W - snap.W0), (rep.R_V, params.V),
+                   (rep.w_fro, params.W), (rep.v_dist, params.V - snap.V0)):
+        assert got == pytest.approx(brute(M), rel=1e-13)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -292,7 +313,7 @@ def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
 
 def test_data_stats_computed_once_per_dataset(monkeypatch):
     ds = random_unit_dataset(make_rng(14), 3, 9)
-    want = (frobenius_norm(ds.X), spectral_norm(ds.X),
+    want = (float(np.linalg.norm(ds.X)), spectral_norm(ds.X),
             float(np.max(np.linalg.norm(ds.X, axis=0))))
     calls = []
 

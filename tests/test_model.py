@@ -102,6 +102,13 @@ def test_init_deterministic():
     assert np.array_equal(s1.W0, s2.W0)
 
 
+@pytest.mark.parametrize("m, d, c", [(0, 4, 1), (5, 0, 1), (5, 4, 0)],
+                         ids=["m", "d", "c"])
+def test_init_refuses_dimensions_below_one(m, d, c):
+    with pytest.raises(ValueError, match="m, d, c must be >= 1"):
+        init_kaiming(make_rng(3), m, d, c)
+
+
 def test_init_scale():
     # empirical std of W entries should track sqrt(2/d)
     p, _ = init_kaiming(make_rng(0), 400, 100, 1)
@@ -151,6 +158,8 @@ def test_forward_hand_scalar():
 
 
 def test_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="W must be 2-D"):
+        SnnParams(np.ones(3), np.ones((1, 3)), RELU)
     with pytest.raises(ValueError):
         SnnParams(np.ones((3, 2)), np.ones((1, 4)), RELU)
     with pytest.raises(ValueError, match="c = 1"):  # a head of two outputs

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,13 @@ def test_mc_estimate_zero_when_every_feasible_w_is_dead():
     assert est.mean == 0.0
 
 
+@pytest.mark.parametrize("step_size", [0.0, -0.1], ids=["zero", "negative"])
+def test_rad_config_refuses_a_step_size_not_above_zero(step_size):
+    # `rad` has no --step-size flag, so its CLI tests do not reach this check
+    with pytest.raises(ValueError, match="step_size must be positive"):
+        RadConfig(step_size=step_size)
+
+
 def test_scale_guard():
     X = np.ones((100, 100))
     W0 = np.zeros((100, 100))
@@ -250,23 +258,36 @@ def test_scale_guard():
         mc_rad_estimate(X, W0, 1.0, 1.0, RELU, cfg=FAST)
 
 
-@pytest.mark.parametrize("n, d, m, R_W, R_V", [
-    (0, 4, 4, 1.0, 1.0), (8, 4, 4, -1.0, 1.0), (8, 4, 4, math.nan, 1.0),
-    (8, 4, 4, 1.0, math.inf), (4, 2, 2, 1.0, 1e155), (4, 2, 2, 1e155, 1.0),
+@pytest.mark.parametrize("n, d, m, R_W, R_V, samples", [
+    (0, 4, 4, 1.0, 1.0, 200), (8, 4, 4, -1.0, 1.0, 200),
+    (8, 4, 4, math.nan, 1.0, 200), (8, 4, 4, 1.0, math.inf, 200),
+    (4, 2, 2, 1.0, 1e155, 200), (4, 2, 2, 1e155, 1.0, 200),
+    (11, 1, 1, 1.0, 1.0, 1),
 ], ids=["n-below-1", "negative-radius", "nan-radius", "infinite-radius",
-        "huge-rv", "huge-rw"])
-def test_mc_estimate_refuses_what_rad_refuses(capsys, n, d, m, R_W, R_V):
+        "huge-rv", "huge-rw", "one-sampled-sign-vector"])
+def test_mc_estimate_refuses_what_rad_refuses(capsys, n, d, m, R_W, R_V,
+                                              samples):
     # the instance `rad` would draw, refused with the message `rad` prints
     rng = make_rng(0)
     X = rng.standard_normal((d, n))
     X /= np.linalg.norm(X, axis=0)
     W0 = init_kaiming(rng, m, d, 1)[1].W0
     assert main(["rad", "--n", str(n), "--d", str(d), "--m", str(m),
-                 "--rw", repr(R_W), "--rv", repr(R_V)]) == 2
+                 "--rw", repr(R_W), "--rv", repr(R_V),
+                 "--sigma-samples", str(samples)]) == 2
     err = capsys.readouterr().err
     with pytest.raises(ValueError) as exc:
-        mc_rad_estimate(X, W0, R_W, R_V, RELU)
+        mc_rad_estimate(X, W0, R_W, R_V, RELU, RadConfig(sigma_samples=samples))
     assert err == f"config error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (4,)], ids=["other-d", "1-d"])
+def test_mc_estimate_refuses_w0_not_m_by_d(shape):
+    # numpy's matmul or unpacking error came from inside the PGA before
+    X = random_unit_dataset(make_rng(0), 3, 4).X
+    msg = f"W0 {shape} is not (m, d) for X (d, n) = (3, 4)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        mc_rad_estimate(X, np.ones(shape), 1.0, 1.0, RELU, FAST)
 
 
 def test_khintchine_single_vector_exact():
