@@ -85,7 +85,8 @@ def _fmt(v):
 def render_svg(series_list, title=""):
     """Deterministic SVG rendering: identical input series give identical bytes."""
     xs_all = sorted({x for s in series_list for x in s.x})
-    ys_all = [v for s in series_list for v in s.lo + s.hi + s.mean if v > 0]
+    ys_all = [v for s in series_list for v in s.lo + s.hi + s.mean
+              if 0 < v < math.inf]  # an infinite bound is drawn at the top edge
     if not xs_all or not ys_all:
         raise DataError("nothing to plot")
     lx0, lx1 = math.log2(xs_all[0]), math.log2(xs_all[-1])
@@ -99,7 +100,7 @@ def render_svg(series_list, title=""):
         return _ML + (math.log2(x) - lx0) / (lx1 - lx0) * (_W - _ML - _MR)
 
     def py(y):
-        y = max(y, 10 ** ly0)
+        y = max(y, 10 ** ly0) if y < math.inf else 10 ** ly1
         return _H - _MB - (math.log10(y) - ly0) / (ly1 - ly0) * (_H - _MT - _MB)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',

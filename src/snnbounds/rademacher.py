@@ -164,12 +164,15 @@ def mc_rad_estimate(X, W0, R_W, R_V, activation, cfg=None):
     ``samples`` counts all 2^n), otherwise sampled.  Every per-sigma value
     is a certified feasible lower estimate, so the result lower-bounds the
     true complexity up to sigma-sampling error.  ValueError, before any
-    work, unless W0 is (m, d) for X's d, and outside check_scale's limits
-    (n, d, m >= 1, the radii, SCALE_GUARD, sigma_samples, PGA_GUARD).
+    work, unless X is (d, n) and W0 is (m, d) for X's d, and outside
+    check_scale's limits (n, d, m >= 1, the radii, SCALE_GUARD,
+    sigma_samples, PGA_GUARD).
     """
     cfg = cfg or RadConfig()
     X = np.asarray(X, dtype=float)
     W0 = np.asarray(W0, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X {X.shape} is not (d, n)")
     d, n = X.shape
     if W0.ndim != 2 or W0.shape[1] != d:
         raise ValueError(f"W0 {W0.shape} is not (m, d) for X (d, n) = {X.shape}")

@@ -3,11 +3,14 @@
 Criteria needing the real MNIST train split (3, 4, 5 and the cardinality part
 of 8) skip with an explicit reason when the IDX files are not present; point
 SNNBOUNDS_MNIST_DIR at a directory containing train-images-idx3-ubyte and
-train-labels-idx1-ubyte to enable them.  The code of criteria 3-5 also runs
-without MNIST, on a synthetic stand-in, with only the assertions that hold
-on any data.
+train-labels-idx1-ubyte to enable them.  Criteria 3-5 run `snnbounds all`
+(cli.main) into a temporary --out and assert on the measures.csv,
+bounds.csv and fig1b.csv it writes, so they check the pipeline itself.
+Without MNIST, the same runs go on a synthetic stand-in, with only the
+assertions that hold on any data.
 """
 
+import csv
 import math
 import os
 import time
@@ -15,11 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from snnbounds import (RELU, TANH, InitSnapshot, RadConfig, TaskSpec,
-                       TrainConfig, build_binary_task, init_kaiming, fork_rng,
-                       make_rng, mc_rad_estimate, measure_report, rad_lower,
-                       rad_upper_path, sgd_train, spectral_norm, subsample,
-                       path_norm, gen_bound_pn, all_bound_values, Dataset)
+from snnbounds import (RELU, TANH, RadConfig, TaskSpec, build_binary_task,
+                       cli, init_kaiming, make_rng, mc_rad_estimate, rad_lower,
+                       rad_upper_path, spectral_norm, path_norm, Dataset)
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
 from snnbounds.rademacher import _pga_best_values
@@ -32,11 +33,6 @@ from oracles import closed_form_toplayer_sup, khintchine_sandwich_check
 
 def _report(k, name):
     print(f"ACCEPTANCE {k} ({name}): PASS")
-
-
-def _load_mnist_task(path=MNIST_DIR):
-    raw = load_mnist_dir(path)
-    return build_binary_task(raw, TaskSpec("mnist", 1, 7))
 
 
 def test_criterion_1_sandwich_property():
@@ -102,92 +98,92 @@ def test_criterion_2_path_norm_inequality():
 CRITERIA_WIDTHS = [2 ** p for p in range(6, 13)]
 
 
-def _subset(ds, n_sub):
-    return subsample(ds, n_sub, fork_rng(0, 999))
+def _run_all(mnist_dir, out, widths, seeds, *flags):
+    """`snnbounds all` on the MNIST-format files of mnist_dir into out, at
+    the ExperimentConfig defaults but for the flags; the rows of its
+    measures.csv, bounds.csv and fig1b.csv, with a measures row per cell."""
+    assert cli.main(["all", "--mnist-dir", str(mnist_dir), "--out", str(out),
+                     "--widths", ",".join(map(str, widths)),
+                     "--seeds", ",".join(map(str, seeds)), *flags]) == 0
+    run = []
+    for name in ("measures.csv", "bounds.csv", "fig1b.csv"):
+        with open(os.path.join(out, name), newline="") as f:
+            run.append(list(csv.DictReader(f)))
+    assert len(run[0]) == len(widths) * len(seeds), "a cell did not train"
+    return run
 
 
-def _init_term_cells(ds, widths):
-    """Criterion 3's two sides at Kaiming init, per width: (m, init term,
-    b_x times the spectral norm of W0)."""
-    b_x = float(np.max(np.linalg.norm(ds.X, axis=0)))
-    for m in widths:
-        _, snap = init_kaiming(fork_rng(0, m), m, ds.d, 1)
-        A = RELU.fn(np.asarray(snap.W0) @ ds.X)
-        init_term = float(np.sqrt(np.sum(A * A)))
-        proxy = b_x * spectral_norm(snap.W0)
-        yield m, init_term, proxy
+def _init_term_dominance(mnist_dir, out, widths):
+    """Criterion 3 at the Kaiming init that `snnbounds train` starts from, on
+    2000 examples: init_term / n <= b_x ||W0||_2 / sqrt(n) at every width,
+    the two sides of fig1a over R_V.  Returns the run's rows."""
+    run = _run_all(mnist_dir, out, widths, [0], "--subsample", "2000",
+                   "--max-epochs", "0")
+    for r in run[0]:
+        n = int(r["n"])
+        # ||relu(W0 X)||_F <= ||W0 X||_F <= sqrt(n) b_x ||W0||_2
+        assert (float(r["init_term"]) / n
+                <= float(r["b_x"]) * float(r["w0_spectral"]) / math.sqrt(n)), \
+            f"m={r['m']}"
+    return run
 
 
-def _train_sweep(ds, widths, seeds):
-    """Each cell trained as `snnbounds train` trains it: in float32 on one
-    float32 copy of X, from the rounded Kaiming draw, which is the snapshot.
-    The cells hold the float64 upcast that a checkpoint stores."""
-    ds32 = ds.astype(np.float32)
-    cells = {}
-    for m in widths:
-        for seed in seeds:
-            params = init_kaiming(fork_rng(seed, m), m, ds.d, 1)[0].astype(np.float32)
-            snap = InitSnapshot(params.W, params.V)
-            sgd_train(params, ds32, TrainConfig(), seed)
-            cells[(m, seed)] = (params.astype(np.float64), snap)
-    return cells
-
-
-def _cell_bounds(ds, m, params, snap):
-    """Criterion 5's quantities for one trained cell: its MeasureReport,
-    gen_bound_pn with delta = 0.01, and every bound value."""
-    report = measure_report(params, snap, ds)
-    values = all_bound_values(report, delta=0.01)
-    return report, gen_bound_pn(report, 0.01), values
+def _check_any_data(run):
+    """The clauses of criteria 3-5 that hold on any data: every measure and
+    bound finite, kappa <= R_W R_V and rad_lower <= rad_upper_path."""
+    measures, bounds, _ = run
+    value = {(r["seed"], r["m"], r["method"]): float(r["value"]) for r in bounds}
+    assert all(math.isfinite(v) for v in value.values())
+    for r in measures:
+        cell = (r["seed"], r["m"])
+        assert all(math.isfinite(float(r[k])) for k in r if k != "dataset"), cell
+        assert (float(r["kappa"])
+                <= float(r["R_W"]) * float(r["R_V"]) * (1 + 1e-12)), cell
+        assert value[(*cell, "rad_lower")] <= value[(*cell, "rad_upper_path")], cell
 
 
 @requires_mnist
-def test_criterion_3_init_term_dominance():
+def test_criterion_3_init_term_dominance(tmp_path):
     """At Kaiming init on an MNIST subset, the activation-at-init term is
     dominated by the spectral-norm proxy at every width 2^6..2^12."""
-    ds = _subset(_load_mnist_task(), 2000)
-    for m, init_term, proxy in _init_term_cells(ds, CRITERIA_WIDTHS):
-        assert init_term / ds.n <= proxy / math.sqrt(ds.n), f"m={m}"
+    _init_term_dominance(MNIST_DIR, tmp_path, CRITERIA_WIDTHS)
     _report(3, "init-term dominance across widths 2^6..2^12")
 
 
 @requires_mnist
-def test_criterion_4_width_insensitivity():
+def test_criterion_4_width_insensitivity(tmp_path):
     """After training 1-vs-7 at widths 2^6..2^12 (3 seeds): kappa < kappa_s in
     every cell and the path-norm grows strictly slower with width."""
-    widths = CRITERIA_WIDTHS
-    cells = _train_sweep(_subset(_load_mnist_task(), 4000), widths, [0, 1, 2])
-    kappas, kappas_s = {}, {}
-    for (m, seed), (params, snap) in cells.items():
-        k = path_norm(params.V, params.W - snap.W0)
-        ks = path_norm(params.V, params.W)
-        assert k < ks, f"kappa >= kappa_s at m={m}, seed={seed}"
-        kappas.setdefault(m, []).append(k)
-        kappas_s.setdefault(m, []).append(ks)
-    lo, hi = widths[0], widths[-1]
-    mean = lambda v: sum(v) / len(v)
-    growth_s = mean(kappas_s[hi]) / mean(kappas_s[lo])
-    growth = mean(kappas[hi]) / mean(kappas[lo])
+    measures, _, fig1b = _run_all(MNIST_DIR, tmp_path, CRITERIA_WIDTHS,
+                                  [0, 1, 2], "--subsample", "4000")
+    for r in measures:
+        assert float(r["kappa"]) < float(r["kappa_s"]), \
+            f"kappa >= kappa_s at m={r['m']}, seed={r['seed']}"
+    # fig1b's mean at a width is the mean over the seeds
+    mean = {(r["series"], int(r["m"])): float(r["mean"]) for r in fig1b}
+    lo, hi = CRITERIA_WIDTHS[0], CRITERIA_WIDTHS[-1]
+    growth_s = mean["standard_path_norm", hi] / mean["standard_path_norm", lo]
+    growth = mean["path_norm", hi] / mean["path_norm", lo]
     assert growth < growth_s
     _report(4, "path-norm width-insensitivity after training")
 
 
 @requires_mnist
-def test_criterion_5_bound_below_one():
+def test_criterion_5_bound_below_one(tmp_path):
     """gen_bound_pn < 1 at every (seed, m) cell with delta = 0.01 and minimal
     among full bounds at the largest width."""
-    widths = CRITERIA_WIDTHS
-    ds = _load_mnist_task()  # full n = 13007
-    cells = _train_sweep(ds, widths, [0, 1, 2])
-    largest = widths[-1]
-    for (m, seed), (params, snap) in cells.items():
-        _, value, bound_values = _cell_bounds(ds, m, params, snap)
-        assert value < 1.0, f"bound {value} >= 1 at m={m}, seed={seed}"
-        if m == largest:
-            full = {v.method: v.value
-                    for v in bound_values
-                    if not v.qualitative and v.method != "rad_lower"}
-            assert value <= min(full.values()) + 1e-12
+    # the full n = 13007
+    _, bounds, _ = _run_all(MNIST_DIR, tmp_path, CRITERIA_WIDTHS, [0, 1, 2])
+    for r in bounds:
+        if r["method"] != "pn_ours":
+            continue
+        value, cell = float(r["value"]), (r["seed"], r["m"])
+        assert value < 1.0, f"bound {value} >= 1 at m={r['m']}, seed={r['seed']}"
+        if int(r["m"]) == CRITERIA_WIDTHS[-1]:
+            full = [float(b["value"]) for b in bounds
+                    if (b["seed"], b["m"]) == cell and b["qualitative"] == "False"
+                    and b["method"] != "rad_lower"]
+            assert value <= min(full) + 1e-12
     _report(5, "generalization bound below 1 across the sweep")
 
 
@@ -220,30 +216,19 @@ def _write_stand_in(path, n_per_class=1050, seed=0):
 
 
 @pytest.fixture(scope="module")
-def stand_in_task(tmp_path_factory):
+def stand_in_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("mnist_stand_in")
     _write_stand_in(str(path))
-    return _load_mnist_task(str(path))
+    return path
 
 
-def test_criterion_3_code_path_on_stand_in(stand_in_task):
-    ds = _subset(stand_in_task, 2000)
-    for m, init_term, proxy in _init_term_cells(ds, STAND_IN_WIDTHS):
-        assert math.isfinite(init_term) and math.isfinite(proxy)
-        # ||relu(W0 X)||_F <= ||W0 X||_F <= sqrt(n) b_x ||W0||_2
-        assert init_term / ds.n <= proxy / math.sqrt(ds.n), f"m={m}"
+def test_criterion_3_code_path_on_stand_in(stand_in_dir, tmp_path):
+    _check_any_data(_init_term_dominance(stand_in_dir, tmp_path,
+                                         STAND_IN_WIDTHS))
 
 
-def test_criteria_4_and_5_code_path_on_stand_in(stand_in_task):
-    ds = stand_in_task
-    cells = _train_sweep(ds, STAND_IN_WIDTHS, [0])
-    for (m, seed), (params, snap) in cells.items():
-        report, value, bound_values = _cell_bounds(ds, m, params, snap)
-        values = {v.method: v.value for v in bound_values}
-        assert all(math.isfinite(x) for x in
-                   [value, *values.values(), *vars(report).values()]), m
-        assert report.kappa <= report.R_W * report.R_V * (1 + 1e-12), m
-        assert values["rad_lower"] <= values["rad_upper_path"], m
+def test_criteria_4_and_5_code_path_on_stand_in(stand_in_dir, tmp_path):
+    _check_any_data(_run_all(stand_in_dir, tmp_path, STAND_IN_WIDTHS, [0]))
 
 
 def test_criterion_6_gradient_correctness():
@@ -344,7 +329,7 @@ def test_criterion_8_oracle_agreements():
     assert encode_cifar10_bin(raw.images, raw.labels) == cblob
 
     if mnist_available():
-        ds = _load_mnist_task()
+        ds = build_binary_task(load_mnist_dir(MNIST_DIR), TaskSpec("mnist", 1, 7))
         assert ds.n == 13007, f"MNIST 1-vs-7 cardinality {ds.n} != 13007"
         card = "cardinality 13007 verified"
     else:

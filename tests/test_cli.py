@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import tracemalloc
@@ -1127,6 +1128,20 @@ def test_bounds_exit_3_on_retrain_after_measure(tmp_path, mnist_dir,
     assert _run(["figure", "--out", out]) == 3
 
 
+def _set_first_measure(out, column, value):
+    """Rewrite the first row of out's measures.csv with column = value;
+    returns that row."""
+    path = os.path.join(out, "measures.csv")
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[0][column] = value
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return rows[0]
+
+
 @pytest.mark.parametrize("column,value", [
     ("n", "0"), ("m", "0"), ("c", "0"), ("c", "2"), ("d", "-1"),
     ("R_W", "-1.0"), ("kappa_s", "-1.0"), ("b_x", "0.0"), ("R_W", "nan"),
@@ -1137,20 +1152,30 @@ def test_bounds_and_figure_exit_3_on_out_of_range_measures(
     # met later as a traceback in a bound or a figure series; c, which
     # measures.csv no longer has, is refused as a column of its own
     out = _copy_run(measured_run, tmp_path)
-    path = os.path.join(out, "measures.csv")
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    rows[0][column] = value
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _set_first_measure(out, column, value)
     for command in ("bounds", "figure"):
         assert _run([command, "--out", out]) == 3, command
         err = capsys.readouterr().err
         assert err.startswith("data error") and f"{column} = {value}" in err
     assert not [name for name in os.listdir(out)
                 if name.startswith(("bounds", "fig"))]
+
+
+def test_figure_draws_an_infinite_bound_at_the_top_edge(tmp_path,
+                                                        measured_run):
+    # kappa = 1e200 is a valid measure, but pn_ours's union weight
+    # overflows: a vacuous bound of inf, kept as such in fig3.csv
+    out = _copy_run(measured_run, tmp_path)
+    m = _set_first_measure(out, "kappa", "1e200")["m"]
+    assert _run(["figure", "--out", out]) == 0
+    with open(os.path.join(out, "fig3.csv"), newline="") as f:
+        pn = {r["m"]: r["mean"] for r in csv.DictReader(f)
+              if r["series"] == "pn_ours"}
+    assert pn[m] == "inf"
+    with open(os.path.join(out, "fig3.svg")) as f:
+        points = re.findall(r'points="([^"]*)"', f.read())
+    coords = [float(v) for p in points for xy in p.split() for v in xy.split(",")]
+    assert coords and all(math.isfinite(v) for v in coords)
 
 
 @pytest.mark.parametrize("column, before, copied", [
@@ -1265,6 +1290,30 @@ def test_measure_exit_3_on_non_finite_checkpoint(tmp_path, mnist_dir, capsys,
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and path in err and "non-finite" in err
+    assert not os.path.exists(os.path.join(out, "measures.csv"))
+
+
+@pytest.mark.parametrize("w, message", [
+    (2e152, "w_dist_12 = inf"),  # the l1 sums of W's columns overflow
+    (4e152, "R_W = inf"),        # so do ||W - W0||_F and three more norms
+    (6e152, ""),                 # the Gram eigensolve does not converge
+], ids=["2e152", "4e152", "6e152"])
+def test_measure_exit_3_on_checkpoint_whose_measures_overflow(
+        tmp_path, mnist_dir, capsys, w, message):
+    # finite weights, which checkpoint_load accepts, whose norms overflow:
+    # refused, naming the checkpoint, as bounds would refuse the row, and
+    # without a numpy warning
+    out = str(tmp_path / "run")
+    assert _run(["train"] + _base_args(mnist_dir, out)) == 0
+    path = os.path.join(out, "ckpt_mnist_s0_m4.snn")
+    ck = checkpoint_load(path)
+    ck.params.W[...] = w
+    checkpoint_save(ck, path)
+    capsys.readouterr()
+    assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path} cannot be measured: ")
+    assert message in err
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 

@@ -290,6 +290,13 @@ def test_mc_estimate_refuses_w0_not_m_by_d(shape):
         mc_rad_estimate(X, np.ones(shape), 1.0, 1.0, RELU, FAST)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1-d-x", "3-d-x"])
+def test_mc_estimate_refuses_x_not_d_by_n(shape):
+    # numpy's unpacking error came from reading X's shape as (d, n) before
+    with pytest.raises(ValueError, match=re.escape(f"X {shape} is not (d, n)")):
+        mc_rad_estimate(np.ones(shape), np.ones((2, 3)), 1.0, 1.0, RELU, FAST)
+
+
 def test_khintchine_single_vector_exact():
     x = np.array([[3.0], [4.0]])
     mean, lower, upper = khintchine_sandwich_check(x)
