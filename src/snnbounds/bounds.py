@@ -50,8 +50,9 @@ def cm_prime_constant(m, r1, r2):
     paper's max{2 r1 r2 sqrt(m), 2 sqrt(m)} since r1, r2 >= 1."""
     if r1 < 1 or r2 < 1:
         raise ValueError("r1 and r2 must be >= 1")
-    # the argument is >= 2, so the ceiling is >= 1
-    return _peeling(m, math.ceil(math.log2(2.0 * r1 * r2 * math.sqrt(m))))
+    # the argument is >= 2, so the ceiling is >= 1; it is inf on overflow
+    shells = math.log2(2.0 * r1 * r2 * math.sqrt(m))
+    return _peeling(m, math.ceil(shells) if shells < math.inf else shells)
 
 
 def _peeling(m, shells):

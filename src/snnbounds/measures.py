@@ -42,7 +42,10 @@ def init_activation_term(W0, X, activation):
 @dataclass
 class ClassMeasures:
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
-    ||V||_F <= R_V}: the class fields of a MeasureReport."""
+    ||V||_F <= R_V}: the class fields of a MeasureReport.  ValueError,
+    naming the field, for an unknown activation id, an integer size outside
+    [1, 2**53] (where a float holds it exactly) or a float field, all norms,
+    that is negative, NaN or infinite."""
     m: int                 # hidden width
     activation: int        # model.Activation.id
     R_W: float             # ||W - W0||_F
@@ -54,9 +57,14 @@ class ClassMeasures:
     r0: float              # min_j ||w_j0||_2
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)} must be >= 1")
+        if self.activation not in ACTIVATION_BY_ID:
+            raise ValueError(f"unknown activation id {self.activation}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not 0.0 <= value < np.inf:
+                raise ValueError(f"{f.name} = {value!r} must be finite and >= 0")
+            if f.type is int and f.name != "activation" and not 1 <= value <= 2**53:
+                raise ValueError(f"{f.name} = {value} must be >= 1 and <= 2**53")
 
 
 @dataclass
@@ -94,7 +102,7 @@ def class_bound_inputs(ds, W0, activation, R_W, R_V):
 
 def measure_report(params, snapshot, ds):
     """All scalar measures; the class fields are class_bound_inputs' ones.
-    ValueError unless W and V are float64: no measure is taken in float32."""
+    ValueError unless W and V are float64 and no norm overflows."""
     if params.W.dtype != np.float64:
         raise ValueError(f"measures are taken in float64, not {params.W.dtype}")
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
@@ -126,14 +134,12 @@ def measure_row(report, dataset, seed):
 
 def report_from_row(row):
     """MeasureReport from a csv.DictReader row of measures.csv; the inverse
-    of measure_row.
-
-    Values are parsed with their field's type, so the repr-written floats
-    read back exactly.  DataError for columns other than MEASURE_CSV_FIELDS
-    (a file written by another version, such as one with a c, v_spectral or
-    v_dist_12 column; the extra columns are named with their values) or a
-    short row, and, naming the column, for values no network gives (n, m or
-    d < 1, a norm that is negative, NaN or infinite, b_x = 0).
+    of measure_row.  Values are parsed with their field's type, so the
+    repr-written floats read back exactly.  DataError for columns other than
+    MEASURE_CSV_FIELDS (a file of another version, such as one with a c,
+    v_spectral or v_dist_12 column; the extra columns are named with their
+    values), a short row, a value that does not parse or that MeasureReport
+    refuses, and X_fro or b_x = 0, which bounds and figures divide by.
     """
     if list(row) != MEASURE_CSV_FIELDS or None in row.values():
         extra = ", ".join(f"{k} = {row[k]}" for k in row
@@ -146,15 +152,7 @@ def report_from_row(row):
                                   for f in fields(MeasureReport)})
     except ValueError as exc:
         raise DataError(f"measures.csv: {exc}") from None
-    if report.activation not in ACTIVATION_BY_ID:
-        raise DataError(f"measures.csv: unknown activation id {report.activation}")
-    if report.d < 1:
-        raise DataError(f"measures.csv: d = {report.d} must be >= 1")
-    for f in fields(MeasureReport):
-        value = getattr(report, f.name)
-        if f.type is float and not 0.0 <= value < np.inf:
-            raise DataError(f"measures.csv: {f.name} = {value!r} must be "
-                            "finite and >= 0")
-    if report.b_x == 0:
-        raise DataError("measures.csv: b_x = 0.0 must be > 0")
+    for name in ("X_fro", "b_x"):
+        if getattr(report, name) == 0:
+            raise DataError(f"measures.csv: {name} = 0.0 must be > 0")
     return report

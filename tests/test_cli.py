@@ -1145,7 +1145,8 @@ def _set_first_measure(out, column, value):
 @pytest.mark.parametrize("column,value", [
     ("n", "0"), ("m", "0"), ("c", "0"), ("c", "2"), ("d", "-1"),
     ("R_W", "-1.0"), ("kappa_s", "-1.0"), ("b_x", "0.0"), ("R_W", "nan"),
-    ("X_fro", "inf"), ("kappa_s", "nan")])
+    ("X_fro", "inf"), ("kappa_s", "nan"), ("X_fro", "0.0"),
+    ("m", "1" + "0" * 400)])
 def test_bounds_and_figure_exit_3_on_out_of_range_measures(
         tmp_path, measured_run, capsys, column, value):
     # values no network gives are refused where measures.csv is read, not
@@ -1163,19 +1164,31 @@ def test_bounds_and_figure_exit_3_on_out_of_range_measures(
 
 def test_figure_draws_an_infinite_bound_at_the_top_edge(tmp_path,
                                                         measured_run):
-    # kappa = 1e200 is a valid measure, but pn_ours's union weight
-    # overflows: a vacuous bound of inf, kept as such in fig3.csv
-    out = _copy_run(measured_run, tmp_path)
-    m = _set_first_measure(out, "kappa", "1e200")["m"]
-    assert _run(["figure", "--out", out]) == 0
-    with open(os.path.join(out, "fig3.csv"), newline="") as f:
-        pn = {r["m"]: r["mean"] for r in csv.DictReader(f)
-              if r["series"] == "pn_ours"}
-    assert pn[m] == "inf"
-    with open(os.path.join(out, "fig3.svg")) as f:
-        points = re.findall(r'points="([^"]*)"', f.read())
-    coords = [float(v) for p in points for xy in p.split() for v in xy.split(",")]
-    assert coords and all(math.isfinite(v) for v in coords)
+    # valid measures whose pn_ours overflows: a vacuous bound of inf, kept
+    # as such in bounds.csv and fig3.csv
+    for name, changes in [
+            ("kappa", [("kappa", "1e200")]),  # the union weight overflows
+            ("radii", [("R_W", "1e200"), ("R_V", "1e200")]),  # so does cm'
+    ]:
+        out = _copy_run(measured_run, os.path.join(tmp_path, name))
+        for column, value in changes:
+            first = _set_first_measure(out, column, value)
+        m = first["m"]
+        assert _bounds_only(out) == 0, name
+        with open(os.path.join(out, "bounds.csv"), newline="") as f:
+            assert [r["value"] for r in csv.DictReader(f)
+                    if (r["seed"], r["m"], r["method"])
+                    == (first["seed"], m, "pn_ours")] == ["inf"], name
+        assert _run(["figure", "--out", out]) == 0, name
+        with open(os.path.join(out, "fig3.csv"), newline="") as f:
+            pn = {r["m"]: r["mean"] for r in csv.DictReader(f)
+                  if r["series"] == "pn_ours"}
+        assert pn[m] == "inf", name
+        with open(os.path.join(out, "fig3.svg")) as f:
+            points = re.findall(r'points="([^"]*)"', f.read())
+        coords = [float(v) for p in points for xy in p.split()
+                  for v in xy.split(",")]
+        assert coords and all(math.isfinite(v) for v in coords), name
 
 
 @pytest.mark.parametrize("column, before, copied", [
@@ -1313,7 +1326,7 @@ def test_measure_exit_3_on_checkpoint_whose_measures_overflow(
     assert _run(["measure"] + _base_args(mnist_dir, out)) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path} cannot be measured: ")
-    assert message in err
+    assert message in err and "measures.csv:" not in err
     assert not os.path.exists(os.path.join(out, "measures.csv"))
 
 

@@ -311,6 +311,38 @@ def test_report_from_row_rejects_nan_kappa_s_and_wider_heads():
         init_kaiming(make_rng(16), 4, 3, 2)
 
 
+def test_measure_report_refuses_norms_that_overflow():
+    # finite weights whose norms overflow: the report refuses itself,
+    # naming the field, before any measures.csv is written
+    params, snap = _params_snap(seed=20)
+    params.W[...] = 1e200
+    ds = random_unit_dataset(make_rng(21), 3, 6)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="R_W = inf must be finite and >= 0"):
+        measure_report(params, snap, ds)
+
+
+def test_class_bound_inputs_refuses_nan_radius():
+    _, snap = _params_snap(seed=22)
+    ds = random_unit_dataset(make_rng(23), 3, 6)
+    with pytest.raises(ValueError, match="R_W = nan must be finite and >= 0"):
+        class_bound_inputs(ds, np.asarray(snap.W0), RELU, R_W=math.nan,
+                           R_V=1.0)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("activation", 3, "unknown activation id 3"),
+    ("m", 2**53 + 1, f"m = {2**53 + 1} must be >= 1 and <= 2"),
+    ("n", 0, "n = 0 must be >= 1"),
+])
+def test_class_measures_refuse_values_no_network_gives(field, value, match):
+    valid = dict(m=4, activation=0, R_W=1.0, R_V=1.0, init_term=1.0,
+                 X_fro=1.0, gram_spec_sqrt=1.0, n=6, r0=0.5)
+    ClassMeasures(**{**valid, "m": 2**53})  # the upper end is allowed
+    with pytest.raises(ValueError, match=match):
+        ClassMeasures(**{**valid, field: value})
+
+
 def test_data_stats_computed_once_per_dataset(monkeypatch):
     ds = random_unit_dataset(make_rng(14), 3, 9)
     want = (float(np.linalg.norm(ds.X)), spectral_norm(ds.X),
