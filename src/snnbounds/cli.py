@@ -4,15 +4,19 @@ tiny-instance Rademacher probe.
 Subcommands: train, measure, bounds, rad, figure, all.  Every ExperimentConfig
 field is both a flag and a ``key=value`` line in a config file passed via
 --config; flags win.  Exit codes: 0 success, 2 config error, 3 data error
-(also any file that cannot be opened or made).
+(also any file that cannot be opened or made).  `train` trains a large grid
+in worker processes (train_processes, worker_main).
 """
 
 import argparse
 import csv
 import json
 import os
+import selectors
+import signal
+import subprocess
 import sys
-from contextlib import suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,6 +44,20 @@ DEFAULT_TASKS = {
     "mnist": data_mod.TaskSpec("mnist", 1, 7),
     "cifar10": data_mod.TaskSpec("cifar10", 0, 1),
 }
+
+# `train` runs a grid of two or more cells in worker processes, one per CPU
+# of the affinity mask and at most one per cell, when the grid's training
+# work, bounded above by the sum over its cells of m * d * n * max_epochs,
+# exceeds this; below it the cells train in-process.  Measured on 2 CPUs
+# (n = 13007, d = 1024, numpy 2.4 with OpenBLAS 0.3.31), the two paths break
+# even between 2.6e10 and 3.8e10: two workers were up to 31% slower at
+# 0.7e10-1.5e10 and 17-23% faster at 5.3e10 (the sweep's widths 64..1024
+# for 2 epochs).
+WORKER_MIN_WORK = 3e10
+# each worker runs one BLAS thread; the cells are what runs in parallel
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+WORKER_STOP_S = 10.0  # a stopped worker's grace to remove its temporary file
 
 
 class ConfigError(Exception):
@@ -144,17 +162,22 @@ def build_experiment_config(args):
         raise ConfigError(str(exc)) from None
 
 
-def load_task_dataset(cfg):
-    task = DEFAULT_TASKS[cfg.dataset]
+def read_raw(cfg):
+    """The RawImageSet of cfg's dataset; ConfigError without its directory."""
     if cfg.dataset == "mnist":
         if not cfg.mnist_dir:
             raise ConfigError("--mnist-dir is required for the mnist dataset")
-        raw = data_mod.load_mnist_dir(cfg.mnist_dir)
-    else:
-        if not cfg.cifar_dir:
-            raise ConfigError("--cifar-dir is required for the cifar10 dataset")
-        raw = data_mod.load_cifar_dir(cfg.cifar_dir)
-    ds = data_mod.load_prepared_task(raw, task, cfg.out)
+        return data_mod.load_mnist_dir(cfg.mnist_dir)
+    if not cfg.cifar_dir:
+        raise ConfigError("--cifar-dir is required for the cifar10 dataset")
+    return data_mod.load_cifar_dir(cfg.cifar_dir)
+
+
+def load_task_dataset(cfg, raw=None):
+    """cfg's task from raw, read here when not given, through the prepared
+    data of --out (datasets.load_prepared_task), then --subsample."""
+    raw = read_raw(cfg) if raw is None else raw
+    ds = data_mod.load_prepared_task(raw, DEFAULT_TASKS[cfg.dataset], cfg.out)
     if cfg.subsample > ds.n:
         raise ConfigError(f"subsample={cfg.subsample} exceeds the {ds.n} "
                           f"examples of the {cfg.dataset} task")
@@ -191,48 +214,195 @@ def _remove_derived(out, first):
             os.remove(os.path.join(out, name))
 
 
-def cmd_train(cfg, ds):
+def _train_cell(cfg, ds32, seed, m):
+    """Train cell (seed, m) of the grid on the float32 data ds32 and save its
+    checkpoint; its manifest record, under failures if it diverged."""
+    # trained in float32 from the rounded Kaiming draw, which is the
+    # snapshot, so W - W0 is the training displacement alone;
+    # checkpoint_save writes the exact float64 upcast
+    params = init_kaiming(fork_rng(seed, m), m, ds32.d, 1,
+                          ACTIVATIONS[cfg.activation])[0].astype(np.float32)
+    snapshot = InitSnapshot(params.W, params.V)
+    try:
+        report = sgd_train(params, ds32, cfg, seed)
+    except TrainingDiverged as exc:
+        with suppress(FileNotFoundError):  # lest measure take the old one
+            os.remove(_ckpt_path(cfg, seed, m))
+        return {"seed": seed, "m": m, "error": str(exc)}
+    ck = Checkpoint(params, snapshot, seed=seed, epochs=report.epochs_run,
+                    final_train_error=report.final_train_error)
+    checkpoint_save(ck, _ckpt_path(cfg, seed, m))
+    return {"seed": seed, "m": m, "epochs": report.epochs_run,
+            "train_error": report.final_train_error,
+            "ramp_risk": report.final_ramp_risk,
+            "loss_curve": report.loss_curve,
+            "error_curve": report.error_curve,
+            "wall_time": report.wall_time}
+
+
+def cmd_train(cfg, ds, workers):
+    """Train every cell of the grid, in the workers of _train_workers if
+    there are any, and write manifest.json in grid order."""
     _remove_derived(cfg.out, "measures.csv")  # derived from the models replaced here
-    failures = []
-    cells = []
-    # every network trains on one float32 copy of X, half the size of ds.X;
-    # ds itself stays float64, for `all` to measure
-    ds32 = ds.astype(np.float32)
-    for m in cfg.widths:
-        for seed in cfg.seeds:
-            # trained in float32 from the rounded Kaiming draw, which is the
-            # snapshot, so W - W0 is the training displacement alone;
-            # checkpoint_save writes the exact float64 upcast
-            params = init_kaiming(fork_rng(seed, m), m, ds.d, 1,
-                                  ACTIVATIONS[cfg.activation])[0].astype(np.float32)
-            snapshot = InitSnapshot(params.W, params.V)
-            try:
-                report = sgd_train(params, ds32, cfg, seed)
-            except TrainingDiverged as exc:
-                failures.append({"seed": seed, "m": m, "error": str(exc)})
-                with suppress(FileNotFoundError):  # lest measure take the old one
-                    os.remove(_ckpt_path(cfg, seed, m))
-                continue
-            ck = Checkpoint(params, snapshot, seed=seed,
-                            epochs=report.epochs_run,
-                            final_train_error=report.final_train_error)
-            checkpoint_save(ck, _ckpt_path(cfg, seed, m))
-            cells.append({"seed": seed, "m": m,
-                          "epochs": report.epochs_run,
-                          "train_error": report.final_train_error,
-                          "ramp_risk": report.final_ramp_risk,
-                          "loss_curve": report.loss_curve,
-                          "error_curve": report.error_curve,
-                          "wall_time": report.wall_time})
+    grid = [(seed, m) for m in cfg.widths for seed in cfg.seeds]
+    if workers:
+        records = _train_in_workers(workers, grid)
+    else:
+        # every network trains on one float32 copy of X, half the size of
+        # ds.X; ds itself stays float64, for `all` to measure
+        ds32 = ds.astype(np.float32)
+        records = {cell: _train_cell(cfg, ds32, *cell) for cell in grid}
+    records = [records[cell] for cell in grid]
     manifest = {
         "version": 1,
         "config": {k: getattr(cfg, k) for k in vars(cfg)},
         "dataset_name": ds.name, "n": ds.n, "d": ds.d,
         "data_fingerprint": ds.fingerprint, "numpy": np.__version__,
-        "cells": cells, "failures": failures,
+        "cells": [r for r in records if "error" not in r],
+        "failures": [r for r in records if "error" in r],
+        "train_processes": len(workers) or 1,
     }
     with atomic_open(os.path.join(cfg.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
+    return 0
+
+
+def train_processes(cfg, n):
+    """The number of processes that train cfg's grid on n examples: 1, the
+    calling one, unless the grid has two or more cells and its work bound
+    exceeds WORKER_MIN_WORK; else one worker per CPU this process may run
+    on (its affinity mask, which `taskset` sets), at most one per cell."""
+    cells = len(cfg.widths) * len(cfg.seeds)
+    work = (sum(cfg.widths) * len(cfg.seeds) * data_mod.TARGET_SIDE ** 2
+            * n * cfg.max_epochs)
+    if cells < 2 or work <= WORKER_MIN_WORK:
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+@contextmanager
+def _train_workers(cfg, n):
+    """The worker processes that train cfg's grid of n examples, none when
+    train_processes gives 1.  Each is started with WORKER_ENV, is sent cfg,
+    and reads the raw data while this process prepares it.  On leaving, a
+    worker still running is stopped and every worker is waited for."""
+    processes = train_processes(cfg, n)
+    procs = []
+    with ExitStack() as stack:
+        for _ in range(processes if processes > 1 else 0):
+            proc = stack.enter_context(subprocess.Popen(
+                _worker_argv(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True, env={**os.environ, **WORKER_ENV}))
+            stack.callback(_stop_worker, proc)  # before Popen's own wait
+            procs.append(proc)
+            _send(proc, vars(cfg))
+        yield procs
+
+
+def _worker_argv():
+    """This interpreter, with its warning options and dev mode, importing
+    the snnbounds package this module belongs to and running worker_main."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    flags = [f"-W{option}" for option in sys.warnoptions]
+    flags += ["-X", "dev"] if sys.flags.dev_mode else []
+    return [sys.executable, *flags, "-c",
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from snnbounds.cli import worker_main; sys.exit(worker_main())",
+            root]
+
+
+def _stop_worker(proc):
+    """Close proc's input, then end proc unless it has ended."""
+    with suppress(BrokenPipeError):  # the line a dead worker did not take
+        proc.stdin.close()
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(WORKER_STOP_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+def _worker_died(proc):
+    return RuntimeError(f"training worker {proc.pid} exited with status "
+                        f"{proc.wait()} before it returned its cells")
+
+
+def _send(proc, message):
+    """One JSON line to a worker."""
+    try:
+        proc.stdin.write(json.dumps(message) + "\n")
+        proc.stdin.flush()
+    except BrokenPipeError:
+        raise _worker_died(proc) from None
+
+
+def _train_in_workers(procs, grid):
+    """{(seed, m): record} of _train_cell for each cell of the grid, trained
+    by procs, largest m first: a worker is sent its next cell when it has
+    returned its last, and the end of its input when no cell is left.  A
+    worker's data error (a DataError or an OSError) is raised here as a
+    DataError, and a worker that ends without its record as RuntimeError."""
+    queue = sorted(grid, key=lambda cell: -cell[1])  # grid order within an m
+    records, busy = {}, {}
+    with selectors.DefaultSelector() as selector:
+
+        def hand_out(proc):
+            if queue:
+                busy[proc] = queue.pop(0)
+                _send(proc, busy[proc])
+            else:
+                selector.unregister(proc.stdout)
+                proc.stdin.close()
+
+        for proc in procs:
+            selector.register(proc.stdout, selectors.EVENT_READ, proc)
+            hand_out(proc)
+        while busy:
+            for key, _ in selector.select():
+                proc = key.data
+                # one line is written per cell sent, so none waits in a buffer
+                line = proc.stdout.readline()
+                if not line.endswith("\n"):  # cut short by the worker's end
+                    raise _worker_died(proc)
+                reply = json.loads(line)
+                if "record" not in reply:
+                    raise data_mod.DataError(reply["error"])
+                records[busy.pop(proc)] = reply["record"]
+                hand_out(proc)
+    return records
+
+
+def worker_main():
+    """A `train` worker, started by _train_workers, talking JSON lines: it
+    reads the config from stdin and the raw data, then trains each (seed, m)
+    cell it reads and writes {"record": ...} to stdout, or {"error": ...}
+    for a data error, on which `train` exits with 3.  The first cell comes
+    once the parent has prepared the data, whose X this maps read-only from
+    the prepared-data file and casts to float32 once."""
+    replies, sys.stdout = sys.stdout, sys.stderr  # stdout holds replies alone
+    # a stopped worker unwinds, so atomic_open removes its temporary file;
+    # Ctrl-C is the parent's to handle, which stops its workers
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    line = sys.stdin.readline()
+    if not line:
+        return 0
+    cfg = ExperimentConfig(**json.loads(line))
+    try:
+        raw = read_raw(cfg)
+        ds32 = None
+        for line in sys.stdin:
+            if ds32 is None:
+                ds = load_task_dataset(cfg, raw)
+                del raw  # neither the raw images nor X's map is kept
+                ds32 = ds.astype(np.float32)
+                del ds
+            reply = {"record": _train_cell(cfg, ds32, *json.loads(line))}
+            print(json.dumps(reply), file=replies, flush=True)
+    except (data_mod.DataError, OSError) as exc:
+        print(json.dumps({"error": str(exc)}), file=replies, flush=True)
     return 0
 
 
@@ -403,10 +573,16 @@ def main(argv=None):
             checkpoints = _grid_checkpoints(cfg, manifest)
             return cmd_measure(cfg, load_task_dataset(cfg), checkpoints, manifest)
         # train and measure share one load of the data within `all`; train
-        # makes --out first, so that the load can keep the prepared data there
+        # makes --out first, so that the load can keep the prepared data
+        # there.  Workers start before the data is prepared, which hides
+        # their start-up behind that work.
         os.makedirs(cfg.out, exist_ok=True)
-        ds = load_task_dataset(cfg)
-        status = cmd_train(cfg, ds)
+        raw = read_raw(cfg)
+        n = cfg.subsample or data_mod.task_size(raw, DEFAULT_TASKS[cfg.dataset])
+        with _train_workers(cfg, n) as workers:
+            ds = load_task_dataset(cfg, raw)
+            del raw  # not held through training
+            status = cmd_train(cfg, ds, workers)
         if args.command == "train" or status:
             return status
         manifest = _read_manifest(cfg.out)  # all

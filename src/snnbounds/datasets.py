@@ -253,6 +253,12 @@ def prepared_key(fingerprint):
     return digest.hexdigest()
 
 
+def task_size(raw, spec):
+    """The number of examples of the task spec in raw, the n of its X."""
+    return int(np.count_nonzero(np.isin(raw.labels, (spec.positive_class,
+                                                      spec.negative_class))))
+
+
 def load_prepared_task(raw, spec, directory):
     """build_binary_task(raw, spec) with its statistics, through the
     prepared-data file ``prepared_<source>.bin`` in directory.
@@ -262,15 +268,15 @@ def load_prepared_task(raw, spec, directory):
     and has the size of n examples, and otherwise rebuilt and replaced, so a
     damaged or stale file costs a rebuild and nothing else.  The key covers
     this code, so a file of another layout has another key.  No file is
-    written when directory does not exist.  The returned Dataset
-    carries the data fingerprint, which a change of code leaves as it is.
+    written when directory does not exist.  X read from the file is a
+    read-only map of it, so processes that load the task share its pages.
+    The returned Dataset carries the data fingerprint, which a change of
+    code leaves as it is.
     """
     fingerprint = data_fingerprint(raw, spec)
     key = prepared_key(fingerprint).encode()
     path = os.path.join(directory, f"prepared_{spec.source}.bin")
-    n = int(np.count_nonzero(np.isin(raw.labels, (spec.positive_class,
-                                                   spec.negative_class))))
-    ds = _read_prepared(path, key, spec, n)
+    ds = _read_prepared(path, key, spec, task_size(raw, spec))
     if ds is None:
         ds = build_binary_task(raw, spec)
         if os.path.isdir(directory):
@@ -285,18 +291,21 @@ def load_prepared_task(raw, spec, directory):
 def _read_prepared(path, key, spec, n):
     """The Dataset in the prepared-data file at path, with its statistics, or
     None unless the file holds key, has exactly the size of n examples and
-    finite statistics.  Nothing is allocated before the size is checked."""
+    finite statistics; X maps the file read-only.  Nothing is mapped or
+    allocated before the size is checked."""
     d = TARGET_SIDE * TARGET_SIDE
     try:
         with open(path, "rb") as f:
             if (f.read(len(key)) != key or os.fstat(f.fileno()).st_size
                     != len(key) + 8 * (d * n + n + 3)):
                 return None
-            X = np.empty((d, n), dtype="<f8", order="F")
+            XT = np.memmap(f, dtype="<f8", mode="r", offset=len(key),
+                           shape=(n, d))
+            f.seek(len(key) + XT.nbytes)
             y, stats = np.empty(n, dtype="<f8"), np.empty(3, dtype="<f8")
-            for arr in (X.T, y, stats):
+            for arr in (y, stats):
                 f.readinto(arr)
-        ds = Dataset(X, y, name=spec.name)
+        ds = Dataset(XT.T, y, name=spec.name)
     except (OSError, DataError):
         return None
     if not np.all(np.isfinite(stats)):

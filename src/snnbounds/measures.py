@@ -139,7 +139,8 @@ def report_from_row(row):
     MEASURE_CSV_FIELDS (a file of another version, such as one with a c,
     v_spectral or v_dist_12 column; the extra columns are named with their
     values), a short row, a value that does not parse or that MeasureReport
-    refuses, and X_fro or b_x = 0, which bounds and figures divide by.
+    refuses, X_fro or b_x = 0, which bounds and figures divide by, and
+    gram_spec_sqrt = 0, which an infinite peeling constant multiplies.
     """
     if list(row) != MEASURE_CSV_FIELDS or None in row.values():
         extra = ", ".join(f"{k} = {row[k]}" for k in row
@@ -152,7 +153,7 @@ def report_from_row(row):
                                   for f in fields(MeasureReport)})
     except ValueError as exc:
         raise DataError(f"measures.csv: {exc}") from None
-    for name in ("X_fro", "b_x"):
+    for name in ("X_fro", "gram_spec_sqrt", "b_x"):
         if getattr(report, name) == 0:
             raise DataError(f"measures.csv: {name} = 0.0 must be > 0")
     return report

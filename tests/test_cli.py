@@ -377,9 +377,9 @@ def test_all_loads_data_once_and_matches_stages(tmp_path, mnist_dir,
                                                 monkeypatch):
     loads = []
 
-    def counting_load(cfg):
+    def counting_load(cfg, *args):
         loads.append(cfg.dataset)
-        return load_task_dataset(cfg)
+        return load_task_dataset(cfg, *args)
 
     monkeypatch.setattr(cli_mod, "load_task_dataset", counting_load)
     args = dict(widths="4,8", seeds="0,1")
@@ -617,10 +617,10 @@ def test_train_stage_holds_at_most_one_float32_copy_of_x(tmp_path, monkeypatch):
     peaks = []
     real = cli_mod.cmd_train
 
-    def traced(cfg, ds):
+    def traced(cfg, ds, *args):
         tracemalloc.start()
         try:
-            code = real(cfg, ds)
+            code = real(cfg, ds, *args)
             peaks.append((tracemalloc.get_traced_memory()[1], ds.X.nbytes))
         finally:
             tracemalloc.stop()
@@ -1158,6 +1158,22 @@ def test_bounds_and_figure_exit_3_on_out_of_range_measures(
         assert _run([command, "--out", out]) == 3, command
         err = capsys.readouterr().err
         assert err.startswith("data error") and f"{column} = {value}" in err
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("bounds", "fig"))]
+
+
+def test_bounds_and_figure_exit_3_on_zero_gram_spectral_norm(
+        tmp_path, measured_run, capsys):
+    # at R_W = R_V = 1e200 the peeling constant is inf, which the data term
+    # multiplies by gram_spec_sqrt: 0 would make pn_ours NaN
+    out = _copy_run(measured_run, tmp_path)
+    for column, value in (("R_W", "1e200"), ("R_V", "1e200"),
+                          ("gram_spec_sqrt", "0.0")):
+        _set_first_measure(out, column, value)
+    for command in ("bounds", "figure"):
+        assert _run([command, "--out", out]) == 3, command
+        assert capsys.readouterr().err == (
+            "data error: measures.csv: gram_spec_sqrt = 0.0 must be > 0\n")
     assert not [name for name in os.listdir(out)
                 if name.startswith(("bounds", "fig"))]
 

@@ -343,6 +343,18 @@ def test_prepared_task_second_load_neither_builds_nor_eigensolves(
     assert warm.stats == cold.stats
 
 
+def test_prepared_task_second_load_maps_x_read_only(tmp_path):
+    # processes that load the task share the file's pages: no private copy
+    # of X is read, and none can be written through
+    raw = _raw_mnist_like()
+    spec = TaskSpec("mnist", 1, 7)
+    cold = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    warm = datasets_mod.load_prepared_task(raw, spec, str(tmp_path))
+    assert isinstance(warm.X.base, np.memmap) and not warm.X.flags.writeable
+    assert warm.X.flags.f_contiguous
+    assert np.array_equal(warm.X, cold.X) and np.array_equal(warm.y, cold.y)
+
+
 def test_prepared_task_rebuilt_for_changed_bytes_or_task(tmp_path, monkeypatch):
     raw = _raw_mnist_like()
     spec = TaskSpec("mnist", 1, 7)
