@@ -7,8 +7,9 @@ from .datasets import (DataStats, Dataset, RawImageSet, TaskSpec,
                        build_binary_task, parse_cifar10_bin, parse_idx_images,
                        parse_idx_labels, subsample)
 from .linalg import fork_rng, make_rng, sample_signs, spectral_norm
-from .measures import (MeasureReport, init_activation_term, measure_report,
-                       path_norm, report_from_row)
+from .measures import (CellConstants, MeasureReport, cell_constants,
+                       init_activation_term, measure_report, path_norm,
+                       report_from_row)
 from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
                     InitSnapshot, SnnParams, checkpoint_load, checkpoint_save,
                     forward, init_kaiming)

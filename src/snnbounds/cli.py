@@ -26,8 +26,8 @@ from . import datasets as data_mod
 from . import figures as fig_mod
 from .files import atomic_open, write_csv
 from .linalg import fork_rng, make_rng
-from .measures import (MEASURE_CSV_FIELDS, measure_report, measure_row,
-                       report_from_row)
+from .measures import (MEASURE_CSV_FIELDS, CellConstants, cell_key,
+                       measure_report, measure_row, report_from_row)
 from .model import (ACTIVATIONS, Checkpoint, InitSnapshot, checkpoint_header,
                     checkpoint_load, checkpoint_save, init_kaiming)
 from .rademacher import RadConfig, check_scale, mc_rad_estimate
@@ -448,10 +448,32 @@ def _grid_checkpoints(cfg, manifest):
     return checkpoints
 
 
+def _read_cell_constants(path):
+    """{cell key: CellConstants} of the cell-constants file at path; none for
+    a file that is missing or no JSON object, and no entry whose value is
+    not an object of exactly CellConstants' fields, each a float, finite
+    and >= 0."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            entries = json.load(f)
+    except (OSError, ValueError):  # a directory, not UTF-8, not JSON
+        return {}
+    if not isinstance(entries, dict):
+        return {}
+    names = sorted(f.name for f in fields(CellConstants))
+    return {key: CellConstants(**value) for key, value in entries.items()
+            if isinstance(value, dict) and sorted(value) == names
+            and all(type(v) is float and 0.0 <= v < np.inf
+                    for v in value.values())}
+
+
 def cmd_measure(cfg, ds, checkpoints, manifest):
     """measures.csv of the (seed, m, path, d) checkpoints of _grid_checkpoints;
     ConfigError if the manifest of _read_manifest records other data than
-    ds, DataError for a checkpoint whose d differs."""
+    ds, DataError for a checkpoint whose d differs.  The constants of each
+    cell are read from cell_constants.json in --out when it holds the
+    cell's key, and computed otherwise; the file is then replaced by the
+    constants of these cells."""
     manifest_path = os.path.join(cfg.out, "manifest.json")
     for key, value in (("n", ds.n), ("d", ds.d),
                        ("data_fingerprint", ds.fingerprint)):
@@ -464,18 +486,26 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
         if d != ds.d:
             raise data_mod.DataError(f"{path} has d = {d} inputs but the "
                                      f"data has d = {ds.d}")
+    constants_path = os.path.join(cfg.out, "cell_constants.json")
+    cached, kept = _read_cell_constants(constants_path), {}
     rows = []
     for seed, _, path, _ in checkpoints:
         ck = checkpoint_load(path)
+        key = cell_key(ck.snapshot.W0, ds, ck.params.activation)
         try:  # the report refuses a norm that overflows
             with np.errstate(over="ignore", invalid="ignore"):
-                row = measure_row(measure_report(ck.params, ck.snapshot, ds),
-                                  ds.name, seed)
+                report = measure_report(ck.params, ck.snapshot, ds,
+                                        cached.get(key))
         except ValueError as exc:  # LinAlgError too
             raise data_mod.DataError(f"{path} cannot be measured: {exc}") from None
-        rows.append(row)
+        kept[key] = CellConstants(report.init_term, report.r0,
+                                  report.w0_spectral)
+        rows.append(measure_row(report, ds.name, seed))
     _remove_derived(cfg.out, "bounds.csv")  # derived from the old measures.csv
     write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)
+    with atomic_open(constants_path, "w") as f:
+        json.dump({key: vars(c) for key, c in kept.items()}, f, indent=2,
+                  sort_keys=True)
     return 0
 
 

@@ -9,13 +9,19 @@ the activation-at-initialization term.  It also carries every data
 statistic the bounds need and the network's width, input dimension and
 activation, so the bounds are a function of one measures.csv row.  A
 MeasureReport extends the ClassMeasures of the network's class.
+
+The init term, r0 and ||W0||_sigma depend on W0, the activation and X alone,
+not on the trained weights: they are a cell's CellConstants, computed by
+cell_constants and, by `snnbounds measure`, once per cell_key.
 """
 
+import hashlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datasets import DataError
+from . import model
+from .datasets import DataError, prepared_key
 from .linalg import COLUMN_BLOCK, column_blocks, spectral_norm
 from .model import ACTIVATION_BY_ID
 
@@ -85,38 +91,88 @@ class MeasureReport(ClassMeasures):
 MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport)]
 
 
-def class_bound_inputs(ds, W0, activation, R_W, R_V):
+@dataclass(frozen=True)
+class CellConstants:
+    """The measures of a cell that depend on its initialization W0, its
+    activation and the data alone, so that no training changes them."""
+    init_term: float    # (sum gamma^2(x^T w0))^(1/2)
+    r0: float           # min_j ||w_j0||_2
+    w0_spectral: float  # ||W0||_sigma
+
+
+def _init_terms(W0, ds, activation):
+    """(init_term, r0) of W0 on ds, the part of CellConstants that the
+    Rademacher rows of its class read."""
+    return (init_activation_term(W0, ds.X, activation),
+            float(np.min(np.linalg.norm(W0, axis=1))))
+
+
+def cell_constants(W0, ds, activation):
+    """CellConstants of W0 with activation on ds: the one place they are
+    computed, by the m x d x n pass of the init term and one Gram
+    eigensolve of W0."""
+    return CellConstants(*_init_terms(W0, ds, activation), spectral_norm(W0))
+
+
+def cell_key(W0, ds, activation):
+    """Hex sha256 of everything cell_constants(W0, ds, activation) is
+    computed from: datasets.prepared_key of ds's data fingerprint (the data,
+    numpy, and the source of datasets.py and linalg.py), ds.n, which fixes
+    --subsample, the source of this module and of model.py, the activation
+    id, and W0's shape and bytes.  ValueError for a ds without a
+    fingerprint, whose key would not cover its data."""
+    if not ds.fingerprint:
+        raise ValueError("a cell key needs the data fingerprint of ds")
+    digest = hashlib.sha256(f"{prepared_key(ds.fingerprint)} {ds.n} "
+                            f"{activation.id} {W0.shape}".encode())
+    for path in (__file__, model.__file__):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    digest.update(np.ascontiguousarray(W0, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def class_bound_inputs(ds, W0, activation, R_W, R_V, constants=None):
     """ClassMeasures of a constrained class (radii R_W, R_V around W0).
 
+    init_term and r0 are those of constants, W0's CellConstants, when given;
+    else they are computed here, as cell_constants does, without the
+    eigensolve of ||W0||_sigma, which the class does not read.
     measure_report takes a network's class fields from it.  With no model
     fields, only the Rademacher rows can be computed from it, e.g. to compare
     them against Monte-Carlo estimates.
     """
+    init_term, r0 = (_init_terms(W0, ds, activation) if constants is None
+                     else (constants.init_term, constants.r0))
     stats = ds.stats
     return ClassMeasures(
-        m=W0.shape[0], activation=activation.id,
-        R_W=R_W, R_V=R_V, init_term=init_activation_term(W0, ds.X, activation),
-        X_fro=stats.X_fro, gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n,
-        r0=float(np.min(np.linalg.norm(W0, axis=1))))
+        m=W0.shape[0], activation=activation.id, R_W=R_W, R_V=R_V,
+        init_term=init_term, X_fro=stats.X_fro,
+        gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n, r0=r0)
 
 
-def measure_report(params, snapshot, ds):
+def measure_report(params, snapshot, ds, constants=None):
     """All scalar measures; the class fields are class_bound_inputs' ones.
-    ValueError unless W and V are float64 and no norm overflows."""
+    init_term, r0 and w0_spectral are those of constants, the cell's
+    CellConstants, computed here when not given; the record checks them as
+    any other value.  ValueError unless W and V are float64 and no norm
+    overflows."""
     if params.W.dtype != np.float64:
         raise ValueError(f"measures are taken in float64, not {params.W.dtype}")
     if params.W.shape != snapshot.W0.shape or params.V.shape != snapshot.V0.shape:
         raise ValueError("params/snapshot shape mismatch")
+    if constants is None:
+        constants = cell_constants(snapshot.W0, ds, params.activation)
     dW = params.W - snapshot.W0
     return MeasureReport(
         **vars(class_bound_inputs(ds, snapshot.W0, params.activation,
                                   float(np.linalg.norm(dW)),
-                                  float(np.linalg.norm(params.V)))),
+                                  float(np.linalg.norm(params.V)), constants)),
         kappa=path_norm(params.V, dW),
         kappa_s=path_norm(params.V, params.W),
         w_fro=float(np.linalg.norm(params.W)),
         v_dist=float(np.linalg.norm(params.V - snapshot.V0)),
-        w0_spectral=spectral_norm(snapshot.W0),
+        w0_spectral=constants.w0_spectral,
         w_spectral=spectral_norm(params.W),
         w_dist_12=float(np.linalg.norm(np.abs(dW).sum(axis=0))),
         w_inf1=float(np.abs(params.W).max(axis=0).sum()),

@@ -119,9 +119,15 @@ def check_inputs(params, X):
 
 def forward(params, X):
     """Network outputs, shape (1, n), for column-stacked inputs X, a (d, n)
-    array of the weights' dtype (check_inputs)."""
+    array of the weights' dtype (check_inputs).
+
+    The output layer sums over the m hidden units with einsum, which calls
+    no BLAS, in one fixed order: a BLAS product of the 1 x m row V splits
+    that sum across threads, so the outputs, and the margins of training,
+    would depend on the BLAS thread count.  W X is a BLAS product, whose
+    threads split the output, not the sum."""
     check_inputs(params, X)
-    return params.V @ params.activation.fn(params.W @ X)
+    return np.einsum("ij,jk->ik", params.V, params.activation.fn(params.W @ X))
 
 
 @dataclass

@@ -591,9 +591,9 @@ def test_all_trains_on_one_float32_copy_and_measures_float64(
         trained.append(ds)
         return real_train(params, ds, cfg, seed)
 
-    def recording_measure(params, snapshot, ds):
+    def recording_measure(params, snapshot, ds, *args):
         measured.append(ds)
-        return real_measure(params, snapshot, ds)
+        return real_measure(params, snapshot, ds, *args)
 
     monkeypatch.setattr(cli_mod, "sgd_train", recording_train)
     monkeypatch.setattr(cli_mod, "measure_report", recording_measure)

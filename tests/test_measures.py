@@ -15,8 +15,9 @@ from snnbounds.datasets import DataError
 from snnbounds.linalg import COLUMN_BLOCK
 from snnbounds.cli import _read_measures
 from snnbounds.files import write_csv
-from snnbounds.measures import (MEASURE_CSV_FIELDS, ClassMeasures,
-                                MeasureReport, measure_row, report_from_row)
+from snnbounds.measures import (MEASURE_CSV_FIELDS, CellConstants,
+                                ClassMeasures, MeasureReport, cell_constants,
+                                cell_key, measure_row, report_from_row)
 from conftest import random_unit_dataset
 
 
@@ -376,3 +377,47 @@ def test_measure_report_class_fields_are_class_bound_inputs(act):
                              rep.R_W, rep.R_V)
     for f in dataclasses.fields(ClassMeasures):
         assert repr(getattr(rep, f.name)) == repr(getattr(cls, f.name)), f.name
+
+
+def test_measure_report_of_given_cell_constants_is_the_fresh_one():
+    params, snap = _params_snap(seed=33, m=6, d=3)
+    ds = random_unit_dataset(make_rng(34), 3, 9)
+    constants = cell_constants(snap.W0, ds, RELU)
+    assert constants == CellConstants(
+        init_activation_term(snap.W0, ds.X, RELU),
+        float(np.min(np.linalg.norm(snap.W0, axis=1))), spectral_norm(snap.W0))
+    assert measure_row(measure_report(params, snap, ds, constants), "s", 0) \
+        == measure_row(measure_report(params, snap, ds), "s", 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("init_term", math.inf), ("r0", -1.0), ("w0_spectral", math.nan)])
+def test_measure_report_checks_given_cell_constants(field, value):
+    # constants read from a file pass the record's value rules as computed
+    # ones do
+    params, snap = _params_snap(seed=35)
+    ds = random_unit_dataset(make_rng(36), 3, 6)
+    constants = dataclasses.replace(cell_constants(snap.W0, ds, RELU),
+                                    **{field: value})
+    with pytest.raises(ValueError, match=f"{field} = {value!r} must be finite"):
+        measure_report(params, snap, ds, constants)
+
+
+def test_cell_key_covers_w0_activation_and_data():
+    _, snap = _params_snap(seed=37, m=4, d=3)
+    ds = random_unit_dataset(make_rng(38), 3, 6)
+    ds.fingerprint = "a" * 64
+    key = cell_key(snap.W0, ds, RELU)
+    assert key == cell_key(snap.W0.copy(), ds, RELU)
+    other_w0 = snap.W0.copy()
+    other_w0[0, 0] = np.nextafter(other_w0[0, 0], np.inf)
+    fewer = Dataset(ds.X[:, :5], ds.y[:5], fingerprint=ds.fingerprint)
+    other_data = Dataset(ds.X, ds.y, fingerprint="b" * 64)
+    keys = {key, cell_key(other_w0, ds, RELU),
+            cell_key(snap.W0, ds, ACTIVATIONS["tanh"]),
+            cell_key(snap.W0, fewer, RELU),
+            cell_key(snap.W0, other_data, RELU),
+            cell_key(snap.W0.reshape(2, 6), ds, RELU)}
+    assert len(keys) == 6
+    with pytest.raises(ValueError, match="fingerprint"):
+        cell_key(snap.W0, Dataset(ds.X, ds.y), RELU)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import snnbounds
 from snnbounds import (Dataset, RELU, SIGMOID, TANH, RawImageSet, SnnParams,
                        TaskSpec, TrainConfig, bce_logits, build_binary_task,
                        init_kaiming, make_rng, margins, ramp_risk, sgd_train,
@@ -434,3 +438,34 @@ def test_epoch_peak_memory_well_below_a_copy_of_x():
             tracemalloc.stop()
         # X is 33 MB; a float32 copy of it would be half that
         assert peak < ds.X.nbytes / 2
+
+
+# the margins of float32 weights on float32 data, as `train` takes them,
+# printed as a sha256; argv[1] is the directory this snnbounds is imported from
+_MARGINS_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from snnbounds import Dataset, RELU, init_kaiming, make_rng, margins
+rng = make_rng(9)
+X = rng.standard_normal((64, 600)).astype(np.float32, order="F")
+params = init_kaiming(rng, 1024, 64, 1, RELU)[0].astype(np.float32)
+t = margins(params, Dataset(X, np.resize([1.0, -1.0], 600)))
+print(hashlib.sha256(t.tobytes()).hexdigest())
+"""
+
+
+def test_margins_do_not_depend_on_the_blas_thread_count():
+    # m = 1024 hidden units and one block of 600 columns: a BLAS product of
+    # the row V with the hidden layer gave other bytes at one OpenBLAS
+    # thread and at two.  Each count runs in a process of its own, because
+    # OpenBLAS reads it at start-up.
+    root = os.path.dirname(os.path.dirname(snnbounds.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        digests.append(subprocess.run(
+            [sys.executable, "-c", _MARGINS_DIGEST, root], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
