@@ -264,7 +264,6 @@ def cmd_train(cfg, ds, workers):
     }
     with atomic_open(os.path.join(cfg.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    return 0
 
 
 def train_processes(cfg, n):
@@ -449,22 +448,19 @@ def _grid_checkpoints(cfg, manifest):
 
 
 def _read_cell_constants(path):
-    """{cell key: CellConstants} of the cell-constants file at path; none for
+    """{cell key: CellConstants} of the cell-constants file at path: none for
     a file that is missing or no JSON object, and no entry whose value is
-    not an object of exactly CellConstants' fields, each a float, finite
-    and >= 0."""
+    not the keyword arguments of a CellConstants that its rules accept."""
     try:
         with open(path, encoding="utf-8") as f:
-            entries = json.load(f)
-    except (OSError, ValueError):  # a directory, not UTF-8, not JSON
+            entries = json.load(f).items()
+    except (OSError, ValueError, AttributeError):  # unreadable, no JSON object
         return {}
-    if not isinstance(entries, dict):
-        return {}
-    names = sorted(f.name for f in fields(CellConstants))
-    return {key: CellConstants(**value) for key, value in entries.items()
-            if isinstance(value, dict) and sorted(value) == names
-            and all(type(v) is float and 0.0 <= v < np.inf
-                    for v in value.values())}
+    kept = {}
+    for key, value in entries:
+        with suppress(TypeError, ValueError):
+            kept[key] = CellConstants(**value)
+    return kept
 
 
 def cmd_measure(cfg, ds, checkpoints, manifest):
@@ -506,7 +502,6 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
     with atomic_open(constants_path, "w") as f:
         json.dump({key: vars(c) for key, c in kept.items()}, f, indent=2,
                   sort_keys=True)
-    return 0
 
 
 def cmd_bounds(cfg):
@@ -518,7 +513,6 @@ def cmd_bounds(cfg):
                          repr(bv.value), repr(cfg.delta), bv.data_dependent,
                          bv.qualitative])
     write_csv(os.path.join(cfg.out, "bounds.csv"), BOUNDS_CSV_FIELDS, rows)
-    return 0
 
 
 def cmd_figure(cfg):
@@ -529,7 +523,6 @@ def cmd_figure(cfg):
         fig_mod.emit_figure(kind, reports, cfg.delta,
                             os.path.join(cfg.out, f"{kind}.csv"),
                             os.path.join(cfg.out, f"{kind}.svg"))
-    return 0
 
 
 def cmd_rad(args):
@@ -553,7 +546,6 @@ def cmd_rad(args):
     row = [n, d, m, R_W, R_V, est.mean, est.std_error, upper,
            float("nan") if lower is None else lower, upper - est.mean]
     write_csv(args.out_csv, RAD_CSV_FIELDS, [row])
-    return 0
 
 
 def _flag(name):
@@ -589,41 +581,43 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        cfg = None if args.command == "rad" else build_experiment_config(args)
         if args.command == "rad":
-            return cmd_rad(args)
-        cfg = build_experiment_config(args)
-        if args.command == "bounds":
-            return cmd_bounds(cfg)
-        if args.command == "figure":
-            return cmd_figure(cfg)
-        if args.command == "measure":
+            cmd_rad(args)
+        elif args.command == "bounds":
+            cmd_bounds(cfg)
+        elif args.command == "figure":
+            cmd_figure(cfg)
+        elif args.command == "measure":
             # every checkpoint's header and the manifest are read before the
             # data is prepared
             manifest = _read_manifest(cfg.out)
             checkpoints = _grid_checkpoints(cfg, manifest)
-            return cmd_measure(cfg, load_task_dataset(cfg), checkpoints, manifest)
-        # train and measure share one load of the data within `all`; train
-        # makes --out first, so that the load can keep the prepared data
-        # there.  Workers start before the data is prepared, which hides
-        # their start-up behind that work.
-        os.makedirs(cfg.out, exist_ok=True)
-        raw = read_raw(cfg)
-        n = cfg.subsample or data_mod.task_size(raw, DEFAULT_TASKS[cfg.dataset])
-        with _train_workers(cfg, n) as workers:
-            ds = load_task_dataset(cfg, raw)
-            del raw  # not held through training
-            status = cmd_train(cfg, ds, workers)
-        if args.command == "train" or status:
-            return status
-        manifest = _read_manifest(cfg.out)  # all
-        return (cmd_measure(cfg, ds, _grid_checkpoints(cfg, manifest), manifest)
-                or cmd_bounds(cfg) or cmd_figure(cfg))
+            cmd_measure(cfg, load_task_dataset(cfg), checkpoints, manifest)
+        else:
+            # train and measure share one load of the data within `all`;
+            # train makes --out first, so that the load can keep the
+            # prepared data there.  Workers start before the data is
+            # prepared, which hides their start-up behind that work.
+            os.makedirs(cfg.out, exist_ok=True)
+            raw = read_raw(cfg)
+            n = cfg.subsample or data_mod.task_size(raw, DEFAULT_TASKS[cfg.dataset])
+            with _train_workers(cfg, n) as workers:
+                ds = load_task_dataset(cfg, raw)
+                del raw  # not held through training
+                cmd_train(cfg, ds, workers)
+            if args.command == "all":
+                manifest = _read_manifest(cfg.out)
+                cmd_measure(cfg, ds, _grid_checkpoints(cfg, manifest), manifest)
+                cmd_bounds(cfg)
+                cmd_figure(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (data_mod.DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -45,13 +45,26 @@ def init_activation_term(W0, X, activation):
     return float(np.sqrt(total))
 
 
+class _ValueRules:
+    """Base of the measure records: ValueError, naming the field, for an
+    unknown activation id, an int outside [1, 2**53] (where a float holds it
+    exactly), or a float field's value that is not a float, finite and >= 0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "activation" and v not in ACTIVATION_BY_ID:
+                raise ValueError(f"unknown activation id {v}")
+            if f.type is int and f.name != "activation" and not 1 <= v <= 2**53:
+                raise ValueError(f"{f.name} = {v} must be >= 1 and <= 2**53")
+            if f.type is float and not (isinstance(v, float) and 0 <= v < np.inf):
+                raise ValueError(f"{f.name} = {v!r} must be finite and >= 0 (a float)")
+
+
 @dataclass
-class ClassMeasures:
+class ClassMeasures(_ValueRules):
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
-    ||V||_F <= R_V}: the class fields of a MeasureReport.  ValueError,
-    naming the field, for an unknown activation id, an integer size outside
-    [1, 2**53] (where a float holds it exactly) or a float field, all norms,
-    that is negative, NaN or infinite."""
+    ||V||_F <= R_V}: the class fields of a MeasureReport."""
     m: int                 # hidden width
     activation: int        # model.Activation.id
     R_W: float             # ||W - W0||_F
@@ -61,16 +74,6 @@ class ClassMeasures:
     gram_spec_sqrt: float  # ||sum x_i x_i^T||_sigma^(1/2) = sigma_max(X)
     n: int                 # number of examples
     r0: float              # min_j ||w_j0||_2
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATION_BY_ID:
-            raise ValueError(f"unknown activation id {self.activation}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not 0.0 <= value < np.inf:
-                raise ValueError(f"{f.name} = {value!r} must be finite and >= 0")
-            if f.type is int and f.name != "activation" and not 1 <= value <= 2**53:
-                raise ValueError(f"{f.name} = {value} must be >= 1 and <= 2**53")
 
 
 @dataclass
@@ -92,7 +95,7 @@ MEASURE_CSV_FIELDS = ["dataset", "seed"] + [f.name for f in fields(MeasureReport
 
 
 @dataclass(frozen=True)
-class CellConstants:
+class CellConstants(_ValueRules):
     """The measures of a cell that depend on its initialization W0, its
     activation and the data alone, so that no training changes them."""
     init_term: float    # (sum gamma^2(x^T w0))^(1/2)

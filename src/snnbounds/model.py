@@ -117,17 +117,20 @@ def check_inputs(params, X):
                          "cast one with Dataset.astype or SnnParams.astype")
 
 
+def output_layer(V, A):
+    """V @ A, the (1, n) outputs of the head V on the hidden layer A, summed
+    over the m units by einsum, which calls no BLAS, in one fixed order: the
+    threads of a BLAS product of the row V would split that sum, so outputs,
+    margins and training steps would depend on the thread count (a product
+    such as W X splits its output among threads, not its sums)."""
+    return np.einsum("ij,jk->ik", V, A)
+
+
 def forward(params, X):
     """Network outputs, shape (1, n), for column-stacked inputs X, a (d, n)
-    array of the weights' dtype (check_inputs).
-
-    The output layer sums over the m hidden units with einsum, which calls
-    no BLAS, in one fixed order: a BLAS product of the 1 x m row V splits
-    that sum across threads, so the outputs, and the margins of training,
-    would depend on the BLAS thread count.  W X is a BLAS product, whose
-    threads split the output, not the sum."""
+    array of the weights' dtype (check_inputs)."""
     check_inputs(params, X)
-    return np.einsum("ij,jk->ik", params.V, params.activation.fn(params.W @ X))
+    return output_layer(params.V, params.activation.fn(params.W @ X))
 
 
 @dataclass

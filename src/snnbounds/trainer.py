@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import COLUMN_BLOCK, column_blocks, fork_rng, model_dtype
-from .model import SIGMOID, check_inputs, forward
+from .model import SIGMOID, check_inputs, forward, output_layer
 
 
 @dataclass
@@ -78,7 +78,7 @@ def _batch_grads(params, Xb, yb01, grad_W=None):
     gradient is written into grad_W if it is given."""
     act = params.activation
     A = act.fn(params.W @ Xb)               # (m, B)
-    s = (params.V @ A)[0]                   # (B,)
+    s = output_layer(params.V, A)[0]        # (B,)
     loss, ds = bce_logits(s, yb01)
     ds = ds / Xb.shape[1]                   # the mean over the batch
     grad_V = (ds[None, :] @ A.T)            # (1, m)

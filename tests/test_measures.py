@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -394,13 +395,16 @@ def test_measure_report_of_given_cell_constants_is_the_fresh_one():
     ("init_term", math.inf), ("r0", -1.0), ("w0_spectral", math.nan)])
 def test_measure_report_checks_given_cell_constants(field, value):
     # constants read from a file pass the record's value rules as computed
-    # ones do
+    # ones do: CellConstants refuses the value with the record's rule, and
+    # the record still refuses it should it come in another object
     params, snap = _params_snap(seed=35)
     ds = random_unit_dataset(make_rng(36), 3, 6)
-    constants = dataclasses.replace(cell_constants(snap.W0, ds, RELU),
-                                    **{field: value})
+    constants = cell_constants(snap.W0, ds, RELU)
     with pytest.raises(ValueError, match=f"{field} = {value!r} must be finite"):
-        measure_report(params, snap, ds, constants)
+        dataclasses.replace(constants, **{field: value})
+    given = types.SimpleNamespace(**{**vars(constants), field: value})
+    with pytest.raises(ValueError, match=f"{field} = {value!r} must be finite"):
+        measure_report(params, snap, ds, given)
 
 
 def test_cell_key_covers_w0_activation_and_data():

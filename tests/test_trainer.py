@@ -440,26 +440,35 @@ def test_epoch_peak_memory_well_below_a_copy_of_x():
         assert peak < ds.X.nbytes / 2
 
 
-# the margins of float32 weights on float32 data, as `train` takes them,
-# printed as a sha256; argv[1] is the directory this snnbounds is imported from
+# printed as two sha256 lines: the margins of float32 weights on float32
+# data, as `train` takes them, and the weights after one float32 epoch of a
+# single batch; argv[1] is the directory this snnbounds is imported from
 _MARGINS_DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from snnbounds import Dataset, RELU, init_kaiming, make_rng, margins
+from snnbounds import (Dataset, RELU, TrainConfig, init_kaiming, make_rng,
+                       margins, sgd_train)
 rng = make_rng(9)
 X = rng.standard_normal((64, 600)).astype(np.float32, order="F")
 params = init_kaiming(rng, 1024, 64, 1, RELU)[0].astype(np.float32)
 t = margins(params, Dataset(X, np.resize([1.0, -1.0], 600)))
 print(hashlib.sha256(t.tobytes()).hexdigest())
+X = rng.standard_normal((64, 207)).astype(np.float32, order="F")
+params = init_kaiming(rng, 4096, 64, 1, RELU)[0].astype(np.float32)
+sgd_train(params, Dataset(X, np.resize([1.0, -1.0], 207)),
+          TrainConfig(learning_rate=0.5, max_epochs=1, target_train_error=0.0))
+print(hashlib.sha256(params.W.tobytes() + params.V.tobytes()).hexdigest())
 """
 
 
 def test_margins_do_not_depend_on_the_blas_thread_count():
-    # m = 1024 hidden units and one block of 600 columns: a BLAS product of
-    # the row V with the hidden layer gave other bytes at one OpenBLAS
-    # thread and at two.  Each count runs in a process of its own, because
-    # OpenBLAS reads it at start-up.
+    # The margins: m = 1024 hidden units and one block of 600 columns.  The
+    # batch step: m = 4096 and one batch of 207 columns, the size of the
+    # tail batch of every epoch on the MNIST task (13007 = 50 * 256 + 207).
+    # In each, a BLAS product of the row V with the hidden layer gave other
+    # bytes at one OpenBLAS thread and at two.  Each count runs in a
+    # process of its own, because OpenBLAS reads it at start-up.
     root = os.path.dirname(os.path.dirname(snnbounds.__file__))
     digests = []
     for threads in ("1", "2"):
@@ -467,5 +476,7 @@ def test_margins_do_not_depend_on_the_blas_thread_count():
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         digests.append(subprocess.run(
             [sys.executable, "-c", _MARGINS_DIGEST, root], env=env,
-            capture_output=True, text=True, check=True).stdout)
-    assert len(digests[0]) == 65 and digests[0] == digests[1]
+            capture_output=True, text=True, check=True).stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64]
+    assert digests[0][0] == digests[1][0], "the margins"
+    assert digests[0][1] == digests[1][1], "the weights after a batch step"
