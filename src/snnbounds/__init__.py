@@ -1,5 +1,6 @@
 """Path-norm complexity measures and generalization bounds for shallow nets."""
 
+from .activations import ACTIVATIONS, RELU, SIGMOID, TANH, Activation
 from .bounds import (BoundValue, all_bound_values, cm_constant,
                      cm_prime_constant, comparator_bound, gen_bound_pn,
                      gen_bound_spn, rad_lower, rad_upper_path)
@@ -10,9 +11,8 @@ from .linalg import fork_rng, make_rng, sample_signs, spectral_norm
 from .measures import (CellConstants, MeasureReport, cell_constants,
                        init_activation_term, measure_report, path_norm,
                        report_from_row)
-from .model import (ACTIVATIONS, RELU, SIGMOID, TANH, Activation, Checkpoint,
-                    InitSnapshot, SnnParams, checkpoint_load, checkpoint_save,
-                    forward, init_kaiming)
+from .model import (Checkpoint, InitSnapshot, SnnParams, checkpoint_load,
+                    checkpoint_save, forward, init_kaiming)
 from .rademacher import RadConfig, RadEstimate, enumerate_signs, mc_rad_estimate
 from .trainer import (TrainConfig, TrainReport, bce_logits, margins,
                       ramp_risk, sgd_train, zero_one_error)

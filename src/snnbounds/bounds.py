@@ -23,9 +23,9 @@ A one-row V has spectral norm R_V and (1,2) distance v_dist from V0.
 import math
 from dataclasses import dataclass
 
+from .activations import ACTIVATION_BY_ID, RELU
 # re-exported: cli.cmd_rad calls it here, where the benchmark's trace wraps it
 from .measures import class_bound_inputs
-from .model import ACTIVATION_BY_ID, RELU
 
 TWO_PLUS_SQRT5 = 2.0 + math.sqrt(5.0)
 

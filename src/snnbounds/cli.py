@@ -24,11 +24,12 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import datasets as data_mod
 from . import figures as fig_mod
+from .activations import ACTIVATIONS
 from .files import atomic_open, write_csv
 from .linalg import fork_rng, make_rng
-from .measures import (MEASURE_CSV_FIELDS, CellConstants, cell_key,
-                       measure_report, measure_row, report_from_row)
-from .model import (ACTIVATIONS, Checkpoint, InitSnapshot, checkpoint_header,
+from .measures import (MEASURE_CSV_FIELDS, CellConstants, cell_constants,
+                       cell_key, measure_report, measure_row, report_from_row)
+from .model import (Checkpoint, InitSnapshot, checkpoint_header,
                     checkpoint_load, checkpoint_save, init_kaiming)
 from .rademacher import RadConfig, check_scale, mc_rad_estimate
 from .trainer import TrainConfig, TrainingDiverged, sgd_train
@@ -57,7 +58,7 @@ WORKER_MIN_WORK = 3e10
 # each worker runs one BLAS thread; the cells are what runs in parallel
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
-WORKER_STOP_S = 10.0  # a stopped worker's grace to remove its temporary file
+WORKER_STOP_S = 10.0  # a done or stopped worker's grace to end
 
 
 class ConfigError(Exception):
@@ -268,23 +269,23 @@ def cmd_train(cfg, ds, workers):
 
 def train_processes(cfg, n):
     """The number of processes that train cfg's grid on n examples: 1, the
-    calling one, unless the grid has two or more cells and its work bound
-    exceeds WORKER_MIN_WORK; else one worker per CPU this process may run
-    on (its affinity mask, which `taskset` sets), at most one per cell."""
-    cells = len(cfg.widths) * len(cfg.seeds)
+    calling one, unless its work bound exceeds WORKER_MIN_WORK; else one
+    worker per CPU of this process's affinity mask (which `taskset` sets),
+    at most one per cell."""
     work = (sum(cfg.widths) * len(cfg.seeds) * data_mod.TARGET_SIDE ** 2
             * n * cfg.max_epochs)
-    if cells < 2 or work <= WORKER_MIN_WORK:
+    if work <= WORKER_MIN_WORK:
         return 1
-    return min(len(os.sched_getaffinity(0)), cells)
+    return min(len(os.sched_getaffinity(0)), len(cfg.widths) * len(cfg.seeds))
 
 
 @contextmanager
 def _train_workers(cfg, n):
     """The worker processes that train cfg's grid of n examples, none when
     train_processes gives 1.  Each is started with WORKER_ENV, is sent cfg,
-    and reads the raw data while this process prepares it.  On leaving, a
-    worker still running is stopped and every worker is waited for."""
+    and reads the raw data while this process prepares it.  On a normal
+    exit, with its input closed, each has WORKER_STOP_S to end; then, or on
+    an error, one still running is stopped and every one is waited for."""
     processes = train_processes(cfg, n)
     procs = []
     with ExitStack() as stack:
@@ -296,6 +297,9 @@ def _train_workers(cfg, n):
             procs.append(proc)
             _send(proc, vars(cfg))
         yield procs
+        for proc in procs:
+            with suppress(subprocess.TimeoutExpired):
+                proc.wait(WORKER_STOP_S)
 
 
 def _worker_argv():
@@ -488,14 +492,14 @@ def cmd_measure(cfg, ds, checkpoints, manifest):
     for seed, _, path, _ in checkpoints:
         ck = checkpoint_load(path)
         key = cell_key(ck.snapshot.W0, ds, ck.params.activation)
-        try:  # the report refuses a norm that overflows
+        try:  # the records refuse a norm that overflows
             with np.errstate(over="ignore", invalid="ignore"):
-                report = measure_report(ck.params, ck.snapshot, ds,
-                                        cached.get(key))
+                constants = cached.get(key) or cell_constants(
+                    ck.snapshot.W0, ds, ck.params.activation)
+                report = measure_report(ck.params, ck.snapshot, ds, constants)
         except ValueError as exc:  # LinAlgError too
             raise data_mod.DataError(f"{path} cannot be measured: {exc}") from None
-        kept[key] = CellConstants(report.init_term, report.r0,
-                                  report.w0_spectral)
+        kept[key] = constants
         rows.append(measure_row(report, ds.name, seed))
     _remove_derived(cfg.out, "bounds.csv")  # derived from the old measures.csv
     write_csv(os.path.join(cfg.out, "measures.csv"), MEASURE_CSV_FIELDS, rows)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import model
+from . import activations
+from .activations import ACTIVATION_BY_ID
 from .datasets import DataError, prepared_key
 from .linalg import COLUMN_BLOCK, column_blocks, spectral_norm
-from .model import ACTIVATION_BY_ID
 
 
 def path_norm(V, M):
@@ -66,7 +66,7 @@ class ClassMeasures(_ValueRules):
     """What the Rademacher rows read of the class {||W - W0||_F <= R_W,
     ||V||_F <= R_V}: the class fields of a MeasureReport."""
     m: int                 # hidden width
-    activation: int        # model.Activation.id
+    activation: int        # activations.Activation.id
     R_W: float             # ||W - W0||_F
     R_V: float             # ||V||_F
     init_term: float       # (sum gamma^2(x^T w0))^(1/2)
@@ -103,32 +103,29 @@ class CellConstants(_ValueRules):
     w0_spectral: float  # ||W0||_sigma
 
 
-def _init_terms(W0, ds, activation):
-    """(init_term, r0) of W0 on ds, the part of CellConstants that the
-    Rademacher rows of its class read."""
-    return (init_activation_term(W0, ds.X, activation),
-            float(np.min(np.linalg.norm(W0, axis=1))))
-
-
 def cell_constants(W0, ds, activation):
     """CellConstants of W0 with activation on ds: the one place they are
     computed, by the m x d x n pass of the init term and one Gram
     eigensolve of W0."""
-    return CellConstants(*_init_terms(W0, ds, activation), spectral_norm(W0))
+    return CellConstants(init_activation_term(W0, ds.X, activation),
+                         float(np.min(np.linalg.norm(W0, axis=1))),
+                         spectral_norm(W0))
 
 
 def cell_key(W0, ds, activation):
     """Hex sha256 of everything cell_constants(W0, ds, activation) is
     computed from: datasets.prepared_key of ds's data fingerprint (the data,
     numpy, and the source of datasets.py and linalg.py), ds.n, which fixes
-    --subsample, the source of this module and of model.py, the activation
-    id, and W0's shape and bytes.  ValueError for a ds without a
-    fingerprint, whose key would not cover its data."""
+    --subsample, the source of this module and of activations.py, the
+    activation id, and W0's dtype (W0 comes through model.py, which is not
+    hashed), shape and bytes.  ValueError for a ds without a fingerprint,
+    whose key would not cover its data."""
     if not ds.fingerprint:
         raise ValueError("a cell key needs the data fingerprint of ds")
     digest = hashlib.sha256(f"{prepared_key(ds.fingerprint)} {ds.n} "
-                            f"{activation.id} {W0.shape}".encode())
-    for path in (__file__, model.__file__):
+                            f"{activation.id} {W0.dtype.str} "
+                            f"{W0.shape}".encode())
+    for path in (__file__, activations.__file__):
         with open(path, "rb") as f:
             digest.update(f.read())
     digest.update(np.ascontiguousarray(W0, dtype="<f8"))
@@ -138,20 +135,19 @@ def cell_key(W0, ds, activation):
 def class_bound_inputs(ds, W0, activation, R_W, R_V, constants=None):
     """ClassMeasures of a constrained class (radii R_W, R_V around W0).
 
-    init_term and r0 are those of constants, W0's CellConstants, when given;
-    else they are computed here, as cell_constants does, without the
-    eigensolve of ||W0||_sigma, which the class does not read.
-    measure_report takes a network's class fields from it.  With no model
-    fields, only the Rademacher rows can be computed from it, e.g. to compare
-    them against Monte-Carlo estimates.
+    init_term and r0 are those of constants, W0's CellConstants, computed
+    by cell_constants when not given.  measure_report takes a network's
+    class fields from it.  With no model fields, only the Rademacher rows
+    can be computed from it, e.g. to compare them against Monte-Carlo
+    estimates.
     """
-    init_term, r0 = (_init_terms(W0, ds, activation) if constants is None
-                     else (constants.init_term, constants.r0))
+    if constants is None:
+        constants = cell_constants(W0, ds, activation)
     stats = ds.stats
     return ClassMeasures(
         m=W0.shape[0], activation=activation.id, R_W=R_W, R_V=R_V,
-        init_term=init_term, X_fro=stats.X_fro,
-        gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n, r0=r0)
+        init_term=constants.init_term, X_fro=stats.X_fro,
+        gram_spec_sqrt=stats.gram_spec_sqrt, n=ds.n, r0=constants.r0)
 
 
 def measure_report(params, snapshot, ds, constants=None):

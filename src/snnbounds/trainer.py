@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import SIGMOID
 from .linalg import COLUMN_BLOCK, column_blocks, fork_rng, model_dtype
-from .model import SIGMOID, check_inputs, forward, output_layer
+from .model import check_inputs, forward, output_layer
 
 
 @dataclass

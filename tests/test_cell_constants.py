@@ -14,7 +14,9 @@ import shutil
 
 import pytest
 
+from snnbounds import activations as activations_mod
 from snnbounds import datasets as datasets_mod
+from snnbounds import linalg as linalg_mod
 from snnbounds import measures as measures_mod
 from snnbounds import model as model_mod
 from snnbounds.cli import main
@@ -185,15 +187,13 @@ def test_every_miss_recomputes_and_gives_the_cold_result(
     assert _cold(out, tmp_path, mnist, "4,8", "0", *flags) == warm
 
 
-@pytest.mark.parametrize("module", [measures_mod, model_mod, datasets_mod],
-                         ids=["measures", "model", "datasets"])
-def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module):
-    # the key covers the code that computes the constants, as the prepared
-    # data's key covers the code that prepares X
+def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, module):
+    """(measures.csv bytes, cell keys) of a run, then of a `measure` of it
+    with a comment appended to the source of module."""
     mnist = write_fake_mnist_dir(str(tmp_path / "mnist"))
     out = str(tmp_path / "run")
     assert main(["all", *_args(mnist, out)]) == 0
-    first, keys = _read(os.path.join(out, "measures.csv")), _keys(out)
+    first = _read(os.path.join(out, "measures.csv")), _keys(out)
     edited = str(tmp_path / os.path.basename(module.__file__))
     shutil.copy(module.__file__, edited)
     with open(edited, "a") as f:
@@ -201,9 +201,31 @@ def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module):
     monkeypatch.setattr(module, "__file__", edited)
     init_terms.clear()
     assert main(["measure", *_args(mnist, out)]) == 0
+    return first, (_read(os.path.join(out, "measures.csv")), _keys(out))
+
+
+# linalg's spectral_norm and column_blocks compute the constants, and
+# datasets.prepared_key, which the cell key takes, covers linalg.py
+@pytest.mark.parametrize("module", [measures_mod, activations_mod,
+                                    datasets_mod, linalg_mod],
+                         ids=["measures", "activations", "datasets", "linalg"])
+def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module):
+    # the key covers the code that computes the constants, as the prepared
+    # data's key covers the code that prepares X
+    (first, keys), (again, new_keys) = _measure_after_an_edit(
+        tmp_path, monkeypatch, init_terms, module)
     assert len(init_terms) == 2
-    assert _read(os.path.join(out, "measures.csv")) == first
-    assert not keys & _keys(out)
+    assert again == first
+    assert not keys & new_keys
+
+
+def test_a_model_edit_keeps_the_constants(tmp_path, monkeypatch, init_terms):
+    # model.py computes none of the constants: W0 reaches them through its
+    # checkpoint reader as float64, and the key hashes W0's dtype
+    before, after = _measure_after_an_edit(tmp_path, monkeypatch, init_terms,
+                                           model_mod)
+    assert init_terms == []
+    assert after == before
 
 
 def test_a_measure_of_a_smaller_grid_keeps_only_its_cells(tmp_path, init_terms):

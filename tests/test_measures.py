@@ -367,7 +367,9 @@ def test_data_stats_computed_once_per_dataset(monkeypatch):
 @pytest.mark.parametrize("act", ["relu", "tanh", "sigmoid"])
 def test_measure_report_class_fields_are_class_bound_inputs(act):
     """A report's class fields are class_bound_inputs' at its radii, bit for
-    bit, so the Rademacher rows of a network and of its class agree."""
+    bit, so the Rademacher rows of a network and of its class agree; and
+    class_bound_inputs without constants is the record with its W0's
+    cell_constants."""
     activation = ACTIVATIONS[act]
     params, snap = init_kaiming(make_rng(30), 5, 3, 1, activation)
     params.W = params.W + 0.3 * make_rng(31).standard_normal(params.W.shape)
@@ -378,6 +380,9 @@ def test_measure_report_class_fields_are_class_bound_inputs(act):
                              rep.R_W, rep.R_V)
     for f in dataclasses.fields(ClassMeasures):
         assert repr(getattr(rep, f.name)) == repr(getattr(cls, f.name)), f.name
+    given = class_bound_inputs(ds, np.asarray(snap.W0), activation, rep.R_W,
+                               rep.R_V, cell_constants(snap.W0, ds, activation))
+    assert repr(given) == repr(cls)
 
 
 def test_measure_report_of_given_cell_constants_is_the_fresh_one():

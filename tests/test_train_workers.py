@@ -8,6 +8,7 @@ and the affinity mask to two CPUs.
 import hashlib
 import json
 import os
+import subprocess
 import time
 
 import pytest
@@ -79,6 +80,30 @@ def test_workers_write_what_in_process_training_writes(
     if flags:  # lr 1e12 overflows some cells of this grid, not all
         assert manifest["failures"] and manifest["cells"]
         assert all("non-finite" in f["error"] for f in manifest["failures"])
+
+
+def test_workers_end_by_themselves(tmp_path, mnist_dir, monkeypatch,
+                                   two_workers):
+    # each worker's input is closed once its last record is in, so it ends
+    # with status 0 and none is sent SIGTERM
+    procs, terminated = [], []
+    real_send, real_terminate = cli_mod._send, subprocess.Popen.terminate
+
+    def send(proc, message):
+        if proc not in procs:
+            procs.append(proc)
+        real_send(proc, message)
+
+    def terminate(proc):
+        terminated.append(proc)
+        real_terminate(proc)
+
+    monkeypatch.setattr(cli_mod, "_send", send)
+    monkeypatch.setattr(subprocess.Popen, "terminate", terminate)
+    assert _train(mnist_dir, str(tmp_path / "run")) == 0
+    assert terminated == []
+    assert [proc.returncode for proc in procs] == [0, 0]
+    _assert_no_child_left()
 
 
 def test_worker_oserror_exits_3_without_manifest(tmp_path, mnist_dir, capsys,
