@@ -106,8 +106,9 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("widths must be >= 1")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("seeds must be nonempty and distinct")
-        if min(self.seeds) < 0:
-            raise ConfigError("seeds must be >= 0")
+        if min(self.seeds) < 0 or max(self.seeds) >= 2 ** 64:
+            raise ConfigError("seeds must lie in [0, 2**64), as a checkpoint "
+                              "stores its seed as a uint64")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
         if self.subsample < 0:

@@ -7,7 +7,8 @@ import pytest
 from snnbounds import Dataset, make_rng
 
 # Directory with the canonical MNIST IDX train files; the MNIST-dependent
-# acceptance checks skip when it is absent.
+# cases (criteria 3-5 of the acceptance gate and the `paper` cases) skip
+# when it is absent.
 MNIST_DIR = os.environ.get("SNNBOUNDS_MNIST_DIR",
                            os.path.join(os.path.dirname(__file__), "..",
                                         "data", "mnist"))
@@ -24,6 +25,23 @@ requires_mnist = pytest.mark.skipif(
     not mnist_available(),
     reason=f"MNIST IDX train files not found under {MNIST_DIR} "
            "(set SNNBOUNDS_MNIST_DIR)")
+
+
+def pytest_configure(config):
+    # a SNNBOUNDS_MNIST_DIR that names no MNIST files is a mistake, not a
+    # request to skip: every MNIST-gated case would skip and the run pass
+    if "SNNBOUNDS_MNIST_DIR" in os.environ and not mnist_available():
+        raise pytest.UsageError(
+            f"SNNBOUNDS_MNIST_DIR={MNIST_DIR} holds no MNIST IDX train files "
+            "(train-images-idx3-ubyte); unset it to skip the MNIST-gated cases")
+
+
+@pytest.fixture(scope="session")
+def mnist_dir(tmp_path_factory):
+    """The tiny MNIST-format directory of write_fake_mnist_dir, shared by
+    every test that only reads it; a test that edits raw files writes its
+    own copy."""
+    return write_fake_mnist_dir(str(tmp_path_factory.mktemp("fakemnist")))
 
 
 # --- test-only encoders, the round-trip oracles for the parsers ---

@@ -13,6 +13,8 @@ assertions that hold on any data.
 import csv
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -185,6 +187,18 @@ def test_criterion_5_bound_below_one(tmp_path):
                     and b["method"] != "rad_lower"]
             assert value <= min(full) + 1e-12
     _report(5, "generalization bound below 1 across the sweep")
+
+
+def test_an_mnist_dir_without_train_files_is_a_usage_error(tmp_path):
+    # were it a skip, a mistyped SNNBOUNDS_MNIST_DIR would skip criteria 3-5
+    # and every `paper` case, and the run would pass
+    env = dict(os.environ, SNNBOUNDS_MNIST_DIR=str(tmp_path))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                          "no:cacheprovider", "--collect-only", __file__],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode != 0
+    assert (f"SNNBOUNDS_MNIST_DIR={tmp_path} holds no MNIST"
+            in run.stderr + run.stdout)
 
 
 # The stand-in is small enough for widths 2^6..2^10 in a few seconds.

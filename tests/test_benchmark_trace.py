@@ -12,7 +12,6 @@ import os
 
 import snnbounds
 from snnbounds.cli import main
-from conftest import write_fake_mnist_dir
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                        "tracing.py")
@@ -27,14 +26,13 @@ def _tracing_module():
     return module
 
 
-def test_trace_of_train_counts_the_trainer(tmp_path):
+def test_trace_of_train_counts_the_trainer(tmp_path, mnist_dir):
     tracing = _tracing_module()
-    mnist = write_fake_mnist_dir(str(tmp_path / "mnist"))
     out = str(tmp_path / "run")
     tracer = tracing.Tracer()
     tracer.install(snnbounds)
     try:
-        assert main(["train", "--mnist-dir", mnist, "--out", out,
+        assert main(["train", "--mnist-dir", mnist_dir, "--out", out,
                      "--widths", "4", "--seeds", "0", "--max-epochs", "2",
                      "--target-train-error", "0"]) == 0
     finally:

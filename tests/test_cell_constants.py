@@ -3,7 +3,9 @@ kept in cell_constants.json of --out, keyed by everything they depend on.
 
 A kept entry must give the bytes of a cold measure, one of the same
 checkpoints in a fresh --out without the file, and every change to what the
-constants depend on, or to the file, must recompute them.
+constants depend on, or to the file, must recompute them. The `paper`
+cases, which run when SNNBOUNDS_MNIST_DIR holds MNIST-format train files,
+measure the benchmark's sweep widths on them.
 """
 
 import glob
@@ -20,7 +22,7 @@ from snnbounds import linalg as linalg_mod
 from snnbounds import measures as measures_mod
 from snnbounds import model as model_mod
 from snnbounds.cli import main
-from conftest import write_fake_mnist_dir
+from conftest import MNIST_DIR, requires_mnist, write_fake_mnist_dir
 
 CONSTANTS = "cell_constants.json"
 
@@ -37,6 +39,20 @@ def init_terms(monkeypatch):
 
     monkeypatch.setattr(measures_mod, "init_activation_term", counting)
     return calls
+
+
+@pytest.fixture
+def grid(request, mnist_dir):
+    """(MNIST directory, widths, seeds) of a case: widths 4 and 8, seeds 0
+    and 1, on the fake MNIST files, or, for "paper", the benchmark's sweep
+    widths 64..1024, seed 0, on those of SNNBOUNDS_MNIST_DIR."""
+    if request.param == "paper":
+        return MNIST_DIR, "64,128,256,512,1024", "0"
+    return mnist_dir, "4,8", "0,1"
+
+
+def _cells(widths, seeds):
+    return len(widths.split(",")) * len(seeds.split(","))
 
 
 def _args(mnist, out, widths="4,8", seeds="0", *flags):
@@ -67,30 +83,38 @@ def _keys(out):
         return set(json.load(f))
 
 
-def test_one_init_term_per_cell_none_on_remeasure_or_retrain(tmp_path,
-                                                             init_terms):
-    mnist = write_fake_mnist_dir(str(tmp_path / "mnist"))
+@pytest.mark.parametrize("grid, rate", [
+    pytest.param("tiny", "0.3", id="tiny"),
+    pytest.param("paper", "0.002", marks=requires_mnist, id="paper")],
+    indirect=["grid"])
+def test_one_init_term_per_cell_none_on_remeasure_or_retrain(
+        tmp_path, init_terms, grid, rate):
+    mnist, widths, seeds = grid
+    cells = _cells(widths, seeds)
     out = str(tmp_path / "run")
-    grid = ("4,8", "0,1")
-    assert main(["all", *_args(mnist, out, *grid)]) == 0
-    assert sorted(init_terms) == [4, 4, 8, 8]
-    assert len(_keys(out)) == 4
+    assert main(["all", *_args(mnist, out, widths, seeds)]) == 0
+    assert sorted(init_terms) == sorted(
+        int(m) for m in widths.split(",") for _ in seeds.split(","))
+    assert len(_keys(out)) == cells
     first = _read(os.path.join(out, "measures.csv"))
+    assert _cold(out, tmp_path, mnist, widths, seeds) == first
 
     init_terms.clear()
-    assert main(["measure", *_args(mnist, out, *grid)]) == 0
+    assert main(["measure", *_args(mnist, out, widths, seeds)]) == 0
     assert init_terms == []
+    assert len(_keys(out)) == cells
     assert _read(os.path.join(out, "measures.csv")) == first
 
     # W0 comes from fork_rng(seed, m) alone, so a retrain at another
     # learning rate keeps every cell's constants
-    assert main(["all", *_args(mnist, out, *grid,
-                               "--learning-rate", "0.3")]) == 0
+    assert main(["all", *_args(mnist, out, widths, seeds,
+                               "--learning-rate", rate)]) == 0
     assert init_terms == []
+    assert len(_keys(out)) == cells
     retrained = _read(os.path.join(out, "measures.csv"))
     assert retrained != first  # the weights moved otherwise
-    assert _cold(out, tmp_path, mnist, *grid) == retrained
-    assert len(init_terms) == 4  # the cold measure computes them all
+    assert _cold(out, tmp_path, mnist, widths, seeds) == retrained
+    assert len(init_terms) == cells  # the cold measure computes them all
 
 
 def _flip_w0_byte(out):
@@ -187,12 +211,12 @@ def test_every_miss_recomputes_and_gives_the_cold_result(
     assert _cold(out, tmp_path, mnist, "4,8", "0", *flags) == warm
 
 
-def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, module):
-    """(measures.csv bytes, cell keys) of a run, then of a `measure` of it
-    with a comment appended to the source of module."""
-    mnist = write_fake_mnist_dir(str(tmp_path / "mnist"))
+def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, grid, module):
+    """(measures.csv bytes, cell keys) of a run of the grid, then of a
+    `measure` of it with a comment appended to the source of module."""
+    mnist, widths, seeds = grid
     out = str(tmp_path / "run")
-    assert main(["all", *_args(mnist, out)]) == 0
+    assert main(["all", *_args(mnist, out, widths, seeds)]) == 0
     first = _read(os.path.join(out, "measures.csv")), _keys(out)
     edited = str(tmp_path / os.path.basename(module.__file__))
     shutil.copy(module.__file__, edited)
@@ -200,41 +224,50 @@ def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, module):
         f.write("# an edit\n")
     monkeypatch.setattr(module, "__file__", edited)
     init_terms.clear()
-    assert main(["measure", *_args(mnist, out)]) == 0
+    assert main(["measure", *_args(mnist, out, widths, seeds)]) == 0
     return first, (_read(os.path.join(out, "measures.csv")), _keys(out))
 
 
 # linalg's spectral_norm and column_blocks compute the constants, and
 # datasets.prepared_key, which the cell key takes, covers linalg.py
-@pytest.mark.parametrize("module", [measures_mod, activations_mod,
-                                    datasets_mod, linalg_mod],
-                         ids=["measures", "activations", "datasets", "linalg"])
-def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module):
+@pytest.mark.parametrize("module, grid", [
+    pytest.param(measures_mod, "tiny", id="measures"),
+    pytest.param(activations_mod, "tiny", id="activations"),
+    pytest.param(datasets_mod, "tiny", id="datasets"),
+    pytest.param(linalg_mod, "tiny", id="linalg"),
+    pytest.param(activations_mod, "paper", marks=requires_mnist,
+                 id="activations-paper")], indirect=["grid"])
+def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module,
+                                  grid):
     # the key covers the code that computes the constants, as the prepared
     # data's key covers the code that prepares X
     (first, keys), (again, new_keys) = _measure_after_an_edit(
-        tmp_path, monkeypatch, init_terms, module)
-    assert len(init_terms) == 2
+        tmp_path, monkeypatch, init_terms, grid, module)
+    assert len(init_terms) == len(keys) == _cells(*grid[1:])
     assert again == first
     assert not keys & new_keys
 
 
-def test_a_model_edit_keeps_the_constants(tmp_path, monkeypatch, init_terms):
+@pytest.mark.parametrize("grid", [
+    "tiny", pytest.param("paper", marks=requires_mnist)], indirect=True)
+def test_a_model_edit_keeps_the_constants(tmp_path, monkeypatch, init_terms,
+                                          grid):
     # model.py computes none of the constants: W0 reaches them through its
     # checkpoint reader as float64, and the key hashes W0's dtype
     before, after = _measure_after_an_edit(tmp_path, monkeypatch, init_terms,
-                                           model_mod)
+                                           grid, model_mod)
     assert init_terms == []
     assert after == before
+    assert len(after[1]) == _cells(*grid[1:])
 
 
-def test_a_measure_of_a_smaller_grid_keeps_only_its_cells(tmp_path, init_terms):
-    mnist = write_fake_mnist_dir(str(tmp_path / "mnist"))
+def test_a_measure_of_a_smaller_grid_keeps_only_its_cells(tmp_path, mnist_dir,
+                                                          init_terms):
     out = str(tmp_path / "run")
-    assert main(["all", *_args(mnist, out, "4,8", "0,1")]) == 0
+    assert main(["all", *_args(mnist_dir, out, "4,8", "0,1")]) == 0
     both = _keys(out)
     init_terms.clear()
-    assert main(["measure", *_args(mnist, out, "8", "1")]) == 0
+    assert main(["measure", *_args(mnist_dir, out, "8", "1")]) == 0
     assert init_terms == []
     (key,) = _keys(out)
     assert key in both

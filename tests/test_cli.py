@@ -32,11 +32,6 @@ from conftest import (encode_cifar10_bin, encode_idx_images, encode_idx_labels,
                       write_fake_mnist_dir, write_two_output_checkpoint)
 
 
-@pytest.fixture(scope="module")
-def mnist_dir(tmp_path_factory):
-    return write_fake_mnist_dir(str(tmp_path_factory.mktemp("fakemnist")))
-
-
 def _run(argv):
     """The exit code of `snnbounds argv`; argparse usage errors exit 2."""
     try:
@@ -149,6 +144,7 @@ def test_exit_code_config_error(tmp_path):
     ("--max-epochs", "-1"), ("--subsample", "-1"),
     ("--widths", "0,4"), ("--seeds", "-1"), ("--widths", "4,x"),
     ("--seeds", "1,,x"), ("--seeds", "0,0"),
+    ("--seeds", "18446744073709551616"),  # 2**64; a checkpoint holds a uint64
 ])
 def test_exit_code_bad_training_flag(tmp_path, flag, value):
     # rejected before the dataset is read: a missing directory would give 3

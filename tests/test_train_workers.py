@@ -2,7 +2,9 @@
 as in-process training, and no process left behind on any path.
 
 The worker path is forced on tiny grids by setting the work threshold to 0
-and the affinity mask to two CPUs.
+and the affinity mask to two CPUs. The `paper` case, which runs when
+SNNBOUNDS_MNIST_DIR holds MNIST-format train files, trains the paper's
+widths up to 4096 on them.
 """
 
 import hashlib
@@ -15,14 +17,14 @@ import pytest
 
 import snnbounds.cli as cli_mod
 from snnbounds.cli import ExperimentConfig, main, train_processes
-from conftest import write_fake_mnist_dir
+from conftest import MNIST_DIR, requires_mnist
 
 GRID = ["--widths", "4,8", "--seeds", "0,1", "--max-epochs", "3"]
-
-
-@pytest.fixture(scope="module")
-def mnist_dir(tmp_path_factory):
-    return write_fake_mnist_dir(str(tmp_path_factory.mktemp("fakemnist")))
+# the benchmark's sweep widths and the paper's widest, m = 4096, for 2
+# epochs: at that width, after 2 epochs, a BLAS product of the output layer
+# gave other bytes at one thread and at two
+PAPER_GRID = ["--widths", "64,128,256,512,1024,4096", "--seeds", "0",
+              "--max-epochs", "2", "--target-train-error", "0"]
 
 
 @pytest.fixture
@@ -31,8 +33,8 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def _train(mnist_dir, out, *flags):
-    return main(["train", "--mnist-dir", mnist_dir, "--out", out, *GRID, *flags])
+def _train(mnist_dir, out, grid=GRID):
+    return main(["train", "--mnist-dir", mnist_dir, "--out", out, *grid])
 
 
 def _outputs(out):
@@ -58,13 +60,19 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("flags", [
-    [], ["--subsample", "30", "--learning-rate", "1e12"]],
-    ids=["full", "subsample-diverging"])
+@pytest.mark.parametrize("grid", [
+    GRID, [*GRID, "--subsample", "30", "--learning-rate", "1e12"],
+    pytest.param(PAPER_GRID, marks=requires_mnist)],
+    ids=["full", "subsample-diverging", "paper"])
 def test_workers_write_what_in_process_training_writes(
-        tmp_path, mnist_dir, monkeypatch, flags):
+        tmp_path, mnist_dir, monkeypatch, grid):
+    # in-process at the default BLAS thread count, the workers at one
+    # thread each
+    if grid == PAPER_GRID:
+        mnist_dir = MNIST_DIR
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     in_process = str(tmp_path / "in_process")
-    assert _train(mnist_dir, in_process, *flags) == 0
+    assert _train(mnist_dir, in_process, grid) == 0
     digests, manifest, processes = _outputs(in_process)
     assert processes == 1
 
@@ -72,12 +80,12 @@ def test_workers_write_what_in_process_training_writes(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     environ = dict(os.environ)
     workers = str(tmp_path / "workers")
-    assert _train(mnist_dir, workers, *flags) == 0
+    assert _train(mnist_dir, workers, grid) == 0
     assert dict(os.environ) == environ
     _assert_no_child_left()
     assert _outputs(workers) == (digests, manifest, 2)
     assert len(digests) == len(manifest["cells"])
-    if flags:  # lr 1e12 overflows some cells of this grid, not all
+    if "1e12" in grid:  # lr 1e12 overflows some cells of this grid, not all
         assert manifest["failures"] and manifest["cells"]
         assert all("non-finite" in f["error"] for f in manifest["failures"])
 
