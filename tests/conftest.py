@@ -44,6 +44,13 @@ def mnist_dir(tmp_path_factory):
     return write_fake_mnist_dir(str(tmp_path_factory.mktemp("fakemnist")))
 
 
+@pytest.fixture
+def mnist(request, mnist_dir):
+    """The MNIST directory of a case parametrized indirectly: "tiny" for the
+    fake files of mnist_dir, "paper" for those of SNNBOUNDS_MNIST_DIR."""
+    return MNIST_DIR if request.param == "paper" else mnist_dir
+
+
 # --- test-only encoders, the round-trip oracles for the parsers ---
 
 def encode_idx_images(images):

@@ -13,8 +13,6 @@ assertions that hold on any data.
 import csv
 import math
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -27,6 +25,7 @@ from snnbounds.bounds import class_bound_inputs
 from snnbounds.datasets import load_mnist_dir
 from snnbounds.rademacher import _pga_best_values
 from snnbounds.trainer import _batch_grads, bce_logits
+import conftest
 from conftest import (MNIST_DIR, encode_cifar10_bin, encode_idx_images,
                       encode_idx_labels, mnist_available, random_unit_dataset,
                       requires_mnist)
@@ -189,16 +188,17 @@ def test_criterion_5_bound_below_one(tmp_path):
     _report(5, "generalization bound below 1 across the sweep")
 
 
-def test_an_mnist_dir_without_train_files_is_a_usage_error(tmp_path):
+def test_an_mnist_dir_without_train_files_is_a_usage_error(tmp_path,
+                                                           monkeypatch):
     # were it a skip, a mistyped SNNBOUNDS_MNIST_DIR would skip criteria 3-5
     # and every `paper` case, and the run would pass
-    env = dict(os.environ, SNNBOUNDS_MNIST_DIR=str(tmp_path))
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                          "no:cacheprovider", "--collect-only", __file__],
-                         env=env, capture_output=True, text=True)
-    assert run.returncode != 0
-    assert (f"SNNBOUNDS_MNIST_DIR={tmp_path} holds no MNIST"
-            in run.stderr + run.stdout)
+    monkeypatch.setenv("SNNBOUNDS_MNIST_DIR", str(tmp_path))
+    monkeypatch.setattr(conftest, "MNIST_DIR", str(tmp_path))
+    with pytest.raises(pytest.UsageError,
+                       match=f"SNNBOUNDS_MNIST_DIR={tmp_path} holds no MNIST"):
+        conftest.pytest_configure(None)
+    monkeypatch.delenv("SNNBOUNDS_MNIST_DIR")
+    conftest.pytest_configure(None)  # unset, the gated cases skip
 
 
 # The stand-in is small enough for widths 2^6..2^10 in a few seconds.

@@ -22,7 +22,7 @@ from snnbounds import linalg as linalg_mod
 from snnbounds import measures as measures_mod
 from snnbounds import model as model_mod
 from snnbounds.cli import main
-from conftest import MNIST_DIR, requires_mnist, write_fake_mnist_dir
+from conftest import requires_mnist, write_fake_mnist_dir
 
 CONSTANTS = "cell_constants.json"
 
@@ -41,14 +41,11 @@ def init_terms(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def grid(request, mnist_dir):
-    """(MNIST directory, widths, seeds) of a case: widths 4 and 8, seeds 0
-    and 1, on the fake MNIST files, or, for "paper", the benchmark's sweep
-    widths 64..1024, seed 0, on those of SNNBOUNDS_MNIST_DIR."""
-    if request.param == "paper":
-        return MNIST_DIR, "64,128,256,512,1024", "0"
-    return mnist_dir, "4,8", "0,1"
+# (MNIST directory, widths, seeds) of a case: widths 4 and 8, seeds 0 and 1,
+# on the fake MNIST files, or the benchmark's sweep widths 64..1024, seed 0,
+# on those of SNNBOUNDS_MNIST_DIR
+TINY = ("tiny", "4,8", "0,1")
+PAPER = ("paper", "64,128,256,512,1024", "0")
 
 
 def _cells(widths, seeds):
@@ -83,13 +80,12 @@ def _keys(out):
         return set(json.load(f))
 
 
-@pytest.mark.parametrize("grid, rate", [
-    pytest.param("tiny", "0.3", id="tiny"),
-    pytest.param("paper", "0.002", marks=requires_mnist, id="paper")],
-    indirect=["grid"])
+@pytest.mark.parametrize("mnist, widths, seeds, rate", [
+    pytest.param(*TINY, "0.3", id="tiny"),
+    pytest.param(*PAPER, "0.002", marks=requires_mnist, id="paper")],
+    indirect=["mnist"])
 def test_one_init_term_per_cell_none_on_remeasure_or_retrain(
-        tmp_path, init_terms, grid, rate):
-    mnist, widths, seeds = grid
+        tmp_path, init_terms, mnist, widths, seeds, rate):
     cells = _cells(widths, seeds)
     out = str(tmp_path / "run")
     assert main(["all", *_args(mnist, out, widths, seeds)]) == 0
@@ -211,10 +207,10 @@ def test_every_miss_recomputes_and_gives_the_cold_result(
     assert _cold(out, tmp_path, mnist, "4,8", "0", *flags) == warm
 
 
-def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, grid, module):
+def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, module, mnist,
+                           widths, seeds):
     """(measures.csv bytes, cell keys) of a run of the grid, then of a
     `measure` of it with a comment appended to the source of module."""
-    mnist, widths, seeds = grid
     out = str(tmp_path / "run")
     assert main(["all", *_args(mnist, out, widths, seeds)]) == 0
     first = _read(os.path.join(out, "measures.csv")), _keys(out)
@@ -230,35 +226,37 @@ def _measure_after_an_edit(tmp_path, monkeypatch, init_terms, grid, module):
 
 # linalg's spectral_norm and column_blocks compute the constants, and
 # datasets.prepared_key, which the cell key takes, covers linalg.py
-@pytest.mark.parametrize("module, grid", [
-    pytest.param(measures_mod, "tiny", id="measures"),
-    pytest.param(activations_mod, "tiny", id="activations"),
-    pytest.param(datasets_mod, "tiny", id="datasets"),
-    pytest.param(linalg_mod, "tiny", id="linalg"),
-    pytest.param(activations_mod, "paper", marks=requires_mnist,
-                 id="activations-paper")], indirect=["grid"])
+@pytest.mark.parametrize("module, mnist, widths, seeds", [
+    pytest.param(measures_mod, *TINY, id="measures"),
+    pytest.param(activations_mod, *TINY, id="activations"),
+    pytest.param(datasets_mod, *TINY, id="datasets"),
+    pytest.param(linalg_mod, *TINY, id="linalg"),
+    pytest.param(activations_mod, *PAPER, marks=requires_mnist,
+                 id="activations-paper")], indirect=["mnist"])
 def test_a_source_edit_recomputes(tmp_path, monkeypatch, init_terms, module,
-                                  grid):
+                                  mnist, widths, seeds):
     # the key covers the code that computes the constants, as the prepared
     # data's key covers the code that prepares X
     (first, keys), (again, new_keys) = _measure_after_an_edit(
-        tmp_path, monkeypatch, init_terms, grid, module)
-    assert len(init_terms) == len(keys) == _cells(*grid[1:])
+        tmp_path, monkeypatch, init_terms, module, mnist, widths, seeds)
+    assert len(init_terms) == len(keys) == _cells(widths, seeds)
     assert again == first
     assert not keys & new_keys
 
 
-@pytest.mark.parametrize("grid", [
-    "tiny", pytest.param("paper", marks=requires_mnist)], indirect=True)
+@pytest.mark.parametrize("mnist, widths, seeds", [
+    pytest.param(*TINY, id="tiny"),
+    pytest.param(*PAPER, marks=requires_mnist, id="paper")],
+    indirect=["mnist"])
 def test_a_model_edit_keeps_the_constants(tmp_path, monkeypatch, init_terms,
-                                          grid):
+                                          mnist, widths, seeds):
     # model.py computes none of the constants: W0 reaches them through its
     # checkpoint reader as float64, and the key hashes W0's dtype
     before, after = _measure_after_an_edit(tmp_path, monkeypatch, init_terms,
-                                           grid, model_mod)
+                                           model_mod, mnist, widths, seeds)
     assert init_terms == []
     assert after == before
-    assert len(after[1]) == _cells(*grid[1:])
+    assert len(after[1]) == _cells(widths, seeds)
 
 
 def test_a_measure_of_a_smaller_grid_keeps_only_its_cells(tmp_path, mnist_dir,

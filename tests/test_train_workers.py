@@ -17,7 +17,7 @@ import pytest
 
 import snnbounds.cli as cli_mod
 from snnbounds.cli import ExperimentConfig, main, train_processes
-from conftest import MNIST_DIR, requires_mnist
+from conftest import requires_mnist
 
 GRID = ["--widths", "4,8", "--seeds", "0,1", "--max-epochs", "3"]
 # the benchmark's sweep widths and the paper's widest, m = 4096, for 2
@@ -60,19 +60,20 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("grid", [
-    GRID, [*GRID, "--subsample", "30", "--learning-rate", "1e12"],
-    pytest.param(PAPER_GRID, marks=requires_mnist)],
-    ids=["full", "subsample-diverging", "paper"])
+# lr 1e12 overflows some cells of the subsample grid, not all
+@pytest.mark.parametrize("mnist, grid, diverging", [
+    pytest.param("tiny", GRID, False, id="full"),
+    pytest.param("tiny", [*GRID, "--subsample", "30", "--learning-rate",
+                          "1e12"], True, id="subsample-diverging"),
+    pytest.param("paper", PAPER_GRID, False, marks=requires_mnist,
+                 id="paper")], indirect=["mnist"])
 def test_workers_write_what_in_process_training_writes(
-        tmp_path, mnist_dir, monkeypatch, grid):
+        tmp_path, mnist, monkeypatch, grid, diverging):
     # in-process at the default BLAS thread count, the workers at one
     # thread each
-    if grid == PAPER_GRID:
-        mnist_dir = MNIST_DIR
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     in_process = str(tmp_path / "in_process")
-    assert _train(mnist_dir, in_process, grid) == 0
+    assert _train(mnist, in_process, grid) == 0
     digests, manifest, processes = _outputs(in_process)
     assert processes == 1
 
@@ -80,14 +81,14 @@ def test_workers_write_what_in_process_training_writes(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     environ = dict(os.environ)
     workers = str(tmp_path / "workers")
-    assert _train(mnist_dir, workers, grid) == 0
+    assert _train(mnist, workers, grid) == 0
     assert dict(os.environ) == environ
     _assert_no_child_left()
     assert _outputs(workers) == (digests, manifest, 2)
     assert len(digests) == len(manifest["cells"])
-    if "1e12" in grid:  # lr 1e12 overflows some cells of this grid, not all
-        assert manifest["failures"] and manifest["cells"]
-        assert all("non-finite" in f["error"] for f in manifest["failures"])
+    assert bool(manifest["failures"]) is diverging
+    assert manifest["cells"]
+    assert all("non-finite" in f["error"] for f in manifest["failures"])
 
 
 def test_workers_end_by_themselves(tmp_path, mnist_dir, monkeypatch,
