@@ -10,6 +10,7 @@ in worker processes (train_processes, worker_main).
 
 import argparse
 import csv
+import functools
 import json
 import os
 import selectors
@@ -564,6 +565,9 @@ def _add_experiment_flags(p):
                        choices=f.metadata.get("choices"))
 
 
+# built once per process, not once per main call; callers parse with the
+# shared parser and do not change it
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="snnbounds")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -882,6 +882,19 @@ def test_rad_subcommand(tmp_path):
     assert float(vals["std_error"]) == 0.0  # n=6 runs the exhaustive mode
 
 
+def test_parser_is_built_once_and_reparses_each_call(tmp_path):
+    assert build_parser() is build_parser()
+    rows = []
+    for n in ("5", "7"):
+        out_csv = os.path.join(tmp_path, f"rad{n}.csv")
+        assert _run(["rad", "--n", n, "--d", "2", "--m", "2",
+                     "--pga-steps", "5", "--out-csv", out_csv]) == 0
+        with open(out_csv, newline="") as f:
+            rows.append(next(csv.DictReader(f)))
+    assert [row["n"] for row in rows] == ["5", "7"]
+    assert all(row["d"] == row["m"] == "2" for row in rows)
+
+
 def _rad_row(tmp_path, *flags):
     out_csv = os.path.join(tmp_path, "rad.csv")
     assert _run(["rad", *flags, "--pga-steps", "20", "--pga-restarts", "2",

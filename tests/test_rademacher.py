@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +9,19 @@ import pytest
 from snnbounds import (RELU, SIGMOID, TANH, Dataset, RadConfig,
                        enumerate_signs, init_kaiming, make_rng,
                        mc_rad_estimate, rad_upper_path, sample_signs)
+from snnbounds import rademacher
 from snnbounds.bounds import class_bound_inputs
 from snnbounds.cli import main
 from snnbounds.linalg import fork_rng
-from snnbounds.rademacher import _pga_best_values
+from snnbounds.rademacher import POLISH_STEPS, RADIUS_GUARD, _pga_best_values
 from conftest import random_unit_dataset
 from oracles import (closed_form_linear_sup, closed_form_toplayer_sup,
                      khintchine_sandwich_check)
 
 FAST = RadConfig(sigma_samples=50, pga_steps=40, pga_restarts=2,
                  step_size=0.1, seed=0)
+POLISH_ONLY = RadConfig(sigma_samples=50, pga_steps=POLISH_STEPS,
+                        pga_restarts=2, step_size=0.1, seed=0)
 
 
 def test_linear_sup_hand_345():
@@ -162,19 +167,180 @@ def test_mc_estimate_sampled_draws_signs_in_one_call():
                                   / math.sqrt(FAST.sigma_samples))
 
 
-@pytest.mark.parametrize("activation,n,want", [
-    (RELU, 6, 0.8909376714469519), (TANH, 6, 0.8196840576268659),
-    (SIGMOID, 6, 0.5609243371859274), (RELU, 12, 0.6629237119085747)],
+@pytest.mark.parametrize("activation,n,want,float64_want", [
+    (RELU, 6, 0.8909376714409809, 0.8909376714469519),
+    (TANH, 6, 0.8196840576768646, 0.8196840576268659),
+    (SIGMOID, 6, 0.5609243371647258, 0.5609243371859274),
+    (RELU, 12, 0.6629237119059737, 0.6629237119085747)],
     ids=["relu", "tanh", "sigmoid", "sampled"])
-def test_mc_estimate_pinned(activation, n, want):
-    """Estimates pinned bit for bit to those of the multi-output probe the
-    single-output one replaced: exhaustive runs for each activation and a
-    sampled run (n > 10)."""
+def test_mc_estimate_pinned(activation, n, want, float64_want):
+    """Estimates pinned bit for bit: exhaustive runs for each activation and
+    a sampled run (n > 10).  float64_want is the estimate of the all-float64
+    ascent that the float32 one replaced, pinned to that of the multi-output
+    probe before it; the float32 steps may move it by 1e-6 relative."""
     rng = make_rng(22 if n <= 10 else 23)
     ds = random_unit_dataset(rng, 3, n)
     _, snap = init_kaiming(rng, 4, 3, 1, activation)
     est = mc_rad_estimate(ds.X, snap.W0, 0.7, 1.3, activation, cfg=FAST)
     assert est.mean == want
+    assert want == pytest.approx(float64_want, rel=1e-6)
+
+
+def _instance(seed, d, n, m, activation):
+    rng = make_rng(seed)
+    ds = random_unit_dataset(rng, d, n)
+    return ds, np.asarray(init_kaiming(rng, m, d, 1, activation)[1].W0)
+
+
+def _ascent_dtype_of(X, W0, R_W, R_V, cfg):
+    return rademacher._ascent_dtype(np.linalg.norm(X, axis=0), W0 @ X, R_W,
+                                    R_V, cfg)
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, SIGMOID],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("n, restarts", [(6, 5), (6, 1), (12, 2)],
+                         ids=["exhaustive", "one-restart", "sampled"])
+def test_pga_values_do_not_depend_on_the_chunk_size(monkeypatch, activation,
+                                                    n, restarts):
+    d, m = 3, 4
+    ds, W0 = _instance(30, d, n, m, activation)
+    cfg = RadConfig(sigma_samples=50, pga_steps=40, pga_restarts=restarts,
+                    step_size=0.1, seed=0)
+    sigmas = (enumerate_signs(n)[2 ** (n - 1):] if n <= 10
+              else sample_signs(fork_rng(0, 2), cfg.sigma_samples, n))
+    assert _ascent_dtype_of(ds.X, W0, 0.7, 1.3, cfg) == np.float32
+    values = []
+    # chunks of one sign vector (of four at one restart), of three, of all
+    for signs in (1, 3, len(sigmas)):
+        monkeypatch.setattr(rademacher, "PGA_CHUNK_FLOATS",
+                            signs * restarts * m * (n + d))
+        values.append(_pga_best_values(sigmas, ds.X, W0, 0.7, 1.3,
+                                       activation, cfg))
+    assert all(np.array_equal(v, values[-1]) for v in values)
+
+
+@pytest.mark.parametrize("activation, seed, d, n, m, R_W, R_V, cfg, want", [
+    (RELU, 22, 3, 6, 4, 0.7, 1.3, POLISH_ONLY, 0.8905451798545126),
+    (TANH, 22, 3, 6, 4, 0.7, 1.3, POLISH_ONLY, 0.8190150765242246),
+    (SIGMOID, 24, 8, 40, 8, 0.7, 1.3,
+     RadConfig(sigma_samples=300, pga_steps=20, step_size=0.1),
+     0.28244952016815816),
+    (RELU, 22, 3, 6, 4, RADIUS_GUARD, RADIUS_GUARD, FAST,
+     3.321780847792742e+99),
+    (TANH, 24, 8, 40, 8, RADIUS_GUARD, 1.0,
+     RadConfig(sigma_samples=300, pga_steps=40, step_size=0.1),
+     0.8499388994426227),
+], ids=["polish-only-relu", "polish-only-tanh", "polish-only-sampled",
+        "radius-guard", "radius-guard-sampled"])
+def test_float64_ascent_gives_the_all_float64_bytes(activation, seed, d, n, m,
+                                                    R_W, R_V, cfg, want):
+    """Where the dtype rule gives float64, at pga_steps <= POLISH_STEPS or
+    at radii outside it, the estimates are those of the all-float64 ascent
+    before the float32 one, pinned bit for bit; the sampled cases run in
+    several chunks."""
+    ds, W0 = _instance(seed, d, n, m, activation)
+    assert _ascent_dtype_of(ds.X, W0, R_W, R_V, cfg) == np.float64
+    est = mc_rad_estimate(ds.X, W0, R_W, R_V, activation, cfg)
+    assert est.mean == want
+
+
+def _harness_config(i, activation):
+    """Config i of the estimate-quality harness: n in [2, 8], d and m in
+    [1, 5], R_W ~ U(0.3, 3), R_V ~ U(0.1, 2), X with unit columns and a
+    Kaiming W0, all from make_rng(70_000 + i)."""
+    rng = make_rng(70_000 + i)
+    n, d, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 9), (1, 6), (1, 6)))
+    R_W, R_V = float(rng.uniform(0.3, 3)), float(rng.uniform(0.1, 2))
+    X = rng.standard_normal((d, n))
+    X /= np.linalg.norm(X, axis=0)
+    return X, init_kaiming(rng, m, d, 1, activation)[1].W0, R_W, R_V
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, SIGMOID],
+                         ids=lambda a: a.name)
+def test_float32_ascent_matches_the_float64_one(monkeypatch, activation):
+    configs = [_harness_config(i, activation) for i in range(20)]
+    float32 = [mc_rad_estimate(X, W0, R_W, R_V, activation, RadConfig(seed=i))
+               for i, (X, W0, R_W, R_V) in enumerate(configs)]
+    assert all(_ascent_dtype_of(X, W0, R_W, R_V, RadConfig()) == np.float32
+               for X, W0, R_W, R_V in configs)
+    monkeypatch.setattr(rademacher, "_ascent_dtype", lambda *a: np.float64)
+    for i, (X, W0, R_W, R_V) in enumerate(configs):
+        est = mc_rad_estimate(X, W0, R_W, R_V, activation, RadConfig(seed=i))
+        assert float32[i].mean == pytest.approx(est.mean, rel=1e-6)
+
+
+# the rule's two edges: 1e30 R_V <= 2^127 (the quotient R_V / max(||G||,
+# 1e-30)) and a nonzero R_W >= 2^-40; (R_W, R_V) just inside, then outside
+EDGE_RV, EDGE_RW = 2.0 ** 127 / 1e30, 2.0 ** -40
+
+
+class _RecordingNumpy:
+    """numpy, recording the dtype of each float array its functions return."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray) and out.dtype.kind == "f":
+                self.dtypes.append(out.dtype.type)
+            return out
+        return call
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, SIGMOID],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("R_W, R_V, dtype", [
+    (0.7, EDGE_RV * (1 - 1e-6), np.float32),
+    (0.7, EDGE_RV * (1 + 1e-6), np.float64),
+    (EDGE_RW, 1.3, np.float32),
+    (EDGE_RW * (1 - 1e-6), 1.3, np.float64),
+], ids=["rv-inside", "rv-outside", "rw-inside", "rw-outside"])
+def test_ascent_at_the_edge_of_the_dtype_rule(monkeypatch, activation, R_W,
+                                              R_V, dtype):
+    ds, W0 = _instance(31, 3, 6, 4, activation)
+    assert _ascent_dtype_of(ds.X, W0, R_W, R_V, FAST) == dtype
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(rademacher, "np", recorder)
+    # float64 radii: under numpy 2's promotion rules, a product with one
+    # makes a float64 array of a float32 one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_rad_estimate(ds.X, W0, np.float64(R_W), np.float64(R_V),
+                              activation, FAST)
+    upper = rad_upper_path(class_bound_inputs(ds, W0, activation,
+                                              R_W=R_W, R_V=R_V))
+    assert math.isfinite(est.mean) and 0.0 <= est.mean <= upper
+    # the float32 steps make one unbroken run of float32 arrays
+    low = [k for k, t in enumerate(recorder.dtypes) if t == np.float32]
+    if dtype == np.float32:
+        assert low and low == list(range(low[0], low[-1] + 1))
+    else:
+        assert low == []
+
+
+def test_pga_peak_memory_is_the_starts_and_a_few_chunks():
+    # a sampled probe at a short budget, in 20 chunks of 10 sign vectors;
+    # unchunked, the peak was 58 MB, 5.6 times its iterates' 10 MB
+    n, d, m, S = 64, 16, 16, 200
+    ds, W0 = _instance(32, d, n, m, RELU)
+    cfg = RadConfig(sigma_samples=S, pga_steps=25)
+    sigmas = sample_signs(fork_rng(0, 2), S, n)
+    tracemalloc.start()
+    try:
+        _pga_best_values(sigmas, ds.X, W0, 1.0, 1.0, RELU, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    starts = S * cfg.pga_restarts * m * d * 8   # the float64 start draw
+    assert peak < starts + 12 * rademacher.PGA_CHUNK_FLOATS * 8
 
 
 def test_enumerate_signs():
